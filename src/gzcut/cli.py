@@ -1,7 +1,9 @@
 """Command line surface: matrix file I/O, seeded experiments, deterministic reports.
 
-Exit codes: 0 all checks passed, 1 a verified claim failed, 2 input error,
-3 numerical failure, 4 precondition not met (report status "n/a").
+Exit codes: 0 all checks passed, 1 a verified claim failed, 2 input error
+(a malformed file or argument), 3 numerical failure (no convergence, two
+routes disagreeing, or a broken internal invariant), 4 precondition not met
+(report status "n/a").
 
 Reports are JSON objects with sorted keys (or a flat text table), so a fixed
 command line plus a fixed seed produces byte-identical output; execution
@@ -121,12 +123,15 @@ def write_matrix_file(path: str, m: np.ndarray) -> None:
 
 def _tolerances(args) -> Tolerances:
     tol = DEFAULT_TOL
-    if args.tol_eig is not None:
-        tol = replace(tol, eig_match=args.tol_eig)
-    if args.tol_rank is not None:
-        tol = replace(tol, rank_rel=args.tol_rank)
-    if args.tol_membership is not None:
-        tol = replace(tol, membership=args.tol_membership)
+    try:
+        if args.tol_eig is not None:
+            tol = replace(tol, eig_match=args.tol_eig)
+        if args.tol_rank is not None:
+            tol = replace(tol, rank_rel=args.tol_rank)
+        if args.tol_membership is not None:
+            tol = replace(tol, membership=args.tol_membership)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     return tol
 
 
@@ -577,12 +582,11 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (EigensolverError, MethodDisagreement) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        # a solver that did not converge, two routes that disagreed, or a
+        # broken internal invariant: the computation failed, not the input
+        print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 def console_main() -> None:

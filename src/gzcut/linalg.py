@@ -55,8 +55,9 @@ class Tolerances:
     membership: float = 1e-8
 
     def __post_init__(self):
-        if min(self.eig_match, self.rank_rel, self.membership) < 0:
-            raise ValueError("tolerances must be nonnegative")
+        # written as `not >= 0` so that NaN is rejected too
+        if not (self.eig_match >= 0 and self.rank_rel >= 0 and self.membership >= 0):
+            raise ValueError("tolerances must be nonnegative numbers")
 
 
 DEFAULT_TOL = Tolerances()
@@ -180,26 +181,30 @@ def aberth_roots(coeffs, max_iter: int = 200, step_tol: float = 1e-14) -> np.nda
         # p(z) = (z - centroid)^k exactly
         return np.full(k, centroid)
     with np.errstate(divide="ignore"):
-        radius = 2.0 * np.max(mags ** (1.0 / np.arange(1, k + 1)))
+        radius = 2.0 * (mags ** (1.0 / np.arange(1, k + 1))).max()
     angles = 2.0 * np.pi * np.arange(k) / k + 0.39  # offset breaks symmetry
     z = centroid + radius * np.exp(1j * angles)
 
+    # Hot loop: ndarray methods and in-place masked writes keep numpy's
+    # Python-level wrappers (reductions, `where`, `fill_diagonal`) out of it.
+    # Both `np.polyval` calls stay module lookups: bench/spans.py counts
+    # iterations from them.
     dc = c[:-1] * np.arange(k, 0, -1)
     for _ in range(max_iter):
         p = np.polyval(c, z)
         dp = np.polyval(dc, z)
-        dp = np.where(dp == 0, 1e-300, dp)
+        dp[dp == 0] = 1e-300
         newton = p / dp
         diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
+        diff.flat[:: k + 1] = np.inf
         repulsion = (1.0 / diff).sum(axis=1)
         denom = 1.0 - newton * repulsion
-        denom = np.where(denom == 0, 1e-300, denom)
+        denom[denom == 0] = 1e-300
         w = newton / denom
         z = z - w
-        if np.max(np.abs(w)) <= step_tol * (1.0 + np.max(np.abs(z))):
+        if np.abs(w).max() <= step_tol * (1.0 + np.abs(z).max()):
             break
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise EigensolverError("Aberth iteration diverged")
     return z
 

@@ -10,6 +10,7 @@ boundaries greedy counting gets the answer wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -50,6 +51,20 @@ class GZImage:
     def __post_init__(self):
         if len(self.c_prev) != self.n - 1 or len(self.c_full) != self.n:
             raise ValueError("power-sum lists must have lengths n-1 and n")
+
+    @cached_property
+    def _roots(self) -> tuple:
+        """Spectra recovered from (c_prev, c_full) by Newton and Aberth, sorted.
+
+        Computed on first use and kept in the instance __dict__, so it lives
+        and dies with the image and plays no part in equality or hashing.
+        """
+        out = []
+        for sums in (self.c_prev, self.c_full):
+            roots = sort_complex(aberth_roots(newton_to_charpoly(sums)))
+            roots.flags.writeable = False
+            out.append(roots)
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -190,12 +205,13 @@ def v_membership(img: GZImage, l: int, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether a power-sum image lies in the locus of >= l shared eigenvalues.
 
     Both spectra are recovered through Newton's identities and Aberth root
-    finding, then rematched at 10x the coincidence radius: the round trip
-    through coefficients loses precision, so the radius is derated.
+    finding once per image, on the first query, and reused by every later
+    query on that image whatever its l or tol.  Each query rematches them at
+    10x the coincidence radius: the round trip through coefficients loses
+    precision, so the radius is derated.
     """
     if not 0 <= l <= img.n - 1:
         raise ValueError(f"l={l} out of range for n={img.n}")
-    roots_prev = sort_complex(aberth_roots(newton_to_charpoly(img.c_prev)))
-    roots_full = sort_complex(aberth_roots(newton_to_charpoly(img.c_full)))
+    roots_prev, roots_full = img._roots
     loose = replace(tol, eig_match=10.0 * tol.eig_match)
     return match_spectra(roots_prev, roots_full, loose).l >= l

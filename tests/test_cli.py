@@ -57,6 +57,19 @@ def test_malformed_file_is_an_input_error(tmp_path):
     path.write_text(json.dumps({"n": 2, "entries": [[1, 2]]}))
     code, _ = run(tmp_path, "coincidence", "--input", str(path))
     assert code == 2
+    path = matrix_file(tmp_path, BORDERED)
+    for bad in ("-1", "nan"):
+        code, _ = run(tmp_path, "coincidence", "--input", path, "--tol-eig", bad)
+        assert code == 2
+
+
+def test_internal_invariant_failure_is_a_numerical_failure(tmp_path, capsys):
+    # well formed, but the reduction trips an XiInvariantError inside xi_pattern
+    path = matrix_file(tmp_path, {"n": 3, "entries": [[0, 0, 1e-4], [0, 5, 1], [1e-4, 1, 10]]})
+    code, report = run(tmp_path, "canonical", "--input", path)
+    assert code == 3 and report is None
+    err = capsys.readouterr().err
+    assert "XiInvariantError" in err and "input error" not in err
 
 
 def test_canonical_command(tmp_path):

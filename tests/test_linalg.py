@@ -92,6 +92,9 @@ def test_aberth_multiple_roots_cluster():
     assert_allclose(aberth_roots([1, 0, 0, 0]), [0, 0, 0], atol=0)
     roots = aberth_roots([1, -4, 4])  # (z - 2)^2
     assert_allclose(roots, [2, 2], atol=1e-5)
+    # two triple roots: linear convergence runs the loop to max_iter
+    roots = sort_complex(aberth_roots(np.poly([1, 1, 1, 2, 2, 2])))
+    assert_allclose(roots, [1, 1, 1, 2, 2, 2], atol=2e-4)
 
 
 def test_aberth_rejects_nonmonic_garbage():

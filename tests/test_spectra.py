@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import gzcut.spectra
+
 from gzcut import (
     GZImage,
     SeededRng,
@@ -191,6 +193,33 @@ def test_v_membership_examples():
     img = phi_n(BORDERED)
     assert v_membership(img, 1)
     assert not v_membership(img, 2)
+
+
+def test_v_membership_recovers_spectra_once_per_image(monkeypatch):
+    # bordered diagonal sharing exactly 2 eigenvalues (y[0] = y[1] = 0),
+    # conjugated by a block-diagonal element of K
+    b = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(complex)
+    b[:-1, -1] = [0, 0, 1, 1]
+    b[-1, :-1] = [1, 1, 1, 1]
+    k = np.eye(5, dtype=complex)
+    k[:-1, :-1] = cgauss(np.random.default_rng(11), (4, 4))
+    x = k @ b @ np.linalg.inv(k)
+    fresh = [v_membership(phi_n(x), l) for l in range(5)]
+    assert fresh == [True, True, True, False, False]
+
+    calls = []
+    original = gzcut.spectra.aberth_roots
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gzcut.spectra, "aberth_roots", counting)
+    img = phi_n(x)
+    assert [v_membership(img, l) for l in range(5)] == fresh
+    assert len(calls) == 2
+    assert img == phi_n(x)
+    assert hash(img) == hash(phi_n(x))
 
 
 def test_v_membership_range():
