@@ -81,6 +81,7 @@ from .canonical import (
     CanonicalFormResult,
     CutoffNotRegularSemisimple,
     MethodDisagreement,
+    RoundTripReport,
     StrongRegularityReport,
     ULPattern,
     XiElement,
@@ -93,6 +94,7 @@ from .canonical import (
     reduce_to_xi,
     sn_membership,
     stabilized_flag,
+    verify_roundtrips,
     xi_build,
     xi_pattern,
 )

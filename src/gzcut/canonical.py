@@ -32,7 +32,7 @@ from .linalg import (
     numerical_rank,
     sort_complex,
 )
-from .orbits import KElement, SeededRng, ad
+from .orbits import KElement, SeededRng, ad, sample_K
 from .spectra import _assignment, coincidence_count
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "XiElement",
     "ULPattern",
     "CanonicalFormResult",
+    "RoundTripReport",
     "StrongRegularityReport",
     "xi_build",
     "xi_pattern",
@@ -49,6 +50,7 @@ __all__ = [
     "reduce_to_xi",
     "canonical_form",
     "random_xi",
+    "verify_roundtrips",
     "is_regular",
     "gz_gradients",
     "is_n_strongly_regular",
@@ -58,6 +60,9 @@ __all__ = [
 # a cutoff counts as regular semisimple when its eigenvalue gaps clear
 # this many matching radii; below 10x the bound we warn about conditioning
 _RS_GAP_FACTOR = 1e3
+
+# a planted round trip must land in its parabolic with a residual below this
+_ROUNDTRIP_RESIDUAL_CAP = 1e-7
 
 
 class CutoffNotRegularSemisimple(ValueError):
@@ -380,6 +385,49 @@ def random_xi(rng: SeededRng, n: int, l: int, tol: Tolerances = DEFAULT_TOL) -> 
         except XiInvariantError:
             continue
         return e
+
+
+@dataclass(frozen=True)
+class RoundTripReport:
+    """Planted round trips for one count l.  mismatches counts a wrong count or
+    orbit length, residual_violations a residual >= residual_cap, failures a
+    solver breakdown or degenerate cutoff; borel_indices is None unless l = n - 1."""
+
+    l: int
+    trials: int
+    failures: int
+    mismatches: int
+    max_residual: float
+    residual_cap: float
+    residual_violations: int
+    borel_indices: tuple | None
+
+
+def verify_roundtrips(
+    n: int, l: int, trials: int, rng: SeededRng, tol: Tolerances = DEFAULT_TOL
+) -> RoundTripReport:
+    """Monte Carlo check that canonical_form recovers a planted count l; trial
+    t draws random_xi, then sample_K, from rng.derive(t)."""
+    failures = mismatches = violations = 0
+    worst = 0.0
+    borels = set()
+    for t in range(trials):
+        trial = rng.derive(t)
+        try:
+            e = random_xi(trial, n, l, tol)
+            g = sample_K(trial, n)
+            res = canonical_form(ad(g, xi_build(e, tol)), tol)
+        except (EigensolverError, CutoffNotRegularSemisimple):
+            failures += 1
+            continue
+        mismatches += res.l != l or res.idx.length != n - 1 - l
+        worst = max(worst, res.residual)
+        violations += res.residual >= _ROUNDTRIP_RESIDUAL_CAP
+        borels.add(res.idx.i)
+    borel_indices = tuple(sorted(borels)) if l == n - 1 else None
+    return RoundTripReport(
+        l, trials, failures, mismatches, worst, _ROUNDTRIP_RESIDUAL_CAP, violations, borel_indices
+    )
 
 
 def is_regular(y, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -6,8 +6,8 @@ routes disagreeing, or a broken internal invariant), 4 precondition not met
 (report status "n/a").
 
 Reports are JSON objects with sorted keys (or a flat text table), so a fixed
-command line plus a fixed seed produces byte-identical output; execution
-details such as the worker count are deliberately kept out of the report.
+command line plus a fixed seed produces byte-identical output.  `verify` runs
+its trials serially; `--workers` is accepted but has no effect.
 Matrix files are JSON: {"n": 3, "entries": [[...], ...]} where each entry is
 either a plain number or an [re, im] pair.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401 (unused; bench/spans.py patches it)
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -27,9 +27,8 @@ from .canonical import (
     canonical_form,
     is_n_strongly_regular,
     MethodDisagreement,
-    random_xi,
     sn_membership,
-    xi_build,
+    verify_roundtrips,
 )
 from .flags import (
     all_orbit_indices,
@@ -47,8 +46,8 @@ from .flags import (
     standard_flag,
     v_matrix,
 )
-from .linalg import DEFAULT_TOL, EigensolverError, Tolerances
-from .orbits import SeededRng, ad, containment_trial, estimate_dim, sample_K, sample_in
+from .linalg import DEFAULT_TOL, Tolerances
+from .orbits import SeededRng, ad, estimate_dim, sample_K, sample_in, verify_containment
 from .spectra import coincidence_count
 
 EXIT_PASS = 0
@@ -56,8 +55,6 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_NA = 4
-
-_ROUNDTRIP_RESIDUAL_CAP = 1e-7
 
 
 class InputError(ValueError):
@@ -92,20 +89,21 @@ def read_matrix_file(path: str) -> np.ndarray:
         raise InputError("matrix file must be an object with keys 'n' and 'entries'")
     n = data["n"]
     entries = data["entries"]
-    if not isinstance(n, int) or n < 1 or len(entries) != n:
+    if not isinstance(n, int) or n < 1 or not isinstance(entries, list) or len(entries) != n:
         raise InputError(f"inconsistent dimension n={n}")
     rows = []
     for row in entries:
-        if len(row) != n:
+        if not isinstance(row, list) or len(row) != n:
             raise InputError("entries must form an n x n array")
         vals = []
         for v in row:
-            if isinstance(v, (int, float)):
-                vals.append(complex(v))
-            elif isinstance(v, (list, tuple)) and len(v) == 2:
-                vals.append(complex(v[0], v[1]))
-            else:
+            parts = v if isinstance(v, list) and len(v) == 2 else [v]
+            if not all(isinstance(p, (int, float)) for p in parts):
                 raise InputError(f"bad entry {v!r}: expected number or [re, im]")
+            try:
+                vals.append(complex(*parts))
+            except OverflowError as exc:
+                raise InputError(f"bad entry {v!r}: {exc}") from exc
         rows.append(vals)
     m = np.array(rows, dtype=complex)
     if not np.all(np.isfinite(m)):
@@ -247,82 +245,6 @@ def cmd_canonical(args) -> int:
     return _STATUS_EXIT[status]
 
 
-def _containment_block(n, trials, seed, tol, workers, indices):
-    """Containment trials for every orbit index, deterministically aggregated."""
-    out = []
-    for ordinal, idx in enumerate(indices):
-        p = parabolic_p(idx, n)
-        bound = n - 1 - idx.length
-        base = ordinal * trials
-
-        def one(t, p=p, base=base):
-            rng = SeededRng(seed, base + t)
-            try:
-                return containment_trial(p, n, rng, tol)
-            except EigensolverError:
-                return None
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(one, range(trials)))
-        else:
-            rows = [one(t) for t in range(trials)]
-        ls = [r[0] for r in rows if r is not None]
-        out.append(
-            {
-                "idx": [idx.i, idx.j],
-                "bound": bound,
-                "trials": trials,
-                "failures": sum(r is None for r in rows),
-                "violations": sum(l < bound for l in ls),
-                "min_observed_l": min(ls) if ls else None,
-                "worst_residual": max((r[1] for r in rows if r is not None), default=0.0),
-            }
-        )
-    return out
-
-
-def _roundtrip_block(n, trials, seed, tol, workers, stream_base):
-    """Canonical-form round trips for every coincidence count l."""
-    out = []
-    for l in range(n):
-        base = stream_base + l * trials
-
-        def one(t, l=l, base=base):
-            rng = SeededRng(seed, base + t)
-            try:
-                e = random_xi(rng, n, l, tol)
-                g = sample_K(rng, n)
-                res = canonical_form(ad(g, xi_build(e, tol)), tol)
-            except (EigensolverError, CutoffNotRegularSemisimple):
-                return None
-            return (
-                res.l == l and res.idx.length == n - 1 - l,
-                res.residual,
-                res.idx.i,
-            )
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(one, range(trials)))
-        else:
-            rows = [one(t) for t in range(trials)]
-        good = [r for r in rows if r is not None]
-        entry = {
-            "l": l,
-            "trials": trials,
-            "failures": sum(r is None for r in rows),
-            "mismatches": sum(not r[0] for r in good),
-            "max_residual": max((r[1] for r in good), default=0.0),
-            "residual_cap": _ROUNDTRIP_RESIDUAL_CAP,
-            "residual_violations": sum(r[1] >= _ROUNDTRIP_RESIDUAL_CAP for r in good),
-        }
-        if l == n - 1:
-            entry["borel_indices"] = sorted({r[2] for r in good})
-        out.append(entry)
-    return out
-
-
 def cmd_verify(args) -> int:
     tol = _tolerances(args)
     n, trials = args.n, args.trials
@@ -340,11 +262,19 @@ def cmd_verify(args) -> int:
         report = _report("verify", params, {}, claim, "n/a")
         emit(report, args)
         return EXIT_NA
+    # catalog index k starts on stream k*T; count l continues after the last index
     indices = all_orbit_indices(n)
-    containment = _containment_block(n, trials, args.seed, tol, args.workers, indices)
-    roundtrips = _roundtrip_block(
-        n, trials, args.seed, tol, args.workers, len(indices) * trials
-    )
+    containment = []
+    for k, idx in enumerate(indices):
+        rep = verify_containment(idx, n, trials, SeededRng(args.seed, k * trials), tol)
+        containment.append({**asdict(rep), "idx": [idx.i, idx.j], "bound": n - 1 - idx.length})
+    roundtrips = []
+    for l in range(n):
+        stream = (len(indices) + l) * trials
+        entry = asdict(verify_roundtrips(n, l, trials, SeededRng(args.seed, stream), tol))
+        if l < n - 1:
+            del entry["borel_indices"]
+        roundtrips.append(entry)
     bad = sum(c["violations"] for c in containment) + sum(
         r["mismatches"] + r["residual_violations"] for r in roundtrips
     )
@@ -551,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify", help="Monte Carlo containment and round trips")
     _add_common(sub, seeded=True, sized=True)
     sub.add_argument("--trials", type=int, default=200)
-    sub.add_argument("--workers", type=int, default=1, help="parallel trial workers")
+    sub.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("dims", help="tangent-rank dimension estimates")

@@ -261,11 +261,14 @@ def stabilizer(
     tol: Tolerances = DEFAULT_TOL,
     tag: str = "parabolic",
     origin: OrbitIndex | None = None,
+    strict: bool = False,
 ) -> SubalgebraSpec:
     """The subalgebra {x : x V_k <= V_k for every step}.
 
     In the flag's own basis the stabilizer is the block upper triangular
     pattern, so the basis returned is {B E_rs B^-1} over admissible (r, s).
+    With strict=True only the strictly block upper pairs are kept: the
+    nilradical {x : x V_k <= V_(k-1) for every step}.
     """
     n = flag.n
     binv = _inverse(flag.basis)
@@ -279,7 +282,7 @@ def stabilizer(
         np.outer(flag.basis[:, r], binv[s, :])
         for r in range(n)
         for s in range(n)
-        if block[r] <= block[s]
+        if block[r] < block[s] or (not strict and block[r] == block[s])
     ]
     return SubalgebraSpec(n=n, basis=tuple(basis), tag=tag, origin=origin)
 
@@ -300,14 +303,8 @@ def nilradical_n(i: int, n: int) -> SubalgebraSpec:
     cutoffs."""
     if not 1 <= i <= n:
         raise ValueError(f"index {i} out of range for n={n}")
-    flag = flag_F(OrbitIndex(i, i), n)
-    binv = _inverse(flag.basis)
-    basis = [
-        np.outer(flag.basis[:, r], binv[s, :])
-        for r in range(n)
-        for s in range(r + 1, n)
-    ]
-    return SubalgebraSpec(n=n, basis=tuple(basis), tag="nilradical", origin=OrbitIndex(i, i))
+    idx = OrbitIndex(i, i)
+    return stabilizer(flag_F(idx, n), tag="nilradical", origin=idx, strict=True)
 
 
 def cutoff_parabolic(idx: OrbitIndex, n: int) -> SubalgebraSpec:

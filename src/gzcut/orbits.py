@@ -2,8 +2,8 @@
 adjoint action, Monte Carlo containment checks, and tangent-space ranks.
 
 All randomness flows through SeededRng handles: a handle is fully determined
-by (seed, stream), and every trial derives its own handle, so serial and
-parallel runs consume identical per-trial sequences and aggregate identically.
+by (seed, stream), and trial t of a loop draws only from rng.derive(t), the
+handle on stream + t, so a loop's draws depend only on its starting handle.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from gzcut import (
     ad,
     all_orbit_indices,
     borel_b,
-    canonical_form,
     coincidence_count,
     cutoff_flag,
     cutoff_parabolic,
@@ -29,7 +28,6 @@ from gzcut import (
     parabolic_p,
     phi_n,
     project_cutoff,
-    random_xi,
     sample_K,
     sample_in,
     sn_membership,
@@ -37,7 +35,7 @@ from gzcut import (
     span_equal,
     v_matrix,
     v_membership,
-    xi_build,
+    verify_roundtrips,
 )
 from gzcut.cli import main as cli_main
 from oracles import cgauss, exact_rank
@@ -104,36 +102,29 @@ def test_criterion_3_canonical_round_trips():
     # 1e-7, and for l = n-1 the recovered Borel index sweeps all of 1..n
     tol = Tolerances()
     trips = 200
-    mismatches = residual_violations = 0
+    failures = mismatches = residual_violations = 0
     worst = 0.0
     coverage_failures = []
     stream = 0
     for n in range(3, 7):
         for l in range(n):
-            borels = set()
-            for _ in range(trips):
-                rng = SeededRng(SEED, stream)
-                stream += 1
-                e = random_xi(rng, n, l, tol)
-                g = sample_K(rng, n)
-                res = canonical_form(ad(g, xi_build(e, tol)), tol)
-                if res.l != l or res.idx.length != n - 1 - l:
-                    mismatches += 1
-                worst = max(worst, res.residual)
-                if res.residual >= 1e-7:
-                    residual_violations += 1
-                if l == n - 1:
-                    borels.add(res.idx.i)
-            if l == n - 1 and borels != set(range(1, n + 1)):
-                coverage_failures.append((n, sorted(borels)))
-    ok = mismatches == 0 and residual_violations == 0 and not coverage_failures
+            rep = verify_roundtrips(n, l, trips, SeededRng(SEED, stream), tol)
+            stream += trips
+            assert rep.residual_cap == 1e-7
+            failures += rep.failures
+            mismatches += rep.mismatches
+            residual_violations += rep.residual_violations
+            worst = max(worst, rep.max_residual)
+            if l == n - 1 and rep.borel_indices != tuple(range(1, n + 1)):
+                coverage_failures.append((n, rep.borel_indices))
+    ok = failures == 0 and mismatches == 0 and residual_violations == 0 and not coverage_failures
     _verdict(
         3,
         "canonical form",
         ok,
-        f"{mismatches} recovery mismatches, {residual_violations} residuals "
-        f">= 1e-7 (worst {worst:.2e}), Borel coverage failures: "
-        f"{coverage_failures if coverage_failures else 'none'}",
+        f"{failures} solver failures, {mismatches} recovery mismatches, "
+        f"{residual_violations} residuals >= 1e-7 (worst {worst:.2e}), Borel "
+        f"coverage failures: {coverage_failures if coverage_failures else 'none'}",
     )
 
 

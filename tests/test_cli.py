@@ -1,8 +1,10 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from gzcut import SeededRng, all_orbit_indices, verify_containment, verify_roundtrips
 from gzcut.cli import main, read_matrix_file, write_matrix_file
 
 BORDERED = {"n": 3, "entries": [[1, 0, 0], [0, 2, 1], [0, 1, 3]]}
@@ -54,9 +56,16 @@ def test_malformed_file_is_an_input_error(tmp_path):
     path.write_text("{not json")
     code, _ = run(tmp_path, "coincidence", "--input", str(path))
     assert code == 2
-    path.write_text(json.dumps({"n": 2, "entries": [[1, 2]]}))
-    code, _ = run(tmp_path, "coincidence", "--input", str(path))
-    assert code == 2
+    for payload in (
+        '{"n": 2, "entries": [[1, 2]]}',
+        '{"n": 2, "entries": 5}',
+        '{"n": 2, "entries": [1, 2]}',
+        '{"n": 2, "entries": [[1, 2], [3, [1, "x"]]]}',
+        '{"n": 1, "entries": [[1%s]]}' % ("0" * 400),
+    ):
+        path.write_text(payload)
+        code, _ = run(tmp_path, "coincidence", "--input", str(path))
+        assert code == 2, payload
     path = matrix_file(tmp_path, BORDERED)
     for bad in ("-1", "nan"):
         code, _ = run(tmp_path, "coincidence", "--input", path, "--tol-eig", bad)
@@ -116,6 +125,20 @@ def test_verify_serial_and_parallel_reports_are_byte_identical(tmp_path):
     assert main(args + ["--workers", "1", "--output", str(a)]) == 0
     assert main(args + ["--workers", "4", "--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_entries_are_the_library_reports(tmp_path):
+    # catalog index k starts on stream k*T; count l continues after the 6 indices
+    code, report = run(tmp_path, "verify", "--n", "3", "--trials", "20", "--seed", "5")
+    assert code == 0
+    res = report["results"]
+    for k, idx in enumerate(all_orbit_indices(3)):
+        want = asdict(verify_containment(idx, 3, 20, SeededRng(5, k * 20)))
+        assert res["containment"][k] == {**want, "idx": [idx.i, idx.j], "bound": 2 - idx.length}
+    for l in range(3):
+        want = asdict(verify_roundtrips(3, l, 20, SeededRng(5, (6 + l) * 20)))
+        want = {key: v for key, v in want.items() if v is not None}
+        assert res["roundtrips"][l] == json.loads(json.dumps(want))
 
 
 def test_dims_n2(tmp_path):
