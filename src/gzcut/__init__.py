@@ -19,23 +19,18 @@ from .linalg import (
     aberth_roots,
     as_cmatrix,
     centralizer_basis,
-    char_poly,
     cutoff,
     eigenvalues,
-    eigenvalues_charpoly,
-    is_invariant_subspace,
     numerical_rank,
     sort_complex,
 )
 from .spectra import (
     CoincidenceReport,
-    FullGZImage,
     GZImage,
     coincidence_count,
     gz_function,
     match_spectra,
     newton_to_charpoly,
-    phi_full,
     phi_n,
     v_membership,
 )
@@ -73,8 +68,6 @@ from .orbits import (
     sample_K,
     sample_in,
     tangent_dim,
-    tangent_dim_Y,
-    tangent_dim_nil,
     verify_containment,
 )
 from .canonical import (
@@ -89,7 +82,6 @@ from .canonical import (
     canonical_form,
     gz_gradients,
     is_n_strongly_regular,
-    is_regular,
     random_xi,
     reduce_to_xi,
     sn_membership,

@@ -51,7 +51,6 @@ __all__ = [
     "canonical_form",
     "random_xi",
     "verify_roundtrips",
-    "is_regular",
     "gz_gradients",
     "is_n_strongly_regular",
     "sn_membership",
@@ -428,12 +427,6 @@ def verify_roundtrips(
     return RoundTripReport(
         l, trials, failures, mismatches, worst, _ROUNDTRIP_RESIDUAL_CAP, violations, borel_indices
     )
-
-
-def is_regular(y, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether the centralizer has the minimal possible dimension (= n)."""
-    m = as_cmatrix(y)
-    return len(centralizer_basis(m, tol)) == m.shape[0]
 
 
 def _embed(mat: np.ndarray, n: int) -> np.ndarray:

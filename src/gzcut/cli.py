@@ -89,7 +89,8 @@ def read_matrix_file(path: str) -> np.ndarray:
         raise InputError("matrix file must be an object with keys 'n' and 'entries'")
     n = data["n"]
     entries = data["entries"]
-    if not isinstance(n, int) or n < 1 or not isinstance(entries, list) or len(entries) != n:
+    # exact type checks: JSON true/false load as bool, a subclass of int
+    if type(n) is not int or n < 1 or not isinstance(entries, list) or len(entries) != n:
         raise InputError(f"inconsistent dimension n={n}")
     rows = []
     for row in entries:
@@ -98,7 +99,7 @@ def read_matrix_file(path: str) -> np.ndarray:
         vals = []
         for v in row:
             parts = v if isinstance(v, list) and len(v) == 2 else [v]
-            if not all(isinstance(p, (int, float)) for p in parts):
+            if not all(type(p) in (int, float) for p in parts):
                 raise InputError(f"bad entry {v!r}: expected number or [re, im]")
             try:
                 vals.append(complex(*parts))

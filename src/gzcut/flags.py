@@ -191,21 +191,13 @@ def partial_flag_P(idx: OrbitIndex, n: int) -> PartialFlag:
 
 def cutoff_flag(idx: OrbitIndex, n: int) -> PartialFlag:
     """partial_flag_P with the e_n column deleted, as a flag in C^(n-1)."""
-    i, l = idx.i, idx.length
-    if idx.j > n:
+    i, j = idx.i, idx.j
+    if j > n:
         raise ValueError(f"orbit index {idx} out of range for n={n}")
-    steps = list(range(1, i))
-    if l:
-        steps.append(i - 1 + l)
-    steps.extend(range(i + l, n))
-    if not steps or steps[-1] != n - 1:
-        steps.append(n - 1)
-    # dedupe while preserving order (the block may end exactly at n-1)
-    seen = []
-    for s in steps:
-        if not seen or s > seen[-1]:
-            seen.append(s)
-    return PartialFlag(n - 1, tuple(seen), np.eye(n - 1))
+    # step dimensions: 1..i-1, then j-1 when the block e_i..e_{j-1} is not
+    # empty, then j..n-1; strictly increasing and ending at n-1 for n >= 2
+    steps = (*range(1, i), *((j - 1,) if j > i else ()), *range(j, n))
+    return PartialFlag(n - 1, steps, np.eye(n - 1))
 
 
 def cayley(i: int, n: int) -> np.ndarray:

@@ -3,9 +3,9 @@
 Everything downstream of this module works on small (n <= 8) dense complex
 matrices, so the routines here favor exactness and cross-checkability over
 asymptotic speed.  Two independent eigenvalue routes are kept on purpose:
-the LAPACK Hessenberg + shifted-QR route (`eigenvalues`) and the
-characteristic-polynomial route (`char_poly` followed by `aberth_roots`),
-so that each can serve as an oracle for the other.
+the LAPACK Hessenberg + shifted-QR route (`eigenvalues`) and the power-sum
+route (`spectra.phi_n`, then `spectra.newton_to_charpoly`, then
+`aberth_roots`), so that each can serve as an oracle for the other.
 """
 
 from __future__ import annotations
@@ -25,12 +25,9 @@ __all__ = [
     "cutoff",
     "sort_complex",
     "eigenvalues",
-    "char_poly",
     "aberth_roots",
-    "eigenvalues_charpoly",
     "numerical_rank",
     "centralizer_basis",
-    "is_invariant_subspace",
 ]
 
 
@@ -124,26 +121,6 @@ def eigenvalues(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     return Spectrum(tuple(sort_complex(vals)), m.shape[0])
 
 
-def char_poly(a) -> np.ndarray:
-    """Monic coefficients of det(lambda I - a), highest degree first.
-
-    Faddeev-LeVerrier recursion: exact in float64 for the small integer
-    matrices of the catalog, stable enough at desk scale otherwise.
-    """
-    m = as_cmatrix(a)
-    n = m.shape[0]
-    coeffs = np.empty(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    eye = np.eye(n, dtype=complex)
-    mk = np.zeros_like(m)
-    for k in range(1, n + 1):
-        mk = m @ mk + coeffs[k - 1] * eye
-        coeffs[k] = -np.trace(m @ mk) / k
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("characteristic polynomial coefficients overflowed")
-    return coeffs
-
-
 def _shift_poly(coeffs: np.ndarray, s: complex) -> np.ndarray:
     """Coefficients of p(z + s), via repeated synthetic division."""
     work = list(coeffs)
@@ -159,10 +136,10 @@ def _shift_poly(coeffs: np.ndarray, s: complex) -> np.ndarray:
 def aberth_roots(coeffs, max_iter: int = 200, step_tol: float = 1e-14) -> np.ndarray:
     """All complex roots of a monic polynomial by the Aberth-Ehrlich iteration.
 
-    Self-contained on purpose: together with `char_poly` this gives a spectral
-    route with no shared code with the QR eigensolver.  Multiple roots converge
-    linearly and come back as a tight cluster, which is exactly what multiset
-    matching downstream wants.
+    Self-contained on purpose: fed by `spectra.newton_to_charpoly`, it gives a
+    spectral route with no shared code with the QR eigensolver.  Multiple
+    roots converge linearly and come back as a tight cluster, which is exactly
+    what multiset matching downstream wants.
     """
     c = np.asarray(coeffs, dtype=complex).ravel()
     if c.size == 0 or c[0] == 0:
@@ -209,13 +186,6 @@ def aberth_roots(coeffs, max_iter: int = 200, step_tol: float = 1e-14) -> np.nda
     return z
 
 
-def eigenvalues_charpoly(a) -> Spectrum:
-    """Spectral oracle independent of the QR route (intended for n <= 8)."""
-    m = as_cmatrix(a)
-    roots = aberth_roots(char_poly(m))
-    return Spectrum(tuple(sort_complex(roots)), m.shape[0])
-
-
 def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
     """Singular values above rank_rel * sigma_max * max(shape); 0 for the zero matrix."""
     a = np.atleast_2d(np.asarray(m, dtype=complex))
@@ -258,25 +228,3 @@ class SubspaceTest(NamedTuple):
 
     ok: bool
     residual: float
-
-
-def is_invariant_subspace(a, basis, tol: Tolerances = DEFAULT_TOL) -> SubspaceTest:
-    """Whether a maps the column span of `basis` into itself.
-
-    True iff stacking the image columns does not raise the numerical rank.
-    The residual is ||(I - proj) a B|| / ||a B||, zero when a B = 0.
-    """
-    m = as_cmatrix(a)
-    b = np.asarray(basis, dtype=complex)
-    if b.ndim == 1:
-        b = b[:, None]
-    k = b.shape[1]
-    if numerical_rank(b, tol) != k:
-        raise ValueError("subspace basis is rank deficient")
-    image = m @ b
-    ok = numerical_rank(np.hstack([b, image]), tol) == k
-    q, _ = np.linalg.qr(b)
-    defect = image - q @ (q.conj().T @ image)
-    scale = np.linalg.norm(image)
-    residual = 0.0 if scale == 0 else float(np.linalg.norm(defect) / scale)
-    return SubspaceTest(ok, residual)

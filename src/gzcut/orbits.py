@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flags import OrbitIndex, SubalgebraSpec, fixed_point_subalgebra, parabolic_p, nilradical_n, contains
+from .flags import OrbitIndex, SubalgebraSpec, fixed_point_subalgebra, parabolic_p, contains
 from .linalg import DEFAULT_TOL, EigensolverError, Tolerances, as_cmatrix, numerical_rank
 from .spectra import coincidence_count
 
@@ -23,11 +23,8 @@ __all__ = [
     "sample_K",
     "sample_in",
     "ad",
-    "containment_trial",
     "verify_containment",
     "tangent_dim",
-    "tangent_dim_Y",
-    "tangent_dim_nil",
     "estimate_dim",
 ]
 
@@ -57,9 +54,6 @@ class SeededRng:
     def uniform(self, low=0.0, high=1.0):
         return self._gen.uniform(low, high)
 
-    def integers(self, low, high):
-        return int(self._gen.integers(low, high))
-
 
 @dataclass(frozen=True, eq=False)
 class KElement:
@@ -83,9 +77,6 @@ class KElement:
         m[:-1, :-1] = self.block
         m[-1, -1] = self.scalar
         return m
-
-    def inverse(self) -> "KElement":
-        return KElement(np.linalg.inv(self.block), 1.0 / self.scalar, self.n)
 
     def __matmul__(self, other: "KElement") -> "KElement":
         if self.n != other.n:
@@ -200,18 +191,6 @@ def tangent_dim(s: SubalgebraSpec, x, tol: Tolerances = DEFAULT_TOL) -> int:
     norms = np.linalg.norm(stacked, axis=1)
     norms[norms == 0] = 1.0
     return numerical_rank(stacked / norms[:, None], tol)
-
-
-def tangent_dim_Y(idx: OrbitIndex, n: int, x, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Tangent rank of the saturation of the catalog parabolic at x.
-    Generic value: n^2 - n + 1 + (j - i)."""
-    return tangent_dim(parabolic_p(idx, n), x, tol)
-
-
-def tangent_dim_nil(i: int, n: int, x, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Tangent rank of the saturation of the nilradical at x.
-    Generic value: n^2 - 2n + 1."""
-    return tangent_dim(nilradical_n(i, n), x, tol)
 
 
 def estimate_dim(

@@ -28,11 +28,9 @@ from .linalg import (
 
 __all__ = [
     "GZImage",
-    "FullGZImage",
     "CoincidenceReport",
     "gz_function",
     "phi_n",
-    "phi_full",
     "match_spectra",
     "coincidence_count",
     "newton_to_charpoly",
@@ -68,18 +66,6 @@ class GZImage:
 
 
 @dataclass(frozen=True)
-class FullGZImage:
-    """Triangular array of power sums: level i holds tr(x_i^j), j = 1..i."""
-
-    levels: tuple
-
-    def __post_init__(self):
-        for i, level in enumerate(self.levels, start=1):
-            if len(level) != i:
-                raise ValueError("level %d must hold exactly %d power sums" % (i, i))
-
-
-@dataclass(frozen=True)
 class CoincidenceReport:
     """Matched eigenvalue pairs between a cutoff spectrum and a full spectrum.
 
@@ -93,17 +79,13 @@ class CoincidenceReport:
     residuals: tuple
 
 
-def _corner(x: np.ndarray, i: int) -> np.ndarray:
-    return x[:i, :i]
-
-
 def gz_function(x, i: int, j: int) -> complex:
     """tr((x_i)^j) for the upper-left i x i corner x_i; homogeneous of degree j."""
     m = as_cmatrix(x)
     n = m.shape[0]
     if not (1 <= i <= n and 1 <= j <= i):
         raise ValueError(f"indices (i={i}, j={j}) out of range for n={n}")
-    return complex(np.trace(np.linalg.matrix_power(_corner(m, i), j)))
+    return complex(np.trace(np.linalg.matrix_power(m[:i, :i], j)))
 
 
 def _power_traces(m: np.ndarray, count: int) -> tuple:
@@ -122,13 +104,6 @@ def phi_n(x) -> GZImage:
     if n < 2:
         raise ValueError("the map needs n >= 2: a 1 x 1 matrix has no cutoff")
     return GZImage(_power_traces(cutoff(m), n - 1), _power_traces(m, n), n)
-
-
-def phi_full(x) -> FullGZImage:
-    """Power sums of every leading corner, level i = 1..n."""
-    m = as_cmatrix(x)
-    n = m.shape[0]
-    return FullGZImage(tuple(_power_traces(_corner(m, i), i) for i in range(1, n + 1)))
 
 
 def _spectrum_values(s) -> np.ndarray:

@@ -20,8 +20,8 @@ from gzcut import (
     gz_function,
     gz_gradients,
     is_n_strongly_regular,
-    is_regular,
     nilradical_n,
+    numerical_rank,
     parabolic_p,
     random_xi,
     reduce_to_xi,
@@ -96,10 +96,9 @@ def test_xi_elements_stabilize_their_flag():
         e = random_xi(rng.derive(10 * n + l), n, l)
         m = xi_build(e)
         flag = stabilized_flag(xi_pattern(e), n)
-        from gzcut import is_invariant_subspace
-
         for k in range(len(flag.steps)):
-            assert is_invariant_subspace(m, flag.subspace(k)).ok
+            v = flag.subspace(k)
+            assert numerical_rank(np.hstack([v, m @ v])) == v.shape[1]
 
 
 def test_reduce_to_xi_diagonal():
@@ -202,13 +201,6 @@ def test_canonical_round_trips_recover_count_index_and_membership():
                 assert res.idx.length == n - 1 - l
                 assert res.residual < 1e-7
                 t += 1
-
-
-def test_is_regular_examples():
-    jordan = np.eye(4, k=1)
-    assert is_regular(jordan)
-    assert not is_regular(np.eye(2))
-    assert is_regular(np.diag([1.0, 2.0, 3.0]))
 
 
 def test_gradients_match_finite_differences():

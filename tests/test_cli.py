@@ -62,6 +62,10 @@ def test_malformed_file_is_an_input_error(tmp_path):
         '{"n": 2, "entries": [1, 2]}',
         '{"n": 2, "entries": [[1, 2], [3, [1, "x"]]]}',
         '{"n": 1, "entries": [[1%s]]}' % ("0" * 400),
+        # JSON booleans are not numbers, although Python's bool is an int
+        '{"n": 2, "entries": [[true, false], [false, true]]}',
+        '{"n": 2, "entries": [[1, [true, 0]], [0, 1]]}',
+        '{"n": true, "entries": [[1]]}',
     ):
         path.write_text(payload)
         code, _ = run(tmp_path, "coincidence", "--input", str(path))

@@ -1,0 +1,54 @@
+"""The coincidence count as an invariant: properties over planted points.
+
+A planted point is x = k xi k^-1, with xi a bordered normal form carrying
+exactly l coincidences and k a random block-diagonal element.  Its count must
+come back as l, and must not move under a second conjugation, under the
+involution theta, or under scaling x -> c x once the matching radius is
+scaled by |c|.
+"""
+
+import cmath
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gzcut import DEFAULT_TOL, SeededRng, ad, coincidence_count, random_xi, sample_K, theta, xi_build
+
+
+@st.composite
+def planted(draw):
+    """(x, l, rng): a conjugated normal form with l coincidences, n = 2..7."""
+    n = draw(st.integers(2, 7))
+    l = draw(st.integers(0, n - 1))
+    rng = SeededRng(draw(st.integers(0, 2**31 - 1)))
+    x = ad(sample_K(rng.derive(1), n), xi_build(random_xi(rng, n, l)))
+    return x, l, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted())
+def test_count_is_invariant_under_conjugation(point):
+    x, l, rng = point
+    assert coincidence_count(x).l == l
+    assert coincidence_count(ad(sample_K(rng.derive(2), x.shape[0]), x)).l == l
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted())
+def test_count_is_invariant_under_theta(point):
+    x, l, _ = point
+    assert coincidence_count(theta(x)).l == l
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    planted(),
+    st.floats(-3.0, 3.0),
+    st.floats(0.0, 2 * cmath.pi, exclude_max=True),
+)
+def test_count_is_invariant_under_scaling(point, log_mag, phase):
+    x, l, _ = point
+    c = 10.0**log_mag * cmath.exp(1j * phase)
+    tol = replace(DEFAULT_TOL, eig_match=abs(c) * DEFAULT_TOL.eig_match)
+    assert coincidence_count(c * x, tol).l == l

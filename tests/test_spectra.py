@@ -18,7 +18,6 @@ from gzcut import (
     gz_function,
     match_spectra,
     newton_to_charpoly,
-    phi_full,
     phi_n,
     sample_K,
     v_membership,
@@ -82,24 +81,12 @@ def test_phi_n_needs_a_cutoff():
         phi_n(np.eye(1))
 
 
-def test_phi_full_examples():
-    levels = phi_full(np.diag([1, 2])).levels
-    assert_allclose(levels[0], [1])
-    assert_allclose(levels[1], [3, 5])
-    z = phi_full(np.zeros((3, 3)))
-    assert [len(l) for l in z.levels] == [1, 2, 3]
-    assert all(v == 0 for level in z.levels for v in level)
-    tri = phi_full(np.array([[1, 1], [0, 2]]))
-    assert_allclose(tri.levels[1], [3, 5], atol=0)
-
-
-def test_phi_n_is_projection_of_phi_full():
+def test_phi_n_matches_gz_function():
     gen = np.random.default_rng(2)
     m = cgauss(gen, (4, 4))
     img = phi_n(m)
-    full = phi_full(m)
-    assert_allclose(img.c_prev, full.levels[2], atol=0)
-    assert_allclose(img.c_full, full.levels[3], atol=0)
+    assert_allclose(img.c_prev, [gz_function(m, 3, j) for j in (1, 2, 3)], rtol=1e-12)
+    assert_allclose(img.c_full, [gz_function(m, 4, j) for j in (1, 2, 3, 4)], rtol=1e-12)
 
 
 def test_phi_n_conjugation_invariance():
@@ -179,7 +166,7 @@ def test_newton_round_trip_against_exact_oracle():
     gen = np.random.default_rng(29)
     for n in range(2, 6):
         m = gen.integers(-3, 4, size=(n, n))
-        sums = phi_full(m).levels[-1]
+        sums = phi_n(m).c_full
         expected = [float(c) for c in exact_char_poly(m)]
         assert_allclose(newton_to_charpoly(sums).real, expected, rtol=1e-10, atol=1e-7)
         assert_allclose(newton_to_charpoly(sums).imag, 0, atol=1e-8)
