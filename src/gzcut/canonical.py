@@ -32,7 +32,7 @@ from .linalg import (
     numerical_rank,
     sort_complex,
 )
-from .orbits import KElement, SeededRng, ad, sample_K
+from .orbits import _RESAMPLE_LIMIT, KElement, SeededRng, ad, sample_K
 from .spectra import _assignment, coincidence_count
 
 __all__ = [
@@ -148,6 +148,17 @@ def _scale(e: XiElement) -> float:
     )
 
 
+def _xi_matrix(e: XiElement) -> np.ndarray:
+    """The bordered matrix of e, assembled without validation."""
+    n = e.n
+    m = np.zeros((n, n), dtype=complex)
+    np.fill_diagonal(m[: n - 1, : n - 1], e.h)
+    m[: n - 1, n - 1] = e.y
+    m[n - 1, : n - 1] = e.z
+    m[n - 1, n - 1] = e.w
+    return m
+
+
 def xi_build(e: XiElement, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Assemble the bordered matrix and validate the planted structure.
 
@@ -182,12 +193,7 @@ def xi_build(e: XiElement, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
                 f"slot {i + 1} lies outside the shared range but z*y vanishes"
             )
 
-    m = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(m[: n - 1, : n - 1], h)
-    m[: n - 1, n - 1] = y
-    m[n - 1, : n - 1] = z
-    m[n - 1, n - 1] = e.w
-
+    m = _xi_matrix(e)
     rep = coincidence_count(m, tol)
     if rep.l != l:
         raise XiInvariantError(
@@ -233,10 +239,7 @@ def stabilized_flag(pattern: ULPattern, n: int) -> PartialFlag:
     upper = [i + 1 for i, m in enumerate(pattern.marks) if m == "U"]
     lower = [i + 1 for i, m in enumerate(pattern.marks) if m == "L"]
     block = list(range(c + 1, n)) + [n]
-    order = upper + block + lower
-    basis = np.zeros((n, n))
-    for col, src in enumerate(order):
-        basis[src - 1, col] = 1.0
+    basis = np.eye(n)[:, np.subtract(upper + block + lower, 1)]
     sizes = [1] * len(upper) + [len(block)] + [1] * len(lower)
     steps = tuple(np.cumsum(sizes))
     return PartialFlag(n, steps, basis)
@@ -285,10 +288,7 @@ def reduce_to_xi(x, tol: Tolerances = DEFAULT_TOL):
         (r for r in range(n - 1) if r not in set(rows)),
         key=lambda r: (evals[r].real, evals[r].imag),
     )
-    order = shared + unshared
-    perm = np.zeros((n - 1, n - 1))
-    for target, source in enumerate(order):
-        perm[target, source] = 1.0
+    perm = np.eye(n - 1)[shared + unshared]
 
     k = KElement(perm @ np.linalg.inv(evecs), 1.0, n)
     xim = ad(k, m)
@@ -318,26 +318,18 @@ def canonical_form(x, tol: Tolerances = DEFAULT_TOL) -> CanonicalFormResult:
     pattern = xi_pattern(e, tol)
     c = e.l
     l_orbit = n - 1 - c
-    kpos = sum(1 for mk in pattern.marks if mk == "U") + 1
+    kpos = pattern.marks.count("U") + 1
 
-    upper = [i + 1 for i, mk in enumerate(pattern.marks) if mk == "U"]
-    lower = [i + 1 for i, mk in enumerate(pattern.marks) if mk == "L"]
-    sources = upper + list(range(c + 1, n)) + lower + [n]
-    targets = (
-        list(range(1, kpos))
-        + list(range(kpos, kpos + l_orbit))
-        + list(range(kpos + l_orbit, n))
-        + [n]
-    )
-    kappa = np.zeros((n, n))
-    for s, t in zip(sources, targets):
-        kappa[t - 1, s - 1] = 1.0
+    idx = OrbitIndex(kpos, kpos + l_orbit)
+    target = parabolic_p(idx, n)
+    # both flag bases are permutations: kappa carries the stabilized flag's
+    # basis column by column onto the catalog partial flag's
+    kappa = target.frame @ stabilized_flag(pattern, n).basis.T
     k2 = KElement(kappa[: n - 1, : n - 1], 1.0, n)
 
     k_total = k2 @ k1
     image = ad(k_total, m)
-    idx = OrbitIndex(kpos, kpos + l_orbit)
-    membership = contains(parabolic_p(idx, n), image, tol)
+    membership = contains(target, image, tol)
     return CanonicalFormResult(
         k=k_total,
         idx=idx,
@@ -352,13 +344,14 @@ def random_xi(rng: SeededRng, n: int, l: int, tol: Tolerances = DEFAULT_TOL) -> 
     """Random normal-form element with exactly l coincidences.
 
     Diagonal values keep a pairwise gap of at least 0.5 and border magnitudes
-    stay in [0.5, 1.5], so the planted structure is numerically unambiguous;
-    the draw is redone in the measure-zero event that the assembled matrix
-    does not count exactly l coincidences at the given tolerance.
+    stay in [0.5, 1.5], so the planted structure is numerically unambiguous.
+    A draw is redone when its diagonal gap is too small or xi_build rejects
+    it at the given tolerance; after _RESAMPLE_LIMIT draws, which a loose
+    eig_match can force, XiInvariantError is raised.
     """
     if not 0 <= l <= n - 1:
         raise ValueError(f"l={l} out of range for n={n}")
-    while True:
+    for _ in range(_RESAMPLE_LIMIT):
         h = 2.0 * rng.complex_normal(n - 1)
         gaps = np.abs(h[:, None] - h[None, :])
         np.fill_diagonal(gaps, np.inf)
@@ -384,6 +377,10 @@ def random_xi(rng: SeededRng, n: int, l: int, tol: Tolerances = DEFAULT_TOL) -> 
         except XiInvariantError:
             continue
         return e
+    raise XiInvariantError(
+        f"no draw out of {_RESAMPLE_LIMIT} planted exactly l={l} coincidences "
+        f"at n={n} with eig_match={tol.eig_match:g}"
+    )
 
 
 @dataclass(frozen=True)
@@ -415,7 +412,8 @@ def verify_roundtrips(
         try:
             e = random_xi(trial, n, l, tol)
             g = sample_K(trial, n)
-            res = canonical_form(ad(g, xi_build(e, tol)), tol)
+            # random_xi has validated e with xi_build already
+            res = canonical_form(ad(g, _xi_matrix(e)), tol)
         except (EigensolverError, CutoffNotRegularSemisimple):
             failures += 1
             continue

@@ -251,8 +251,6 @@ def cmd_verify(args) -> int:
     n, trials = args.n, args.trials
     if not 2 <= n <= 8:
         raise InputError(f"n={n} out of the supported range [2, 8]")
-    if trials < 0:
-        raise InputError("trials must be nonnegative")
     params = {"n": n, "trials": trials, "seed": args.seed, "tolerances": asdict(tol)}
     claim = (
         "conjugates of the catalog parabolic (i, j) keep at least n-1-(j-i) "
@@ -296,8 +294,6 @@ def cmd_dims(args) -> int:
     n, repeats = args.n, args.repeats
     if not 2 <= n <= 8:
         raise InputError(f"n={n} out of the supported range [2, 8]")
-    if repeats < 0:
-        raise InputError("repeats must be nonnegative")
     params = {"n": n, "repeats": repeats, "seed": args.seed, "tolerances": asdict(tol)}
     claim = (
         "the conjugation saturation of parabolic (i, j) has dimension "
@@ -401,8 +397,6 @@ def cmd_sn(args) -> int:
     n, trials = args.n, args.trials
     if not 2 <= n <= 8:
         raise InputError(f"n={n} out of the supported range [2, 8]")
-    if trials < 0:
-        raise InputError("trials must be nonnegative")
     params = {"n": n, "trials": trials, "seed": args.seed, "tolerances": asdict(tol)}
     claim = (
         "conjugates of each catalog nilradical are nilpotent together with "
@@ -449,13 +443,21 @@ def cmd_sn(args) -> int:
 # argument parsing
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for seeds and counts; a rejected value exits 2."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_common(sub, *, seeded=False, sized=False, fileinput=False):
     if fileinput:
         sub.add_argument("--input", required=True, help="matrix file (JSON)")
     if sized:
         sub.add_argument("--n", type=int, required=True, help="matrix dimension")
     if seeded:
-        sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        sub.add_argument("--seed", type=_nonnegative_int, default=0, help="RNG seed (default 0)")
     sub.add_argument("--tol-eig", type=float, default=None, dest="tol_eig")
     sub.add_argument("--tol-rank", type=float, default=None, dest="tol_rank")
     sub.add_argument("--tol-membership", type=float, default=None, dest="tol_membership")
@@ -481,13 +483,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="Monte Carlo containment and round trips")
     _add_common(sub, seeded=True, sized=True)
-    sub.add_argument("--trials", type=int, default=200)
+    sub.add_argument("--trials", type=_nonnegative_int, default=200)
     sub.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("dims", help="tangent-rank dimension estimates")
     _add_common(sub, seeded=True, sized=True)
-    sub.add_argument("--repeats", type=int, default=5)
+    sub.add_argument("--repeats", type=_nonnegative_int, default=5)
     sub.set_defaults(func=cmd_dims)
 
     sub = subs.add_parser("catalog", help="emit the flag and subalgebra catalog")
@@ -496,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("sn", help="nilpotent-pair sampling and the strong-regularity experiment")
     _add_common(sub, seeded=True, sized=True)
-    sub.add_argument("--trials", type=int, default=300)
+    sub.add_argument("--trials", type=_nonnegative_int, default=300)
     sub.set_defaults(func=cmd_sn)
 
     return parser

@@ -15,6 +15,7 @@ independently of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,29 +105,45 @@ class PartialFlag:
 
 @dataclass(frozen=True, eq=False)
 class SubalgebraSpec:
-    """A matrix Lie subalgebra presented by an explicit basis.
+    """The subalgebra {B y B^-1 : y supported on mask} of gl(n).
 
-    Linear independence is validated on construction; closure under the
-    bracket is a property of the catalog constructions and is exercised by
-    the test suite rather than on every instantiation.
+    frame is the invertible matrix B and mask a boolean n x n pattern, both
+    kept read-only with the inverse of B.  The basis {B E_rs B^-1 : mask[r, s]},
+    row-major over the mask, is built on first use.  Closure under the bracket
+    holds for the catalog's masks and is tested, not checked here.
     """
 
-    n: int
-    basis: tuple
-    tag: str = "custom"
-    origin: OrbitIndex | None = None
+    frame: np.ndarray
+    mask: np.ndarray
 
     def __post_init__(self):
-        mats = tuple(as_cmatrix(b) for b in self.basis)
-        object.__setattr__(self, "basis", mats)
-        if any(b.shape != (self.n, self.n) for b in mats):
-            raise ValueError("basis matrices must all be n x n")
-        if mats and numerical_rank(_stack(mats)) != len(mats):
-            raise ValueError("subalgebra basis is linearly dependent")
+        frame = as_cmatrix(self.frame).copy()
+        mask = np.array(self.mask, dtype=bool)
+        if mask.shape != frame.shape:
+            raise ValueError(f"mask shape {mask.shape} does not match frame {frame.shape}")
+        inverse = _inverse(frame)  # raises LinAlgError, a ValueError, when exactly singular
+        # the same relative cutoff numerical_rank applies, on the 1-norm condition number
+        cond = np.linalg.norm(frame, 1) * np.linalg.norm(inverse, 1)
+        if cond * DEFAULT_TOL.rank_rel >= 1.0:
+            raise ValueError(f"frame is singular (condition number {cond:.3e})")
+        for name, arr in (("frame", frame), ("mask", mask), ("inverse", inverse)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @property
+    def n(self) -> int:
+        return self.frame.shape[0]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return int(self.mask.sum())
+
+    @cached_property
+    def basis(self) -> tuple:
+        rows, cols = np.nonzero(self.mask)
+        return tuple(
+            np.outer(self.frame[:, r], self.inverse[s, :]) for r, s in zip(rows, cols)
+        )
 
 
 def _stack(mats) -> np.ndarray:
@@ -248,45 +265,27 @@ def _inverse(b: np.ndarray) -> np.ndarray:
     return inv
 
 
-def stabilizer(
-    flag: PartialFlag,
-    tol: Tolerances = DEFAULT_TOL,
-    tag: str = "parabolic",
-    origin: OrbitIndex | None = None,
-    strict: bool = False,
-) -> SubalgebraSpec:
+def stabilizer(flag: PartialFlag, strict: bool = False) -> SubalgebraSpec:
     """The subalgebra {x : x V_k <= V_k for every step}.
 
     In the flag's own basis the stabilizer is the block upper triangular
-    pattern, so the basis returned is {B E_rs B^-1} over admissible (r, s).
+    pattern, so it is the flag basis as frame with that pattern as mask.
     With strict=True only the strictly block upper pairs are kept: the
     nilradical {x : x V_k <= V_(k-1) for every step}.
     """
-    n = flag.n
-    binv = _inverse(flag.basis)
-    block = np.empty(n, dtype=int)
-    k = 0
-    for pos in range(1, n + 1):
-        if pos > flag.steps[k]:
-            k += 1
-        block[pos - 1] = k
-    basis = [
-        np.outer(flag.basis[:, r], binv[s, :])
-        for r in range(n)
-        for s in range(n)
-        if block[r] < block[s] or (not strict and block[r] == block[s])
-    ]
-    return SubalgebraSpec(n=n, basis=tuple(basis), tag=tag, origin=origin)
+    block = np.searchsorted(flag.steps, np.arange(1, flag.n + 1))
+    mask = block[:, None] < block if strict else block[:, None] <= block
+    return SubalgebraSpec(flag.basis, mask)
 
 
 def parabolic_p(idx: OrbitIndex, n: int) -> SubalgebraSpec:
     """Theta-stable parabolic for orbit (i, j): stabilizer of partial_flag_P."""
-    return stabilizer(partial_flag_P(idx, n), tag="parabolic", origin=idx)
+    return stabilizer(partial_flag_P(idx, n))
 
 
 def borel_b(idx: OrbitIndex, n: int) -> SubalgebraSpec:
     """Borel subalgebra for orbit (i, j): stabilizer of the full flag flag_F."""
-    return stabilizer(flag_F(idx, n), tag="borel", origin=idx)
+    return stabilizer(flag_F(idx, n))
 
 
 def nilradical_n(i: int, n: int) -> SubalgebraSpec:
@@ -295,8 +294,7 @@ def nilradical_n(i: int, n: int) -> SubalgebraSpec:
     cutoffs."""
     if not 1 <= i <= n:
         raise ValueError(f"index {i} out of range for n={n}")
-    idx = OrbitIndex(i, i)
-    return stabilizer(flag_F(idx, n), tag="nilradical", origin=idx, strict=True)
+    return stabilizer(flag_F(OrbitIndex(i, i), n), strict=True)
 
 
 def cutoff_parabolic(idx: OrbitIndex, n: int) -> SubalgebraSpec:
@@ -305,23 +303,16 @@ def cutoff_parabolic(idx: OrbitIndex, n: int) -> SubalgebraSpec:
     Its Levi blocks are n-1-(j-i) singletons and one block of size j-i, which
     is the shape the projection of the catalog parabolic must reproduce.
     """
-    return stabilizer(cutoff_flag(idx, n), tag="parabolic", origin=idx)
+    return stabilizer(cutoff_flag(idx, n))
 
 
 def fixed_point_subalgebra(n: int) -> SubalgebraSpec:
     """Block-diagonal gl(n-1) + gl(1): the fixed points of the involution."""
     if n < 2:
         raise ValueError("need n >= 2")
-    basis = []
-    for r in range(n - 1):
-        for s in range(n - 1):
-            e = np.zeros((n, n))
-            e[r, s] = 1.0
-            basis.append(e)
-    corner = np.zeros((n, n))
-    corner[n - 1, n - 1] = 1.0
-    basis.append(corner)
-    return SubalgebraSpec(n=n, basis=tuple(basis), tag="fixed-point")
+    mask = np.zeros((n, n), dtype=bool)
+    mask[:-1, :-1] = mask[-1, -1] = True
+    return SubalgebraSpec(np.eye(n), mask)
 
 
 def theta(x) -> np.ndarray:
@@ -341,17 +332,20 @@ def is_theta_stable(s: SubalgebraSpec, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def contains(s: SubalgebraSpec, x, tol: Tolerances = DEFAULT_TOL) -> SubspaceTest:
-    """Membership of x in the span of the basis, by least squares.
+    """Membership of x in s, read off by masking B^-1 x B.
 
-    The reported residual is relative: ||x - proj x|| / (1 + ||x||).
+    The entries of B^-1 x B off the mask, carried back by B, are the part of
+    x outside s along the off-mask directions B E_rs B^-1.  The reported
+    residual is relative: ||B (off-mask part) B^-1|| / (1 + ||x||).  For a
+    permutation frame this is the orthogonal distance to s; for any other
+    frame it is an oblique distance, which is never smaller.
     """
     m = as_cmatrix(x)
     if m.shape != (s.n, s.n):
         raise ValueError("dimension mismatch")
-    a = _stack(s.basis).T
-    v = m.reshape(-1)
-    coef, *_ = np.linalg.lstsq(a, v, rcond=None)
-    residual = float(np.linalg.norm(a @ coef - v) / (1.0 + np.linalg.norm(v)))
+    off = s.inverse @ m @ s.frame
+    off[s.mask] = 0.0
+    residual = float(np.linalg.norm(s.frame @ off @ s.inverse) / (1.0 + np.linalg.norm(m)))
     return SubspaceTest(residual <= tol.membership, residual)
 
 

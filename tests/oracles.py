@@ -1,8 +1,9 @@
 """Independent oracles used to freeze expected values in the tests.
 
 Kept deliberately separate from the package: exact rational characteristic
-polynomials, exact ranks over the rationals, and brute-force multiset
-matching.  None of these share code paths with the implementations they check.
+polynomials, exact ranks over the rationals, brute-force multiset matching,
+and least-squares subalgebra membership.  None of these share code paths with
+the implementations they check.
 """
 
 from fractions import Fraction
@@ -91,6 +92,18 @@ def brute_match(a, b, radius):
 
     rec(0, [False] * len(b), 0, 0.0)
     return best[0], best[1]
+
+
+def lstsq_membership_residual(basis, x):
+    """Orthogonal distance from x to span(basis), relative: ||x - proj x|| / (1 + ||x||).
+
+    The membership residual gzcut computed by least squares before it read
+    membership off the mask; kept as the reference for the masked test.
+    """
+    a = np.array([np.asarray(b, dtype=complex).reshape(-1) for b in basis]).T
+    v = np.asarray(x, dtype=complex).reshape(-1)
+    coef, *_ = np.linalg.lstsq(a, v, rcond=None)
+    return float(np.linalg.norm(a @ coef - v) / (1.0 + np.linalg.norm(v)))
 
 
 def cgauss(gen, shape=None):

@@ -30,6 +30,7 @@ from gzcut import (
     sn_membership,
     sort_complex,
     stabilized_flag,
+    verify_roundtrips,
     xi_build,
     xi_pattern,
 )
@@ -272,3 +273,20 @@ def test_random_xi_plants_the_advertised_count():
         gaps = np.abs(np.subtract.outer(e.h, e.h))
         np.fill_diagonal(gaps, np.inf)
         assert gaps.min() >= 0.5
+
+
+def test_random_xi_gives_up_after_the_resample_limit():
+    # with eig_match = 1 no diagonal gap clears xi_build's distinctness test
+    with pytest.raises(XiInvariantError, match=r"100 .*l=1 .*n=3 .*eig_match=1"):
+        random_xi(SeededRng(0), 3, 1, Tolerances(eig_match=1.0))
+
+
+def test_verify_roundtrips_validates_each_planted_point_once(monkeypatch):
+    import gzcut.canonical as canonical
+
+    built = []
+    real = canonical.xi_build
+    monkeypatch.setattr(canonical, "xi_build", lambda e, tol: built.append(e) or real(e, tol))
+    rep = verify_roundtrips(4, 2, 6, SeededRng(3))
+    assert rep.mismatches == rep.failures == 0
+    assert len(built) == 6

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gzcut
 from gzcut import SeededRng, all_orbit_indices, verify_containment, verify_roundtrips
 from gzcut.cli import main, read_matrix_file, write_matrix_file
 
@@ -120,6 +125,29 @@ def test_verify_zero_trials_is_na(tmp_path):
 def test_verify_range_check(tmp_path):
     code, _ = run(tmp_path, "verify", "--n", "9", "--trials", "5")
     assert code == 2
+
+
+def test_negative_seeds_and_counts_are_input_errors(tmp_path, capsys):
+    for argv in (
+        ("verify", "--n", "3", "--trials", "2", "--seed", "-1"),
+        ("dims", "--n", "3", "--repeats", "1", "--seed", "-1"),
+        ("sn", "--n", "3", "--trials", "2", "--seed", "-1"),
+        ("verify", "--n", "3", "--trials", "-1"),
+        ("dims", "--n", "3", "--repeats", "-1"),
+        ("sn", "--n", "3", "--trials", "-1"),
+    ):
+        code, report = run(tmp_path, *argv)
+        assert code == 2 and report is None, argv
+        assert "must be nonnegative" in capsys.readouterr().err
+
+
+def test_verify_with_a_loose_match_tolerance_exits_as_a_numerical_failure():
+    # random_xi can never plant a point at eig_match = 1; it used to redraw forever
+    env = {**os.environ, "PYTHONPATH": str(Path(gzcut.__file__).parents[1])}
+    argv = [sys.executable, "-m", "gzcut.cli", "verify", "--n", "3", "--trials", "2", "--tol-eig", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "XiInvariantError" in proc.stderr and "eig_match=1" in proc.stderr
 
 
 def test_verify_serial_and_parallel_reports_are_byte_identical(tmp_path):

@@ -8,6 +8,7 @@ from gzcut import (
     OrbitIndex,
     PartialFlag,
     SeededRng,
+    SubalgebraSpec,
     all_orbit_indices,
     borel_b,
     cayley,
@@ -32,7 +33,7 @@ from gzcut import (
     theta,
     v_matrix,
 )
-from oracles import cgauss, exact_rank
+from oracles import cgauss, exact_rank, lstsq_membership_residual
 
 
 def e(k, n):
@@ -104,6 +105,68 @@ def test_stabilizer_of_block_partial_flag():
         low[s, s - 1] = 1.0
         assert contains(r, low).ok
     assert not contains(r, np.eye(n)[:, ::-1]).ok
+
+
+def test_subalgebra_spec_is_a_read_only_frame_and_mask():
+    flag = partial_flag_P(OrbitIndex(1, 2), 3)
+    s = stabilizer(flag)
+    assert s.n == 3 and s.dim == len(s.basis) == 7
+    for arr in (s.frame, s.mask, s.inverse):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
+    assert flag.basis.flags.writeable  # the frame is a copy
+    assert_allclose(s.frame @ s.inverse, np.eye(3), atol=0)
+    # the basis lists B E_rs B^-1 over the mask in row-major order
+    expected = [
+        np.outer(s.frame[:, r], s.inverse[c, :]) for r in range(3) for c in range(3) if s.mask[r, c]
+    ]
+    assert all(np.array_equal(a, b) for a, b in zip(s.basis, expected))
+
+
+def test_subalgebra_spec_rejects_singular_frames_and_misshapen_masks():
+    mask = np.ones((3, 3), dtype=bool)
+    for frame in (np.ones((3, 3)), np.diag([1.0, 1.0, 0.0]), [[1.0, 1.0], [1.0, 1.0 + 1e-15]]):
+        with pytest.raises(ValueError):
+            SubalgebraSpec(frame, mask[: len(frame), : len(frame)])
+    with pytest.raises(ValueError):
+        SubalgebraSpec(np.eye(3), np.ones((2, 3), dtype=bool))
+    with pytest.raises(ValueError):
+        SubalgebraSpec(np.eye(3), np.ones(9, dtype=bool))
+
+
+def _catalog_specs(n):
+    indices = all_orbit_indices(n)
+    specs = [parabolic_p(idx, n) for idx in indices] + [borel_b(idx, n) for idx in indices]
+    specs += [cutoff_parabolic(idx, n) for idx in indices]
+    specs += [nilradical_n(i, n) for i in range(1, n + 1)]
+    return specs + [fixed_point_subalgebra(n)]
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_masked_membership_against_least_squares_oracle(n):
+    # members and points perturbed by 1e-12 .. 1; a permutation frame gives
+    # the orthogonal distance, the e_i + e_n column of borel_b(i < j) an
+    # oblique one that is never smaller, so masking never accepts a point
+    # the least-squares test rejects
+    gen = np.random.default_rng(n)
+    for s in _catalog_specs(n):
+        permutation = np.isin(s.frame, (0, 1)).all() and (s.frame.sum(axis=0) == 1).all()
+        for t in range(2):
+            x = sample_in(s, SeededRng(n, t))
+            for eps in [0.0] + [10.0**-k for k in range(12, -1, -1)]:
+                y = x + eps * cgauss(gen, x.shape)
+                ok, res = contains(s, y)
+                oracle = lstsq_membership_residual(s.basis, y)
+                if permutation:
+                    assert abs(res - oracle) <= 1e-15
+                    assert ok == (oracle <= 1e-8)
+                else:
+                    # slack for the oracle's own rounding on members
+                    assert res >= oracle - 1e-14
+                    assert not ok or oracle <= 1e-8
+                if eps == 0.0:
+                    assert ok
 
 
 def test_cayley_matrix():
@@ -267,11 +330,9 @@ def test_catalog_parabolics_are_theta_stable(n):
 
 def test_theta_stability_of_fixed_points_and_eigenline():
     assert is_theta_stable(fixed_point_subalgebra(4))
-    m = np.zeros((3, 3))
-    m[0, 2] = 1.0
-    from gzcut import SubalgebraSpec
-
-    assert is_theta_stable(SubalgebraSpec(n=3, basis=(m,), tag="custom"))
+    mask = np.zeros((3, 3), dtype=bool)
+    mask[0, 2] = True
+    assert is_theta_stable(SubalgebraSpec(np.eye(3), mask))
 
 
 def test_contains_examples():
@@ -291,11 +352,7 @@ def test_contains_examples():
 def test_bracket_closure_of_catalog_subalgebras(n):
     from gzcut.flags import _stack
 
-    specs = [parabolic_p(idx, n) for idx in all_orbit_indices(n)]
-    specs += [borel_b(idx, n) for idx in all_orbit_indices(n)]
-    specs += [nilradical_n(i, n) for i in range(1, n + 1)]
-    specs.append(fixed_point_subalgebra(n))
-    for s in specs:
+    for s in _catalog_specs(n):
         brackets = [
             u @ v - v @ u for a, u in enumerate(s.basis) for v in s.basis[a + 1 :]
         ]
