@@ -26,14 +26,23 @@ from .linalg import (
     DEFAULT_TOL,
     EigensolverError,
     Tolerances,
+    _eigvals_stack,
+    _lapack_stack,
     as_cmatrix,
     centralizer_basis,
-    eigenvalues,
     numerical_rank,
     sort_complex,
 )
-from .orbits import _RESAMPLE_LIMIT, KElement, SeededRng, ad, sample_K
-from .spectra import _assignment, coincidence_count
+from .orbits import (
+    _RESAMPLE_LIMIT,
+    KElement,
+    SeededRng,
+    _block_diagonal,
+    _conjugate,
+    _sample_K_stack,
+    _Trials,
+)
+from .spectra import _coincidence_stack, _match_stack
 
 __all__ = [
     "CutoffNotRegularSemisimple",
@@ -137,26 +146,97 @@ class CanonicalFormResult:
     pattern: ULPattern
 
 
-def _scale(e: XiElement) -> float:
-    return float(
-        max(
-            max(abs(v) for v in e.h),
-            max((abs(v) for v in e.y), default=0.0),
-            max((abs(v) for v in e.z), default=0.0),
-            abs(e.w),
-        )
+def _scales(h, y, z, w) -> np.ndarray:
+    """Largest entry size of each bordered form; h, y, z are (T, n-1), w is (T,)."""
+    return np.maximum(
+        np.maximum(np.abs(h).max(axis=1), np.abs(y).max(axis=1)),
+        np.maximum(np.abs(z).max(axis=1), np.abs(w)),
     )
 
 
-def _xi_matrix(e: XiElement) -> np.ndarray:
-    """The bordered matrix of e, assembled without validation."""
-    n = e.n
-    m = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(m[: n - 1, : n - 1], e.h)
-    m[: n - 1, n - 1] = e.y
-    m[n - 1, : n - 1] = e.z
-    m[n - 1, n - 1] = e.w
-    return m
+def _rows(e: XiElement):
+    """The data of one normal-form element as stacks of one."""
+    return np.array([e.h]), np.array([e.y]), np.array([e.z]), np.array([e.w])
+
+
+def _xi_element(form: np.ndarray, l: int) -> XiElement:
+    """The normal-form data read off a bordered matrix."""
+    n = form.shape[0]
+    return XiElement(
+        n=n,
+        l=l,
+        h=tuple(np.diag(form)[: n - 1]),
+        y=tuple(form[: n - 1, n - 1]),
+        z=tuple(form[n - 1, : n - 1]),
+        w=complex(form[n - 1, n - 1]),
+    )
+
+
+def _xi_stack(h, y, z, w, l: int, tol: Tolerances):
+    """xi_build over stacks: h, y, z of shape (T, n-1) and w of shape (T,).
+
+    Returns the (T, n, n) bordered matrices and, for each position that fails
+    a check, its XiInvariantError or the EigensolverError of the spectral
+    check.  The coincidences of all positions that pass the structural checks
+    are counted by one stacked solve.
+    """
+    count, k = h.shape
+    slots = np.arange(k)
+    mats = np.zeros((count, k + 1, k + 1), dtype=complex)
+    mats[:, slots, slots] = h
+    mats[:, :k, k] = y
+    mats[:, k, :k] = z
+    mats[:, k, k] = w
+
+    gap_tol = tol.eig_match * (1.0 + _scales(h, y, z, w))
+    diffs = np.abs(h[:, :, None] - h[:, None, :])
+    diffs[:, slots, slots] = np.inf
+    gap = diffs.min(axis=(1, 2))
+    products = z * y
+    prod_tol = tol.eig_match * (1.0 + np.abs(y).max(axis=1)) * (1.0 + np.abs(z).max(axis=1))
+    # shared slots need a vanishing z_i y_i, the others a nonvanishing one
+    misplaced = (np.abs(products) <= prod_tol[:, None]) != (slots < l)
+    errors = {}
+    for t in (gap <= gap_tol).nonzero()[0]:
+        errors[t] = XiInvariantError(
+            f"diagonal values are not pairwise distinct (gap {gap[t]:.3e})"
+        )
+    for t in misplaced.any(axis=1).nonzero()[0]:
+        if t in errors:
+            continue
+        i = int(misplaced[t].argmax())
+        if i < l:
+            errors[t] = XiInvariantError(
+                f"slot {i + 1} lies in the shared range but z*y = {products[t, i]:.3e}"
+            )
+        else:
+            errors[t] = XiInvariantError(
+                f"slot {i + 1} lies outside the shared range but z*y vanishes"
+            )
+
+    rest = np.array([t for t in range(count) if t not in errors], dtype=int)
+    cut, matched, _, spectral = _coincidence_stack(mats[rest], tol)
+    counts = matched.sum(axis=(1, 2))
+    for pos, exc in spectral.items():
+        errors[rest[pos]] = exc
+    for pos in (counts != l).nonzero()[0]:
+        errors.setdefault(
+            rest[pos],
+            XiInvariantError(
+                f"assembled matrix shares {counts[pos]} eigenvalues with its cutoff, expected {l}"
+            ),
+        )
+    if l:
+        exact = (counts == l).nonzero()[0]
+        shared = cut[exact][matched[exact].any(axis=2)].reshape(-1, l)
+        planted = sort_complex(h[rest[exact], :l])
+        off = np.abs(shared - planted).max(axis=1) > 10.0 * gap_tol[rest[exact]]
+        for pos in exact[off]:
+            errors.setdefault(
+                rest[pos],
+                XiInvariantError("shared eigenvalues differ from the leading diagonal values"),
+            )
+    return mats, errors
 
 
 def xi_build(e: XiElement, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -166,64 +246,36 @@ def xi_build(e: XiElement, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     z_i y_i on the first l slots and nonvanishing afterwards, and that the
     assembled matrix really shares exactly {h_1, ..., h_l} with its cutoff.
     """
-    n, l = e.n, e.l
-    h = np.asarray(e.h, dtype=complex)
-    y = np.asarray(e.y, dtype=complex)
-    z = np.asarray(e.z, dtype=complex)
+    mats, errors = _xi_stack(*_rows(e), e.l, tol)
+    if errors:
+        raise errors[0]
+    return mats[0]
 
-    gap_tol = tol.eig_match * (1.0 + _scale(e))
-    diffs = np.abs(h[:, None] - h[None, :])
-    np.fill_diagonal(diffs, np.inf)
-    if diffs.min() <= gap_tol:
+
+def _upper_marks(h, y, z, w, counts, tol: Tolerances) -> np.ndarray:
+    """U/L marks over the shared slots of stacked forms, True for U.
+
+    Slot i of form t is shared when i < counts[t]; the marks past that are
+    meaningless.  A slot where both border entries vanish resolves to U so
+    the output is deterministic; a shared slot where neither vanishes raises
+    XiInvariantError.
+    """
+    thresh = (tol.eig_match * (1.0 + _scales(h, y, z, w)))[:, None]
+    upper = np.abs(z) <= thresh
+    stray = ~upper & (np.abs(y) > thresh) & (np.arange(h.shape[1]) < counts[:, None])
+    if stray.any():
+        _, i = np.argwhere(stray)[0]
         raise XiInvariantError(
-            f"diagonal values are not pairwise distinct (gap {diffs.min():.3e})"
+            f"slot {i + 1} is marked shared but neither border entry vanishes"
         )
-
-    prod_tol = tol.eig_match * (1.0 + np.abs(y).max(initial=0.0)) * (
-        1.0 + np.abs(z).max(initial=0.0)
-    )
-    products = z * y
-    for i in range(n - 1):
-        if i < l and abs(products[i]) > prod_tol:
-            raise XiInvariantError(
-                f"slot {i + 1} lies in the shared range but z*y = {products[i]:.3e}"
-            )
-        if i >= l and abs(products[i]) <= prod_tol:
-            raise XiInvariantError(
-                f"slot {i + 1} lies outside the shared range but z*y vanishes"
-            )
-
-    m = _xi_matrix(e)
-    rep = coincidence_count(m, tol)
-    if rep.l != l:
-        raise XiInvariantError(
-            f"assembled matrix shares {rep.l} eigenvalues with its cutoff, expected {l}"
-        )
-    if l:
-        matched = sort_complex([p[0] for p in rep.pairs])
-        planted = sort_complex(h[:l])
-        if np.abs(matched - planted).max() > 10.0 * gap_tol:
-            raise XiInvariantError(
-                "shared eigenvalues differ from the leading diagonal values"
-            )
-    return m
+    return upper
 
 
 def xi_pattern(e: XiElement, tol: Tolerances = DEFAULT_TOL) -> ULPattern:
     """U/L marks over the shared slots; a slot where both border entries
     vanish resolves to U so the output is deterministic."""
-    thresh = tol.eig_match * (1.0 + _scale(e))
-    marks = []
-    for i in range(e.l):
-        if abs(e.z[i]) <= thresh:
-            marks.append("U")
-        elif abs(e.y[i]) <= thresh:
-            marks.append("L")
-        else:
-            raise XiInvariantError(
-                f"slot {i + 1} is marked shared but neither border entry vanishes"
-            )
-    return ULPattern(tuple(marks))
+    upper = _upper_marks(*_rows(e), np.array([e.l]), tol)
+    return ULPattern(tuple("U" if u else "L" for u in upper[0, : e.l]))
 
 
 def stabilized_flag(pattern: ULPattern, n: int) -> PartialFlag:
@@ -245,6 +297,52 @@ def stabilized_flag(pattern: ULPattern, n: int) -> PartialFlag:
     return PartialFlag(n, steps, basis)
 
 
+def _reduce_stack(mats: np.ndarray, tol: Tolerances, trials: _Trials):
+    """reduce_to_xi over a (T, n, n) stack: one eig call for the cutoffs, one
+    eigvals call for the full matrices and one inv call for each inverse.
+
+    Returns, for the trials still live: their matrices, the conjugating
+    blocks, the bordered forms and the shared counts.
+    """
+    n = mats.shape[-1]
+    (evals, evecs), failed = _lapack_stack(np.linalg.eig, mats[:, :-1, :-1])
+    errors = {t: EigensolverError("eigendecomposition of the cutoff failed") for t in failed}
+    diag = np.arange(n - 1)
+    gaps = np.abs(evals[:, :, None] - evals[:, None, :])
+    gaps[:, diag, diag] = np.inf
+    gap = gaps.min(axis=(1, 2))
+    policy = _RS_GAP_FACTOR * tol.eig_match * (1.0 + np.abs(evals).max(axis=1))
+    for t in (gap <= policy).nonzero()[0]:
+        errors.setdefault(
+            t,
+            CutoffNotRegularSemisimple(
+                f"cutoff eigenvalue gap {gap[t]:.3e} is below the policy {policy[t]:.3e}; "
+                "the reduction is undefined here"
+            ),
+        )
+    for t in ((gap > policy) & (gap <= 10.0 * policy)).nonzero()[0]:
+        warnings.warn(
+            f"cutoff spectrum nearly degenerate (gap {gap[t]:.3e}); eigenvector "
+            f"condition number {np.linalg.cond(evecs[t]):.3e}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    full, spectral = _eigvals_stack(mats, tol)
+    for t, exc in spectral.items():
+        errors.setdefault(t, exc)
+    keep = trials.drop(errors)
+    mats, evals, evecs, full = mats[keep], evals[keep], evecs[keep], full[keep]
+
+    # shared values first, each group sorted by (real, imag)
+    shared = _match_stack(evals, sort_complex(full), tol.eig_match)[0].any(axis=2)
+    order = np.lexsort((evals.imag, evals.real, ~shared), axis=-1)
+    inverses, failed = _lapack_stack(np.linalg.inv, evecs)
+    keep = trials.drop({t: EigensolverError("cutoff eigenvectors are singular") for t in failed})
+    blocks = np.eye(n - 1)[order[keep]] @ inverses[keep]
+    forms, kept = _conjugate(_block_diagonal(blocks, 1.0), mats[keep], trials)
+    return mats[keep][kept], blocks[kept], forms, shared[keep][kept].sum(axis=1)
+
+
 def reduce_to_xi(x, tol: Tolerances = DEFAULT_TOL):
     """Conjugate x into bordered-diagonal form with shared eigenvalues first.
 
@@ -258,49 +356,54 @@ def reduce_to_xi(x, tol: Tolerances = DEFAULT_TOL):
     n = m.shape[0]
     if n < 2:
         raise ValueError("the reduction needs n >= 2")
-    cut = m[:-1, :-1]
-    try:
-        evals, evecs = np.linalg.eig(cut)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError("eigendecomposition of the cutoff failed") from exc
+    trials = _Trials(1)
+    _, blocks, forms, counts = _reduce_stack(m[None], tol, trials)
+    if trials.errors:
+        raise trials.errors[0]
+    return KElement(blocks[0], 1.0, n), _xi_element(forms[0], int(counts[0]))
 
-    gaps = np.abs(evals[:, None] - evals[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    gap = float(gaps.min())
-    policy = _RS_GAP_FACTOR * tol.eig_match * (1.0 + np.abs(evals).max())
-    if gap <= policy:
-        raise CutoffNotRegularSemisimple(
-            f"cutoff eigenvalue gap {gap:.3e} is below the policy {policy:.3e}; "
-            "the reduction is undefined here"
+
+def _canonical_stack(mats: np.ndarray, tol: Tolerances, trials: _Trials) -> list:
+    """canonical_form over a (T, n, n) stack: the results of the live trials.
+
+    The catalog parabolic and the stabilized flag are built once per
+    distinct U/L pattern in the stack.
+    """
+    n = mats.shape[-1]
+    k = n - 1
+    mats, k1, forms, counts = _reduce_stack(mats, tol, trials)
+    h, y, z, w = forms.diagonal(0, 1, 2)[:, :k], forms[:, :k, k], forms[:, k, :k], forms[:, k, k]
+    upper = _upper_marks(h, y, z, w, counts, tol)
+    targets = {}
+    keys = [tuple(upper[t, :c].tolist()) for t, c in enumerate(counts)]
+    for key in keys:
+        if key not in targets:
+            pattern = ULPattern(tuple("U" if u else "L" for u in key))
+            kpos = sum(key) + 1
+            idx = OrbitIndex(kpos, kpos + n - 1 - len(key))
+            target = parabolic_p(idx, n)
+            # both flag bases are permutations: kappa carries the stabilized
+            # flag's basis column by column onto the catalog partial flag's
+            kappa = target.frame @ stabilized_flag(pattern, n).basis.T
+            targets[key] = (pattern, idx, target, kappa[:k, :k])
+    k2 = np.array([targets[key][3] for key in keys], dtype=complex).reshape(-1, k, k)
+    blocks = k2 @ k1
+    images, kept = _conjugate(_block_diagonal(blocks, 1.0), mats, trials)
+    keys = [key for key, live in zip(keys, kept) if live]
+    results = []
+    for t, (key, block, c) in enumerate(zip(keys, blocks[kept], counts[kept])):
+        pattern, idx, target, _ = targets[key]
+        results.append(
+            CanonicalFormResult(
+                k=KElement(block, 1.0, n),
+                idx=idx,
+                image=images[t],
+                residual=contains(target, images[t], tol).residual,
+                l=int(c),
+                pattern=pattern,
+            )
         )
-    if gap <= 10.0 * policy:
-        warnings.warn(
-            f"cutoff spectrum nearly degenerate (gap {gap:.3e}); eigenvector "
-            f"condition number {np.linalg.cond(evecs):.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    full = eigenvalues(m, tol).as_array()
-    rows, _, _ = _assignment(evals, full, tol.eig_match)
-    shared = sorted(rows, key=lambda r: (evals[r].real, evals[r].imag))
-    unshared = sorted(
-        (r for r in range(n - 1) if r not in set(rows)),
-        key=lambda r: (evals[r].real, evals[r].imag),
-    )
-    perm = np.eye(n - 1)[shared + unshared]
-
-    k = KElement(perm @ np.linalg.inv(evecs), 1.0, n)
-    xim = ad(k, m)
-    e = XiElement(
-        n=n,
-        l=len(shared),
-        h=tuple(np.diag(xim)[: n - 1]),
-        y=tuple(xim[: n - 1, n - 1]),
-        z=tuple(xim[n - 1, : n - 1]),
-        w=complex(xim[n - 1, n - 1]),
-    )
-    return k, e
+    return results
 
 
 def canonical_form(x, tol: Tolerances = DEFAULT_TOL) -> CanonicalFormResult:
@@ -313,31 +416,77 @@ def canonical_form(x, tol: Tolerances = DEFAULT_TOL) -> CanonicalFormResult:
     throughout.
     """
     m = as_cmatrix(x)
-    n = m.shape[0]
-    k1, e = reduce_to_xi(m, tol)
-    pattern = xi_pattern(e, tol)
-    c = e.l
-    l_orbit = n - 1 - c
-    kpos = pattern.marks.count("U") + 1
+    if m.shape[0] < 2:
+        raise ValueError("the reduction needs n >= 2")
+    trials = _Trials(1)
+    results = _canonical_stack(m[None], tol, trials)
+    if trials.errors:
+        raise trials.errors[0]
+    return results[0]
 
-    idx = OrbitIndex(kpos, kpos + l_orbit)
-    target = parabolic_p(idx, n)
-    # both flag bases are permutations: kappa carries the stabilized flag's
-    # basis column by column onto the catalog partial flag's
-    kappa = target.frame @ stabilized_flag(pattern, n).basis.T
-    k2 = KElement(kappa[: n - 1, : n - 1], 1.0, n)
 
-    k_total = k2 @ k1
-    image = ad(k_total, m)
-    membership = contains(target, image, tol)
-    return CanonicalFormResult(
-        k=k_total,
-        idx=idx,
-        image=image,
-        residual=membership.residual,
-        l=c,
-        pattern=pattern,
-    )
+def _draw_xi(rng: SeededRng, n: int, l: int):
+    """One random_xi draw as (h, y, z, w), or None when its diagonal gap is below 0.5.
+
+    After h, each slot draws a border modulus and phase, a second pair for
+    the other border entry, and, when shared, a coin: U (z_i = 0) below 0.5,
+    L (y_i = 0) otherwise.  Then w.
+    """
+    k = n - 1
+    h = 2.0 * rng.complex_normal(k)
+    gaps = np.abs(h[:, None] - h[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    if gaps.min() < 0.5:
+        return None
+    slots = np.arange(k)
+    start = 4 * slots + np.minimum(slots, l)
+    u = rng.uniform(4 * k + l)
+    border = (0.5 + u[start]) * np.exp(2j * np.pi * u[start + 1])
+    other = (0.5 + u[start + 2]) * np.exp(2j * np.pi * u[start + 3])
+    shared = slots < l
+    upper = np.zeros(k, dtype=bool)
+    upper[:l] = u[start[:l] + 4] < 0.5
+    y = np.where(shared & ~upper, 0.0, border)
+    z = np.where(shared, np.where(upper, 0.0, border), other)
+    return h, y, z, complex(rng.complex_normal())
+
+
+def _random_xi_stack(rngs: list, n: int, l: int, tol: Tolerances, trials: _Trials):
+    """random_xi on the handle of every live trial: their bordered matrices.
+
+    Each round draws one candidate per pending trial and validates all of
+    them by one stacked xi_build; the rejected ones draw again.
+    """
+    accepted = np.empty((len(trials.live), n, n), dtype=complex)
+    draws = np.zeros(len(trials.live), dtype=int)
+    pending = list(range(len(trials.live)))
+    errors = {}
+    while pending:
+        candidates = []
+        for pos in pending:
+            draw = None
+            while draw is None:
+                if draws[pos] == _RESAMPLE_LIMIT:
+                    raise XiInvariantError(
+                        f"no draw out of {_RESAMPLE_LIMIT} planted exactly l={l} coincidences "
+                        f"at n={n} with eig_match={tol.eig_match:g}"
+                    )
+                draws[pos] += 1
+                draw = _draw_xi(rngs[trials.live[pos]], n, l)
+            candidates.append(draw)
+        h, y, z, w = (np.array(part) for part in zip(*candidates))
+        mats, rejected = _xi_stack(h, y, z, w, l, tol)
+        redraw = []
+        for i, pos in enumerate(pending):
+            exc = rejected.get(i)
+            if exc is None:
+                accepted[pos] = mats[i]
+            elif isinstance(exc, XiInvariantError):
+                redraw.append(pos)
+            else:
+                errors[pos] = exc
+        pending = redraw
+    return accepted[trials.drop(errors)]
 
 
 def random_xi(rng: SeededRng, n: int, l: int, tol: Tolerances = DEFAULT_TOL) -> XiElement:
@@ -351,36 +500,11 @@ def random_xi(rng: SeededRng, n: int, l: int, tol: Tolerances = DEFAULT_TOL) -> 
     """
     if not 0 <= l <= n - 1:
         raise ValueError(f"l={l} out of range for n={n}")
-    for _ in range(_RESAMPLE_LIMIT):
-        h = 2.0 * rng.complex_normal(n - 1)
-        gaps = np.abs(h[:, None] - h[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if gaps.min() < 0.5:
-            continue
-        y = np.zeros(n - 1, dtype=complex)
-        z = np.zeros(n - 1, dtype=complex)
-        for i in range(n - 1):
-            border = (0.5 + rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            other = (0.5 + rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            if i < l:
-                if rng.uniform() < 0.5:
-                    y[i] = border  # z stays 0: mark U
-                else:
-                    z[i] = border  # y stays 0: mark L
-            else:
-                y[i], z[i] = border, other
-        e = XiElement(
-            n=n, l=l, h=tuple(h), y=tuple(y), z=tuple(z), w=complex(rng.complex_normal())
-        )
-        try:
-            xi_build(e, tol)
-        except XiInvariantError:
-            continue
-        return e
-    raise XiInvariantError(
-        f"no draw out of {_RESAMPLE_LIMIT} planted exactly l={l} coincidences "
-        f"at n={n} with eig_match={tol.eig_match:g}"
-    )
+    trials = _Trials(1)
+    mats = _random_xi_stack([rng], n, l, tol, trials)
+    if trials.errors:
+        raise trials.errors[0]
+    return _xi_element(mats[0], l)
 
 
 @dataclass(frozen=True)
@@ -404,26 +528,23 @@ def verify_roundtrips(
 ) -> RoundTripReport:
     """Monte Carlo check that canonical_form recovers a planted count l; trial
     t draws random_xi, then sample_K, from rng.derive(t)."""
-    failures = mismatches = violations = 0
-    worst = 0.0
-    borels = set()
-    for t in range(trials):
-        trial = rng.derive(t)
-        try:
-            e = random_xi(trial, n, l, tol)
-            g = sample_K(trial, n)
-            # random_xi has validated e with xi_build already
-            res = canonical_form(ad(g, _xi_matrix(e)), tol)
-        except (EigensolverError, CutoffNotRegularSemisimple):
-            failures += 1
-            continue
-        mismatches += res.l != l or res.idx.length != n - 1 - l
-        worst = max(worst, res.residual)
-        violations += res.residual >= _ROUNDTRIP_RESIDUAL_CAP
-        borels.add(res.idx.i)
-    borel_indices = tuple(sorted(borels)) if l == n - 1 else None
+    rngs = [rng.derive(t) for t in range(trials)]
+    done = _Trials(trials)
+    planted = _random_xi_stack(rngs, n, l, tol, done)
+    blocks, scalars, keep = _sample_K_stack(rngs, n, done)
+    xs, _ = _conjugate(_block_diagonal(blocks, scalars), planted[keep], done)
+    results = _canonical_stack(xs, tol, done)
+    worst = max((res.residual for res in results), default=0.0)
+    borel_indices = tuple(sorted({res.idx.i for res in results})) if l == n - 1 else None
     return RoundTripReport(
-        l, trials, failures, mismatches, worst, _ROUNDTRIP_RESIDUAL_CAP, violations, borel_indices
+        l,
+        trials,
+        len(done.errors),
+        sum(res.l != l or res.idx.length != n - 1 - l for res in results),
+        worst,
+        _ROUNDTRIP_RESIDUAL_CAP,
+        sum(res.residual >= _ROUNDTRIP_RESIDUAL_CAP for res in results),
+        borel_indices,
     )
 
 

@@ -7,7 +7,8 @@ routes disagreeing, or a broken internal invariant), 4 precondition not met
 
 Reports are JSON objects with sorted keys (or a flat text table), so a fixed
 command line plus a fixed seed produces byte-identical output.  `verify` runs
-its trials serially; `--workers` is accepted but has no effect.
+each loop's trials as one stack (see gzcut.orbits); `--workers` is accepted
+but has no effect.
 Matrix files are JSON: {"n": 3, "entries": [[...], ...]} where each entry is
 either a plain number or an [re, im] pair.
 """

@@ -95,8 +95,7 @@ class PartialFlag:
             b <= a for a, b in zip(steps, steps[1:])
         ) or steps[0] < 1:
             raise ValueError(f"steps {steps} must increase strictly to n={self.n}")
-        if numerical_rank(self.basis) != self.n:
-            raise ValueError("flag basis is singular")
+        _checked_inverse(self.basis, "flag basis")
 
     def subspace(self, k: int) -> np.ndarray:
         """Basis columns of the k-th step (0-based)."""
@@ -121,11 +120,7 @@ class SubalgebraSpec:
         mask = np.array(self.mask, dtype=bool)
         if mask.shape != frame.shape:
             raise ValueError(f"mask shape {mask.shape} does not match frame {frame.shape}")
-        inverse = _inverse(frame)  # raises LinAlgError, a ValueError, when exactly singular
-        # the same relative cutoff numerical_rank applies, on the 1-norm condition number
-        cond = np.linalg.norm(frame, 1) * np.linalg.norm(inverse, 1)
-        if cond * DEFAULT_TOL.rank_rel >= 1.0:
-            raise ValueError(f"frame is singular (condition number {cond:.3e})")
+        inverse = _checked_inverse(frame, "frame")
         for name, arr in (("frame", frame), ("mask", mask), ("inverse", inverse)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -263,6 +258,23 @@ def _inverse(b: np.ndarray) -> np.ndarray:
     if np.abs(b @ snapped - np.eye(b.shape[0])).max() == 0.0:
         return snapped
     return inv
+
+
+def _checked_inverse(b: np.ndarray, what: str) -> np.ndarray:
+    """The inverse of b; ValueError when b is singular, exactly or numerically.
+
+    The numerical test applies numerical_rank's relative cutoff to the
+    1-norm condition number, so the catalog's permutation and unimodular
+    integer bases need no SVD.
+    """
+    try:
+        inverse = _inverse(b)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"{what} is singular") from exc
+    cond = np.linalg.norm(b, 1) * np.linalg.norm(inverse, 1)
+    if cond * DEFAULT_TOL.rank_rel >= 1.0:
+        raise ValueError(f"{what} is singular (condition number {cond:.3e})")
+    return inverse
 
 
 def stabilizer(flag: PartialFlag, strict: bool = False) -> SubalgebraSpec:

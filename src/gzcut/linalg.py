@@ -65,7 +65,7 @@ def as_cmatrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -79,9 +79,9 @@ def cutoff(a) -> np.ndarray:
 
 
 def sort_complex(values) -> np.ndarray:
-    """Lexicographic (real, imag) ordering; makes spectra reproducible."""
-    v = np.asarray(values, dtype=complex)
-    return v[np.lexsort((v.imag, v.real))]
+    """Lexicographic (real, imag) ordering along the last axis; makes spectra
+    reproducible.  The sort is stable, so equal values keep their order."""
+    return np.sort(np.asarray(values, dtype=complex), axis=-1, kind="stable")
 
 
 @dataclass(frozen=True)
@@ -99,26 +99,68 @@ class Spectrum:
         return np.asarray(self.values, dtype=complex)
 
 
+def _lapack_stack(kernel, mats):
+    """kernel applied to a (T, n, n) stack of matrices in one call.
+
+    When LAPACK raises on the stack, each matrix is retried alone.  The ones
+    that fail are listed and stand in as the identity in a second stacked
+    call, so the output still has one entry per matrix and a failure costs
+    only its own matrix.  Returns (output, failed positions).
+    """
+    try:
+        return kernel(mats), []
+    except np.linalg.LinAlgError:
+        pass
+    failed = []
+    for t in range(len(mats)):
+        try:
+            kernel(mats[t : t + 1])
+        except np.linalg.LinAlgError:
+            failed.append(t)
+    stand_in = mats.copy()
+    stand_in[failed] = np.eye(mats.shape[-1])
+    return kernel(stand_in), failed
+
+
+def _eigvals_stack(mats: np.ndarray, tol: Tolerances):
+    """Unsorted eigenvalues of every matrix in a (T, n, n) stack, by one LAPACK call.
+
+    Each eigenvalue sum is checked against its matrix's trace as a cheap
+    normalization guard; a violation means the QR iteration silently
+    degraded.  Returns the (T, n) values and a dict from the position of
+    each failed matrix to its EigensolverError.
+    """
+    vals, failed = _lapack_stack(np.linalg.eigvals, mats)
+    # ufunc reductions, not ndarray methods: on the one-matrix path of
+    # `eigenvalues` the method wrappers would cost as much as the check
+    add = np.add.reduce
+    drift = abs(add(vals - mats.diagonal(0, -2, -1), -1))
+    parts = mats.view(float)
+    bound = (1.0 + np.sqrt(add(parts * parts, (-2, -1)))) * (tol.rank_rel * mats.shape[-1])
+    errors = {
+        t: EigensolverError(
+            f"eigenvalue iteration failed on\n{np.array2string(mats[t], precision=6)}"
+        )
+        for t in failed
+    }
+    for t in (drift > bound).nonzero()[0].tolist():
+        errors[t] = EigensolverError(
+            f"eigenvalue sum drifted from the trace by {drift[t]:.3e} on\n"
+            f"{np.array2string(mats[t], precision=6)}"
+        )
+    return vals, errors
+
+
 def eigenvalues(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     """All eigenvalues with algebraic multiplicity, deterministically ordered.
 
-    The eigenvalue sum is checked against the trace as a cheap normalization
-    guard; a violation means the QR iteration silently degraded.
+    The one-matrix case of the stacked solve, with the same trace check.
     """
     m = as_cmatrix(a)
-    try:
-        vals = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(
-            f"eigenvalue iteration failed on\n{np.array2string(m, precision=6)}"
-        ) from exc
-    drift = abs(vals.sum() - np.trace(m))
-    if drift > tol.rank_rel * (1.0 + np.linalg.norm(m)) * m.shape[0]:
-        raise EigensolverError(
-            f"eigenvalue sum drifted from the trace by {drift:.3e} on\n"
-            f"{np.array2string(m, precision=6)}"
-        )
-    return Spectrum(tuple(sort_complex(vals)), m.shape[0])
+    vals, errors = _eigvals_stack(m[None], tol)
+    if errors:
+        raise errors[0]
+    return Spectrum(tuple(sort_complex(vals[0])), m.shape[0])
 
 
 def _shift_poly(coeffs: np.ndarray, s: complex) -> np.ndarray:

@@ -4,6 +4,12 @@ adjoint action, Monte Carlo containment checks, and tangent-space ranks.
 All randomness flows through SeededRng handles: a handle is fully determined
 by (seed, stream), and trial t of a loop draws only from rng.derive(t), the
 handle on stream + t, so a loop's draws depend only on its starting handle.
+
+The trial loops are stacked: every trial still draws from its own handle, in
+the order a lone trial would, but the linear algebra of all the loop's trials
+is done by one call per kernel on a (T, n, n) stack.  A trial that fails is
+retired with its exception and the others go on; the one-trial functions
+(sample_K, containment_trial) are the engine run on a single handle.
 """
 
 from __future__ import annotations
@@ -13,8 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flags import OrbitIndex, SubalgebraSpec, fixed_point_subalgebra, parabolic_p, contains
-from .linalg import DEFAULT_TOL, EigensolverError, Tolerances, as_cmatrix, numerical_rank
-from .spectra import coincidence_count
+from .linalg import (
+    DEFAULT_TOL,
+    EigensolverError,
+    Tolerances,
+    _lapack_stack,
+    as_cmatrix,
+    numerical_rank,
+)
+from .spectra import _coincidence_stack
 
 __all__ = [
     "SeededRng",
@@ -51,8 +64,10 @@ class SeededRng:
         g = self._gen
         return (g.standard_normal(shape) + 1j * g.standard_normal(shape)) / np.sqrt(2.0)
 
-    def uniform(self, low=0.0, high=1.0):
-        return self._gen.uniform(low, high)
+    def uniform(self, size=None):
+        """Uniform draws on [0, 1); a draw of `size` values equals that many
+        single draws in turn."""
+        return self._gen.random(size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,10 +88,7 @@ class KElement:
             raise ValueError("element must be invertible and finite")
 
     def as_matrix(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n), dtype=complex)
-        m[:-1, :-1] = self.block
-        m[-1, -1] = self.scalar
-        return m
+        return _block_diagonal(self.block[None], self.scalar)[0]
 
     def __matmul__(self, other: "KElement") -> "KElement":
         if self.n != other.n:
@@ -84,17 +96,90 @@ class KElement:
         return KElement(self.block @ other.block, self.scalar * other.scalar, self.n)
 
 
+class _Trials:
+    """The trials of a stacked loop: which are still live, and why the others failed.
+
+    Stages keep their arrays aligned with `live`; a stage that loses trials
+    passes their positions in `live`, with the exception of each, to `drop`
+    and filters its arrays by the mask it returns.
+    """
+
+    def __init__(self, count: int):
+        self.live = np.arange(count)
+        self.errors = {}
+
+    def drop(self, errors: dict) -> np.ndarray:
+        keep = np.ones(len(self.live), dtype=bool)
+        for pos, exc in errors.items():
+            keep[pos] = False
+            self.errors[int(self.live[pos])] = exc
+        self.live = self.live[keep]
+        return keep
+
+
+def _block_diagonal(blocks: np.ndarray, scalars) -> np.ndarray:
+    """Group elements as (T, n, n) matrices from (T, n-1, n-1) blocks and scalars."""
+    t, k, _ = blocks.shape
+    m = np.zeros((t, k + 1, k + 1), dtype=complex)
+    m[:, :-1, :-1] = blocks
+    m[:, -1, -1] = scalars
+    return m
+
+
+def _singular_values(mats: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(mats, compute_uv=False)
+
+
+def _sample_K_stack(rngs: list, n: int, trials: _Trials):
+    """sample_K on the handle of every live trial: (blocks, scalars, kept mask).
+
+    The first block of every trial is checked against the conditioning floor
+    by one stacked SVD; a trial whose block misses it redraws on its own
+    handle, up to _RESAMPLE_LIMIT draws in all.
+    """
+    k = n - 1
+    blocks = np.array([rngs[t].complex_normal((k, k)) for t in trials.live], dtype=complex)
+    blocks = blocks.reshape(-1, k, k)
+    unsolved = f"SVD failed to converge on a {k} x {k} block"
+    sv, failed = _lapack_stack(_singular_values, blocks)
+    errors = {pos: EigensolverError(unsolved) for pos in failed}
+    for pos in (sv[:, -1] <= _MIN_BLOCK_SV).nonzero()[0]:
+        rng = rngs[trials.live[pos]]
+        for _ in range(_RESAMPLE_LIMIT - 1):
+            block = rng.complex_normal((k, k))
+            redraw, failed = _lapack_stack(_singular_values, block[None])
+            if failed:
+                errors[pos] = EigensolverError(unsolved)
+                break
+            if redraw[0, -1] > _MIN_BLOCK_SV:
+                blocks[pos] = block
+                break
+        else:
+            errors[pos] = EigensolverError("conditioning resample limit exceeded")
+    keep = trials.drop(errors)
+    scalars = [
+        np.exp(2j * np.pi * rngs[t].uniform()) * (1.0 + rngs[t].uniform()) for t in trials.live
+    ]
+    return blocks[keep], np.array(scalars, dtype=complex), keep
+
+
+def _conjugate(kms: np.ndarray, xs: np.ndarray, trials: _Trials):
+    """ad over stacks: (kms @ xs @ kms^-1 for every live trial, kept mask)."""
+    inverses, failed = _lapack_stack(np.linalg.inv, kms)
+    keep = trials.drop({t: EigensolverError("conjugating element is singular") for t in failed})
+    return kms[keep] @ xs[keep] @ inverses[keep], keep
+
+
 def sample_K(rng: SeededRng, n: int) -> KElement:
     """Random block-diagonal element: Gaussian block with a smallest-singular-
     value floor (for conditioning), scalar on an annulus around the circle."""
     if n < 2:
         raise ValueError("need n >= 2")
-    for _ in range(_RESAMPLE_LIMIT):
-        block = rng.complex_normal((n - 1, n - 1))
-        if np.linalg.svd(block, compute_uv=False)[-1] > _MIN_BLOCK_SV:
-            scalar = np.exp(2j * np.pi * rng.uniform()) * (1.0 + rng.uniform())
-            return KElement(block, complex(scalar), n)
-    raise EigensolverError("conditioning resample limit exceeded")
+    trials = _Trials(1)
+    blocks, scalars, _ = _sample_K_stack([rng], n, trials)
+    if trials.errors:
+        raise trials.errors[0]
+    return KElement(blocks[0], complex(scalars[0]), n)
 
 
 def sample_in(s: SubalgebraSpec, rng: SeededRng) -> np.ndarray:
@@ -131,13 +216,30 @@ class ContainmentReport:
     worst_residual: float
 
 
+def _containment_stack(p: SubalgebraSpec, n: int, rngs: list, tol: Tolerances):
+    """containment_trial on every handle: (trials, l, worst pair residual),
+    the last two for the trials that did not fail."""
+    trials = _Trials(len(rngs))
+    blocks, scalars, _ = _sample_K_stack(rngs, n, trials)
+    coeffs = np.array([rngs[t].complex_normal(p.dim) for t in trials.live], dtype=complex)
+    # sample_in on every trial; with the permutation frames of the catalog
+    # parabolics each entry is one coefficient or zero, so the stacked
+    # contraction has the same bits as one sample at a time
+    xs = np.tensordot(coeffs.reshape(-1, p.dim), np.array(p.basis), axes=1)
+    ys, _ = _conjugate(_block_diagonal(blocks, scalars), xs, trials)
+    _, matched, cost, errors = _coincidence_stack(ys, tol)
+    keep = trials.drop(errors)
+    matched, cost = matched[keep], cost[keep]
+    return trials, matched.sum(axis=(1, 2)), np.where(matched, cost, 0.0).max(axis=(1, 2))
+
+
 def containment_trial(p: SubalgebraSpec, n: int, rng: SeededRng, tol: Tolerances):
     """One trial: conjugate a random element of p by a random group element
     and count coincidences.  Returns (l, worst pair residual) or raises."""
-    k = sample_K(rng, n)
-    x = sample_in(p, rng)
-    rep = coincidence_count(ad(k, x), tol)
-    return rep.l, max(rep.residuals, default=0.0)
+    trials, l, worst = _containment_stack(p, n, [rng], tol)
+    if trials.errors:
+        raise trials.errors[0]
+    return int(l[0]), float(worst[0])
 
 
 def verify_containment(
@@ -154,21 +256,15 @@ def verify_containment(
     eigensolver noise is a bug; numerical failures are tallied separately.
     """
     p = parabolic_p(idx, n)
-    bound = n - 1 - idx.length
-    violations = failures = 0
-    min_l: int | None = None
-    worst = 0.0
-    for t in range(trials):
-        try:
-            l, res = containment_trial(p, n, rng.derive(t), tol)
-        except EigensolverError:
-            failures += 1
-            continue
-        min_l = l if min_l is None else min(min_l, l)
-        worst = max(worst, res)
-        if l < bound:
-            violations += 1
-    return ContainmentReport(idx, trials, violations, failures, min_l, worst)
+    done, l, worst = _containment_stack(p, n, [rng.derive(t) for t in range(trials)], tol)
+    return ContainmentReport(
+        idx,
+        trials,
+        int((l < n - 1 - idx.length).sum()),
+        len(done.errors),
+        int(l.min()) if l.size else None,
+        float(worst.max(initial=0.0)),
+    )
 
 
 def tangent_dim(s: SubalgebraSpec, x, tol: Tolerances = DEFAULT_TOL) -> int:

@@ -9,6 +9,7 @@ boundaries greedy counting gets the answer wrong.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -19,6 +20,7 @@ from .linalg import (
     DEFAULT_TOL,
     Spectrum,
     Tolerances,
+    _eigvals_stack,
     aberth_roots,
     as_cmatrix,
     cutoff,
@@ -112,23 +114,41 @@ def _spectrum_values(s) -> np.ndarray:
     return np.asarray(s, dtype=complex).ravel()
 
 
-def _assignment(a: np.ndarray, b: np.ndarray, radius: float):
-    """Max-cardinality, then min-total-residual matching of two value lists.
+def _match_stack(a: np.ndarray, b: np.ndarray, radius: float):
+    """Max-cardinality, then min-total-residual matching of each row of a
+    (T, p) value stack with the same row of a (T, q) one.
 
-    Solved as a rectangular assignment with a prohibitive cost on pairs
-    farther apart than `radius`; with the penalty dominating every admissible
-    total, the assignment maximizes the admissible count first and minimizes
-    the residual sum second.  Returns (row indices, col indices, residuals).
+    A pair is admissible when its values lie within `radius`.  When no value
+    of a row pair has two or more admissible partners, the admissible pairs
+    are the matching.  Otherwise the row pair is solved as a rectangular
+    assignment with a prohibitive cost on inadmissible pairs; with the
+    penalty dominating every admissible total, the assignment maximizes the
+    admissible count first and minimizes the residual sum second.  Returns
+    (matched, cost): the (T, p, q) mask of matched pairs and the distances.
     """
-    if a.size == 0 or b.size == 0:
-        return [], [], []
-    cost = np.abs(a[:, None] - b[None, :])
-    admissible = cost <= radius
-    big = 1.0 + 2.0 * (radius + 1.0) * min(a.size, b.size)
-    rows, cols = linear_sum_assignment(np.where(admissible, cost, big))
-    keep = admissible[rows, cols]
-    rows, cols = rows[keep], cols[keep]
-    return list(rows), list(cols), [float(cost[r, c]) for r, c in zip(rows, cols)]
+    cost = abs(a[:, :, None] - b[:, None, :])
+    matched = cost <= radius
+    # a value with two admissible partners shows up as a repeated
+    # (row pair, value) key among the admissible pairs
+    stack, rows, cols = (v.tolist() for v in matched.nonzero())
+    ambiguous = set()
+    for keys in (list(zip(stack, rows)), list(zip(stack, cols))):
+        if len(set(keys)) < len(keys):
+            ambiguous.update(key[0] for key, count in Counter(keys).items() if count > 1)
+    big = 1.0 + 2.0 * (radius + 1.0) * min(a.shape[1], b.shape[1])
+    for t in sorted(ambiguous):
+        rows, cols = linear_sum_assignment(np.where(matched[t], cost[t], big))
+        keep = matched[t, rows, cols]
+        matched[t] = False
+        matched[t, rows[keep], cols[keep]] = True
+    return matched, cost
+
+
+def _assignment(a: np.ndarray, b: np.ndarray, radius: float):
+    """The matching of two value lists: (row indices, col indices, residuals)."""
+    matched, cost = _match_stack(a[None], b[None], radius)
+    rows, cols = matched[0].nonzero()
+    return list(rows), list(cols), cost[0][rows, cols].tolist()
 
 
 def match_spectra(s1, s2, tol: Tolerances = DEFAULT_TOL) -> CoincidenceReport:
@@ -153,7 +173,25 @@ def coincidence_count(x, tol: Tolerances = DEFAULT_TOL) -> CoincidenceReport:
     m = as_cmatrix(x)
     if m.shape[0] < 2:
         raise ValueError("coincidence counting needs n >= 2")
-    return match_spectra(eigenvalues(cutoff(m), tol), eigenvalues(m, tol), tol)
+    return match_spectra(eigenvalues(m[:-1, :-1], tol), eigenvalues(m, tol), tol)
+
+
+def _coincidence_stack(mats: np.ndarray, tol: Tolerances):
+    """coincidence_count over a (T, n, n) stack, with one eigenvalue call for
+    the cutoffs and one for the full matrices.
+
+    Returns (cut, matched, cost, errors): the sorted cutoff spectra (T, n-1),
+    the (T, n-1, n) matching against the sorted full spectra with its
+    distances, and the EigensolverError of each failed position (the
+    cutoff's first, as coincidence_count raises it).
+    """
+    cut, errors = _eigvals_stack(mats[:, :-1, :-1], tol)
+    full, full_errors = _eigvals_stack(mats, tol)
+    for t, exc in full_errors.items():
+        errors.setdefault(t, exc)
+    cut = sort_complex(cut)
+    matched, cost = _match_stack(cut, sort_complex(full), tol.eig_match)
+    return cut, matched, cost, errors
 
 
 def newton_to_charpoly(power_sums) -> np.ndarray:

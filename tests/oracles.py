@@ -109,3 +109,139 @@ def lstsq_membership_residual(basis, x):
 def cgauss(gen, shape=None):
     """Standard complex Gaussian draws from a numpy Generator."""
     return (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def lsa_assignment(a, b, radius):
+    """Max-cardinality, then min-total-residual matching by a rectangular
+    assignment with a prohibitive cost on inadmissible pairs, always.
+
+    The matcher gzcut used before it took the admissible pairs directly
+    when no value has two admissible partners; kept as the reference for
+    that fast path.  Returns (row indices, col indices, residuals).
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    if a.size == 0 or b.size == 0:
+        return [], [], []
+    cost = np.abs(a[:, None] - b[None, :])
+    admissible = cost <= radius
+    big = 1.0 + 2.0 * (radius + 1.0) * min(a.size, b.size)
+    rows, cols = linear_sum_assignment(np.where(admissible, cost, big))
+    keep = admissible[rows, cols]
+    rows, cols = rows[keep], cols[keep]
+    return list(rows), list(cols), [float(cost[r, c]) for r, c in zip(rows, cols)]
+
+
+# The serial trial loops gzcut ran before its loops were stacked, kept as the
+# reference the stacked loops must reproduce exactly: one trial at a time,
+# each through the one-trial functions.
+
+
+def _xi_matrix(e):
+    n = e.n
+    m = np.zeros((n, n), dtype=complex)
+    np.fill_diagonal(m[: n - 1, : n - 1], e.h)
+    m[: n - 1, n - 1] = e.y
+    m[n - 1, : n - 1] = e.z
+    m[n - 1, n - 1] = e.w
+    return m
+
+
+def serial_containment_trial(p, n, rng, tol):
+    from gzcut import ad, coincidence_count, sample_K, sample_in
+
+    k = sample_K(rng, n)
+    x = sample_in(p, rng)
+    rep = coincidence_count(ad(k, x), tol)
+    return rep.l, max(rep.residuals, default=0.0)
+
+
+def serial_verify_containment(idx, n, trials, rng, tol):
+    from gzcut import ContainmentReport, EigensolverError, parabolic_p
+
+    p = parabolic_p(idx, n)
+    bound = n - 1 - idx.length
+    violations = failures = 0
+    min_l = None
+    worst = 0.0
+    for t in range(trials):
+        try:
+            l, res = serial_containment_trial(p, n, rng.derive(t), tol)
+        except EigensolverError:
+            failures += 1
+            continue
+        min_l = l if min_l is None else min(min_l, l)
+        worst = max(worst, res)
+        if l < bound:
+            violations += 1
+    return ContainmentReport(idx, trials, violations, failures, min_l, worst)
+
+
+def serial_verify_roundtrips(n, l, trials, rng, tol):
+    from gzcut import (
+        CutoffNotRegularSemisimple,
+        EigensolverError,
+        RoundTripReport,
+        ad,
+        canonical_form,
+        random_xi,
+        sample_K,
+    )
+    from gzcut.canonical import _ROUNDTRIP_RESIDUAL_CAP
+
+    failures = mismatches = violations = 0
+    worst = 0.0
+    borels = set()
+    for t in range(trials):
+        trial = rng.derive(t)
+        try:
+            e = random_xi(trial, n, l, tol)
+            g = sample_K(trial, n)
+            # random_xi has validated e with xi_build already
+            res = canonical_form(ad(g, _xi_matrix(e)), tol)
+        except (EigensolverError, CutoffNotRegularSemisimple):
+            failures += 1
+            continue
+        mismatches += res.l != l or res.idx.length != n - 1 - l
+        worst = max(worst, res.residual)
+        violations += res.residual >= _ROUNDTRIP_RESIDUAL_CAP
+        borels.add(res.idx.i)
+    borel_indices = tuple(sorted(borels)) if l == n - 1 else None
+    return RoundTripReport(
+        l, trials, failures, mismatches, worst, _ROUNDTRIP_RESIDUAL_CAP, violations, borel_indices
+    )
+
+
+def serial_random_xi(rng, n, l, tol):
+    """random_xi as it drew before its draws were vectorized: one scalar
+    draw per border entry and coin, in slot order."""
+    from gzcut import XiElement, XiInvariantError, xi_build
+    from gzcut.orbits import _RESAMPLE_LIMIT
+
+    for _ in range(_RESAMPLE_LIMIT):
+        h = 2.0 * rng.complex_normal(n - 1)
+        gaps = np.abs(h[:, None] - h[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        if gaps.min() < 0.5:
+            continue
+        y = np.zeros(n - 1, dtype=complex)
+        z = np.zeros(n - 1, dtype=complex)
+        for i in range(n - 1):
+            border = (0.5 + rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+            other = (0.5 + rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+            if i < l:
+                if rng.uniform() < 0.5:
+                    y[i] = border  # z stays 0: mark U
+                else:
+                    z[i] = border  # y stays 0: mark L
+            else:
+                y[i], z[i] = border, other
+        e = XiElement(
+            n=n, l=l, h=tuple(h), y=tuple(y), z=tuple(z), w=complex(rng.complex_normal())
+        )
+        try:
+            xi_build(e, tol)
+        except XiInvariantError:
+            continue
+        return e
+    raise XiInvariantError("resample limit")

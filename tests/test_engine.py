@@ -1,0 +1,212 @@
+"""The stacked trial loops against the serial loops they replaced.
+
+verify_containment and verify_roundtrips run every trial of a loop on one
+(T, n, n) stack per kernel.  Each trial still draws from its own stream in the
+order a lone trial would, so the reports must equal, float for float, those of
+the serial loops in tests/oracles.py, which run the one-trial functions one
+trial at a time.  A trial whose solve fails must cost only itself.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gzcut.canonical
+import gzcut.linalg
+import gzcut.orbits
+import gzcut.spectra
+from gzcut import (
+    EigensolverError,
+    SeededRng,
+    Tolerances,
+    ad,
+    eigenvalues,
+    all_orbit_indices,
+    match_spectra,
+    parabolic_p,
+    random_xi,
+    sample_K,
+    sample_in,
+    verify_containment,
+    verify_roundtrips,
+)
+from oracles import (
+    cgauss,
+    lsa_assignment,
+    serial_random_xi,
+    serial_verify_containment,
+    serial_verify_roundtrips,
+)
+
+SEEDS = (0, 7, 11)
+TRIAL_COUNTS = (1, 5, 14)
+
+
+def _compare_loops(n, seed, trials, tol):
+    """Every loop of one `verify` report, stacked against serial, on the
+    streams the command line gives them."""
+    indices = all_orbit_indices(n)
+    for k, idx in enumerate(indices):
+        rng = SeededRng(seed, k * trials)
+        assert verify_containment(idx, n, trials, rng, tol) == serial_verify_containment(
+            idx, n, trials, rng, tol
+        ), (n, seed, trials, idx)
+    for l in range(n):
+        rng = SeededRng(seed, (len(indices) + l) * trials)
+        assert verify_roundtrips(n, l, trials, rng, tol) == serial_verify_roundtrips(
+            n, l, trials, rng, tol
+        ), (n, seed, trials, l)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacked_loops_equal_the_serial_loops(n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for seed in SEEDS:
+            for trials in TRIAL_COUNTS:
+                _compare_loops(n, seed, trials, Tolerances())
+
+
+@pytest.mark.parametrize("eig_match", (1e-3, 0.1))
+def test_stacked_loops_equal_the_serial_loops_at_loose_tolerances(eig_match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for n in (3, 5, 6):
+            _compare_loops(n, 3, 14, Tolerances(eig_match=eig_match))
+
+
+def test_stacked_random_xi_redraws_only_the_rejected_trials(monkeypatch):
+    draws, validated = [], []
+    real_draw, real_check = gzcut.canonical._draw_xi, gzcut.canonical._xi_stack
+    monkeypatch.setattr(gzcut.canonical, "_draw_xi", lambda *a: draws.append(1) or real_draw(*a))
+    monkeypatch.setattr(
+        gzcut.canonical,
+        "_xi_stack",
+        lambda h, *rest: validated.append(len(h)) or real_check(h, *rest),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        # at 1e-3 some draws miss the diagonal gap and draw again at once;
+        # every candidate then passes validation in one stacked round
+        verify_roundtrips(7, 0, 14, SeededRng(3, 100), Tolerances(eig_match=1e-3))
+        assert len(draws) > 14 and validated == [14]
+        # at 0.1 validation rejects some candidates, which alone draw again
+        draws.clear(), validated.clear()
+        verify_roundtrips(5, 0, 14, SeededRng(3, 100), Tolerances(eig_match=0.1))
+    assert validated[0] == 14 and len(validated) > 1
+    assert all(later < earlier for earlier, later in zip(validated, validated[1:]))
+    assert len(draws) >= sum(validated)
+
+
+@pytest.mark.parametrize("eig_match", (1e-7, 0.1))
+def test_random_xi_draws_as_one_scalar_draw_at_a_time(eig_match):
+    # the stream layout of a planted point: vectorizing the border draws
+    # must leave every value and the number of draws consumed unchanged
+    tol = Tolerances(eig_match=eig_match)
+    for n in range(2, 9):
+        for l in range(n):
+            a, b = SeededRng(5, 10 * n + l), SeededRng(5, 10 * n + l)
+            for _ in range(3):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    got, want = random_xi(a, n, l, tol), serial_random_xi(b, n, l, tol)
+                assert (got.h, got.y, got.z, got.w) == (want.h, want.y, want.z, want.w)
+            assert a.uniform() == b.uniform()
+
+
+def test_the_trace_check_fails_only_the_drifting_matrix(monkeypatch):
+    gen = np.random.default_rng(4)
+    mats = cgauss(gen, (5, 4, 4))
+    real = np.linalg.eigvals
+
+    def eigvals(a):
+        vals = real(a)
+        if vals.ndim == 2 and len(vals) == 5:
+            vals[3, 0] += 1e-6  # a silently degraded solve of matrix 3
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    _, errors = gzcut.linalg._eigvals_stack(mats, Tolerances())
+    assert list(errors) == [3] and "drifted from the trace" in str(errors[3])
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: real(a) + 1e-6)
+    with pytest.raises(EigensolverError, match="drifted from the trace"):
+        eigenvalues(mats[0])
+
+
+def test_a_failed_stacked_solve_costs_only_its_own_trial(monkeypatch):
+    n, idx, trials, rng = 4, all_orbit_indices(4)[3], 6, SeededRng(21, 5)
+    clean = verify_containment(idx, n, trials, rng)
+    # the conjugated sample of trial 2, whose eigenvalues are made to fail
+    r = rng.derive(2)
+    poison = ad(sample_K(r, n), sample_in(parabolic_p(idx, n), r))
+    real = np.linalg.eigvals
+    stacks = []
+
+    def eigvals(a):
+        a = np.asarray(a)
+        stacks.append(a.shape)
+        if any(np.array_equal(m, poison) for m in a.reshape(-1, *a.shape[-2:])):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    rep = verify_containment(idx, n, trials, rng)
+    assert (trials, n, n) in stacks  # the stack was solved in one call first
+    assert rep.failures == 1 and clean.failures == 0 and rep.violations == 0
+    # the other five trials count as they do one at a time
+    assert rep == serial_verify_containment(idx, n, trials, rng, Tolerances())
+
+
+def test_sample_K_past_its_resample_limit_fails_only_that_round_trip(monkeypatch):
+    monkeypatch.setattr(gzcut.orbits, "_MIN_BLOCK_SV", np.inf)
+    rep = verify_roundtrips(4, 2, 3, SeededRng(8))
+    assert rep.failures == 3 and rep.mismatches == 0
+    assert rep == serial_verify_roundtrips(4, 2, 3, SeededRng(8), Tolerances())
+    with pytest.raises(EigensolverError, match="resample limit"):
+        sample_K(SeededRng(8), 4)
+
+
+def _spectra_pairs():
+    """Random, clustered and repeated-eigenvalue spectra of sizes (m - 1, m)."""
+    gen = np.random.default_rng(17)
+    for m in range(2, 9):
+        for _ in range(15):
+            a = cgauss(gen, m - 1)
+            yield a, cgauss(gen, m)  # random: almost never admissible
+            b = cgauss(gen, m)
+            b[: m - 1] = a + 1e-9 * cgauss(gen, m - 1)
+            yield a, b  # every cutoff value has one close partner
+            c = cgauss(gen, None)
+            yield c + 1e-8 * cgauss(gen, m - 1), c + 1e-8 * cgauss(gen, m)  # one tight cluster
+            a = np.repeat(cgauss(gen, (m + 1) // 2), 2)[: m - 1]
+            yield a, np.concatenate([a[:1], np.resize(a, m - 1)])  # exactly repeated values
+
+
+@pytest.mark.parametrize("radius", (1e-12, 1e-7, 1e-1))
+def test_matching_fast_path_equals_the_assignment(monkeypatch, radius):
+    tol = Tolerances(eig_match=radius)
+    pairs = list(_spectra_pairs())
+    fast = [match_spectra(a, b, tol) for a, b in pairs]
+    monkeypatch.setattr(gzcut.spectra, "_assignment", lsa_assignment)
+    assert fast == [match_spectra(a, b, tol) for a, b in pairs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.lists(st.integers(0, 3), min_size=14, max_size=14),
+    st.floats(0.05, 2.0),
+)
+def test_stacked_matching_equals_one_pair_at_a_time(m, picks, radius):
+    # values on a coarse lattice, so rows mix ambiguous and plain matchings
+    lattice = np.array([0.0, 0.1, 1.0, 1.05])
+    a = lattice[np.resize(picks, (3, m))] + 0j
+    b = lattice[np.resize(picks[::-1], (3, m + 1))] + 1j * 0.01
+    matched, cost = gzcut.spectra._match_stack(a, b, radius)
+    for t in range(3):
+        rows, cols, residuals = lsa_assignment(a[t], b[t], radius)
+        assert matched[t].sum() == len(rows)
+        assert sorted(cost[t][matched[t]].tolist()) == sorted(residuals)
