@@ -10,6 +10,9 @@ route (`spectra.phi_n`, then `spectra.newton_to_charpoly`, then
 
 from __future__ import annotations
 
+import cmath
+import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -163,7 +166,7 @@ def eigenvalues(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     return Spectrum(tuple(sort_complex(vals[0])), m.shape[0])
 
 
-def _shift_poly(coeffs: np.ndarray, s: complex) -> np.ndarray:
+def _shift_poly(coeffs: list, s: complex) -> list:
     """Coefficients of p(z + s), via repeated synthetic division."""
     work = list(coeffs)
     out = []
@@ -171,8 +174,7 @@ def _shift_poly(coeffs: np.ndarray, s: complex) -> np.ndarray:
         for i in range(1, stop):
             work[i] += s * work[i - 1]
         out.append(work[stop - 1])
-        work = work[: stop - 1]  # keep quotient only
-    return np.asarray(out[::-1], dtype=complex)
+    return out[::-1]
 
 
 def aberth_roots(coeffs, max_iter: int = 200, step_tol: float = 1e-14) -> np.ndarray:
@@ -181,51 +183,76 @@ def aberth_roots(coeffs, max_iter: int = 200, step_tol: float = 1e-14) -> np.nda
     Self-contained on purpose: fed by `spectra.newton_to_charpoly`, it gives a
     spectral route with no shared code with the QR eigensolver.  Multiple
     roots converge linearly and come back as a tight cluster, which is exactly
-    what multiset matching downstream wants.
+    what multiset matching downstream wants.  Reaching `max_iter` without
+    passing the step test emits a RuntimeWarning; the roots are still
+    returned.  Raises EigensolverError when the iterates leave the finite
+    numbers or two of them coincide exactly.
     """
-    c = np.asarray(coeffs, dtype=complex).ravel()
-    if c.size == 0 or c[0] == 0:
+    c = np.asarray(coeffs, dtype=complex).ravel().tolist()
+    if not c or c[0] == 0:
         raise ValueError("expected monic coefficients, highest degree first")
-    c = c / c[0]
-    k = c.size - 1
+    lead = c[0]
+    c = [v / lead for v in c]
+    k = len(c) - 1
     if k == 0:
         return np.empty(0, dtype=complex)
     if k == 1:
         return np.array([-c[1]])
 
-    centroid = -c[1] / k
-    recentered = _shift_poly(c, centroid)
-    mags = np.abs(recentered[1:])
-    if not mags.any():
-        # p(z) = (z - centroid)^k exactly
-        return np.full(k, centroid)
-    with np.errstate(divide="ignore"):
-        radius = 2.0 * (mags ** (1.0 / np.arange(1, k + 1))).max()
-    angles = 2.0 * np.pi * np.arange(k) / k + 0.39  # offset breaks symmetry
-    z = centroid + radius * np.exp(1j * angles)
-
-    # Hot loop: ndarray methods and in-place masked writes keep numpy's
-    # Python-level wrappers (reductions, `where`, `fill_diagonal`) out of it.
-    # Both `np.polyval` calls stay module lookups: bench/spans.py counts
-    # iterations from them.
-    dc = c[:-1] * np.arange(k, 0, -1)
-    for _ in range(max_iter):
-        p = np.polyval(c, z)
-        dp = np.polyval(dc, z)
-        dp[dp == 0] = 1e-300
-        newton = p / dp
-        diff = z[:, None] - z[None, :]
-        diff.flat[:: k + 1] = np.inf
-        repulsion = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - newton * repulsion
-        denom[denom == 0] = 1e-300
-        w = newton / denom
-        z = z - w
-        if np.abs(w).max() <= step_tol * (1.0 + np.abs(z).max()):
-            break
-    if not np.isfinite(z).all():
+    # Python complex scalars, not numpy arrays: at degree <= 8 numpy's
+    # per-call dispatch costs more than the arithmetic.  Scalars raise where
+    # numpy returns inf/nan (1/0j, abs() past the float range); either way
+    # the iterates have left the finite numbers.
+    try:
+        centroid = -c[1] / k
+        mags = [abs(v) for v in _shift_poly(c, centroid)[1:]]
+        if not any(mags):
+            # p(z) = (z - centroid)^k exactly
+            return np.full(k, centroid)
+        radius = 2.0 * max(m ** (1.0 / d) for d, m in enumerate(mags, 1))
+        # offset breaks symmetry
+        z = [centroid + cmath.rect(radius, 2.0 * math.pi * i / k + 0.39) for i in range(k)]
+        c0, c_rest = c[0], c[1:]
+        dc = [v * (k - i) for i, v in enumerate(c[:-1])]
+        dc0, dc_rest = dc[0], dc[1:]
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        converged, step = False, math.inf
+        for _ in range(max_iter):
+            # 1/(z_j - z_i) = -1/(z_i - z_j) exactly, so each pair divides once
+            repulsion = [0j] * k
+            for i, j in pairs:
+                t = 1.0 / (z[i] - z[j])
+                repulsion[i] += t
+                repulsion[j] -= t
+            w = []
+            for zi, r in zip(z, repulsion):
+                # Horner's rule, as np.polyval
+                p = c0
+                for a in c_rest:
+                    p = p * zi + a
+                dp = dc0
+                for a in dc_rest:
+                    dp = dp * zi + a
+                newton = p / (dp if dp != 0 else 1e-300)
+                denom = 1.0 - newton * r
+                w.append(newton / (denom if denom != 0 else 1e-300))
+            z = [zi - wi for zi, wi in zip(z, w)]
+            step = max(map(abs, w))
+            if step <= step_tol * (1.0 + max(map(abs, z))):
+                converged = True
+                break
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise EigensolverError("Aberth iteration diverged") from exc
+    if not all(map(cmath.isfinite, z)):
         raise EigensolverError("Aberth iteration diverged")
-    return z
+    if not converged:
+        warnings.warn(
+            f"Aberth iteration on a degree-{k} polynomial stopped at max_iter={max_iter} "
+            f"with last step {step:.1e}; returning unconverged roots",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return np.array(z)
 
 
 def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:

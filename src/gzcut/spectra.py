@@ -95,7 +95,7 @@ def _power_traces(m: np.ndarray, count: int) -> tuple:
     p = np.eye(m.shape[0], dtype=complex)
     for _ in range(count):
         p = p @ m
-        out.append(complex(np.trace(p)))
+        out.append(complex(p.trace()))
     return tuple(out)
 
 
@@ -200,18 +200,23 @@ def newton_to_charpoly(power_sums) -> np.ndarray:
     Newton's identities convert p_1..p_k into elementary symmetric functions;
     the coefficient of lambda^(k-i) is (-1)^i e_i.
     """
-    p = np.asarray(power_sums, dtype=complex).ravel()
-    k = p.size
+    p = np.asarray(power_sums, dtype=complex).ravel().tolist()
+    k = len(p)
     if k < 1:
         raise ValueError("need at least one power sum")
-    e = np.zeros(k + 1, dtype=complex)
-    e[0] = 1.0
+    e = [1.0 + 0.0j]
     for m in range(1, k + 1):
         acc = 0.0 + 0.0j
         for i in range(1, m + 1):
-            acc += (-1) ** (i - 1) * e[m - i] * p[i - 1]
-        e[m] = acc / m
-    return e * (-1.0) ** np.arange(k + 1)
+            if i % 2:
+                acc += e[m - i] * p[i - 1]
+            else:
+                acc -= e[m - i] * p[i - 1]
+        # numpy's arithmetic on Python scalars: its complex division scales
+        # by the reciprocal, and its sign flip is a multiply by -1.0, so the
+        # coefficients match a numpy evaluation of the same sums bit for bit
+        e.append(acc * (1.0 / m))
+    return np.array([v * -1.0 if i % 2 else v for i, v in enumerate(e)])
 
 
 def v_membership(img: GZImage, l: int, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -132,6 +132,87 @@ def lsa_assignment(a, b, radius):
     return list(rows), list(cols), [float(cost[r, c]) for r, c in zip(rows, cols)]
 
 
+# The power-sum route as gzcut ran it on numpy before it moved to Python
+# complex scalars, kept as the reference the scalar code must reproduce: the
+# Aberth roots to rounding, the Newton coefficients exactly.  numpy returns
+# inf/nan where Python scalars raise, so a divergent input reaches the
+# finiteness check at the end of the Aberth loop.
+
+
+def _numpy_shift_poly(coeffs: np.ndarray, s: complex) -> np.ndarray:
+    """Coefficients of p(z + s), via repeated synthetic division."""
+    work = list(coeffs)
+    out = []
+    for stop in range(len(work), 0, -1):
+        for i in range(1, stop):
+            work[i] += s * work[i - 1]
+        out.append(work[stop - 1])
+        work = work[: stop - 1]  # keep quotient only
+    return np.asarray(out[::-1], dtype=complex)
+
+
+def numpy_aberth_roots(coeffs, max_iter: int = 200, step_tol: float = 1e-14) -> np.ndarray:
+    """gzcut.aberth_roots on numpy arrays: same start points, update, guards
+    and step test, silent at max_iter."""
+    from gzcut import EigensolverError
+
+    c = np.asarray(coeffs, dtype=complex).ravel()
+    if c.size == 0 or c[0] == 0:
+        raise ValueError("expected monic coefficients, highest degree first")
+    c = c / c[0]
+    k = c.size - 1
+    if k == 0:
+        return np.empty(0, dtype=complex)
+    if k == 1:
+        return np.array([-c[1]])
+
+    centroid = -c[1] / k
+    recentered = _numpy_shift_poly(c, centroid)
+    mags = np.abs(recentered[1:])
+    if not mags.any():
+        # p(z) = (z - centroid)^k exactly
+        return np.full(k, centroid)
+    with np.errstate(divide="ignore"):
+        radius = 2.0 * (mags ** (1.0 / np.arange(1, k + 1))).max()
+    angles = 2.0 * np.pi * np.arange(k) / k + 0.39  # offset breaks symmetry
+    z = centroid + radius * np.exp(1j * angles)
+
+    dc = c[:-1] * np.arange(k, 0, -1)
+    for _ in range(max_iter):
+        p = np.polyval(c, z)
+        dp = np.polyval(dc, z)
+        dp[dp == 0] = 1e-300
+        newton = p / dp
+        diff = z[:, None] - z[None, :]
+        diff.flat[:: k + 1] = np.inf
+        repulsion = (1.0 / diff).sum(axis=1)
+        denom = 1.0 - newton * repulsion
+        denom[denom == 0] = 1e-300
+        w = newton / denom
+        z = z - w
+        if np.abs(w).max() <= step_tol * (1.0 + np.abs(z).max()):
+            break
+    if not np.isfinite(z).all():
+        raise EigensolverError("Aberth iteration diverged")
+    return z
+
+
+def numpy_newton_to_charpoly(power_sums) -> np.ndarray:
+    """gzcut.newton_to_charpoly on numpy scalars and arrays."""
+    p = np.asarray(power_sums, dtype=complex).ravel()
+    k = p.size
+    if k < 1:
+        raise ValueError("need at least one power sum")
+    e = np.zeros(k + 1, dtype=complex)
+    e[0] = 1.0
+    for m in range(1, k + 1):
+        acc = 0.0 + 0.0j
+        for i in range(1, m + 1):
+            acc += (-1) ** (i - 1) * e[m - i] * p[i - 1]
+        e[m] = acc / m
+    return e * (-1.0) ** np.arange(k + 1)
+
+
 # The serial trial loops gzcut ran before its loops were stacked, kept as the
 # reference the stacked loops must reproduce exactly: one trial at a time,
 # each through the one-trial functions.

@@ -1,22 +1,34 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from gzcut import (
+    EigensolverError,
+    SeededRng,
     Spectrum,
     Tolerances,
     aberth_roots,
+    ad,
     centralizer_basis,
     eigenvalues,
     newton_to_charpoly,
     numerical_rank,
     phi_n,
+    random_xi,
+    sample_K,
     sort_complex,
     span_equal,
+    xi_build,
 )
-from oracles import cgauss, exact_char_poly
+from oracles import (
+    cgauss,
+    exact_char_poly,
+    numpy_aberth_roots,
+    numpy_newton_to_charpoly,
+)
 
 
 def test_eigenvalues_identity():
@@ -65,7 +77,10 @@ def test_spectrum_length_validated():
 
 
 def test_aberth_known_roots():
-    assert_allclose(sort_complex(aberth_roots([1, -6, 11, -6])), [1, 2, 3], atol=1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a converged solve is silent
+        roots = sort_complex(aberth_roots([1, -6, 11, -6]))
+    assert_allclose(roots, [1, 2, 3], atol=1e-9)
     roots = sort_complex(aberth_roots([1, 0, 1]))  # z^2 + 1
     assert_allclose(roots, [-1j, 1j], atol=1e-10)
 
@@ -76,13 +91,109 @@ def test_aberth_multiple_roots_cluster():
     roots = aberth_roots([1, -4, 4])  # (z - 2)^2
     assert_allclose(roots, [2, 2], atol=1e-5)
     # two triple roots: linear convergence runs the loop to max_iter
-    roots = sort_complex(aberth_roots(np.poly([1, 1, 1, 2, 2, 2])))
+    with pytest.warns(RuntimeWarning, match="degree-6.*max_iter=200"):
+        roots = sort_complex(aberth_roots(np.poly([1, 1, 1, 2, 2, 2])))
     assert_allclose(roots, [1, 1, 1, 2, 2, 2], atol=2e-4)
 
 
 def test_aberth_rejects_nonmonic_garbage():
     with pytest.raises(ValueError):
         aberth_roots([0, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "coeffs, overflow",
+    [
+        ([1, 1e300, 1e300], False),
+        ([1, 1e160, 1e160, 1e160], False),
+        ([1, 0, 1.7e308 + 1.7e308j], True),  # abs() of the recentered constant
+    ],
+)
+def test_aberth_divergence_is_an_eigensolver_error(coeffs, overflow):
+    with pytest.raises(EigensolverError, match="diverged") as info:
+        aberth_roots(coeffs)
+    assert isinstance(info.value.__cause__, OverflowError) == overflow
+    with np.errstate(all="ignore"), pytest.raises(EigensolverError, match="diverged"):
+        numpy_aberth_roots(coeffs)
+
+
+def test_aberth_coincident_iterates_are_an_eigensolver_error(monkeypatch):
+    # every start point on the centroid: the first repulsion sum divides by 0j
+    monkeypatch.setattr(cmath, "rect", lambda r, phi: 0j)
+    with pytest.raises(EigensolverError, match="diverged") as info:
+        aberth_roots([1, -6, 11, -6])
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+
+def _repeated_planted(gen, rng, n, l):
+    """k b k^-1 for a bordered b with l coincidences whose slots 0 and 1 share
+    a diagonal value and a zero border entry: a double eigenvalue of b and of
+    its cutoff."""
+    h = 2.0 * cgauss(gen, n - 1)
+    h[1] = h[0]
+    b = np.zeros((n, n), dtype=complex)
+    np.fill_diagonal(b[:-1, :-1], h)
+    b[:-1, -1] = 1.0 + cgauss(gen, n - 1) / 4
+    b[-1, :-1] = 1.0 + cgauss(gen, n - 1) / 4
+    b[-1, :l] = 0.0
+    b[-1, -1] = cgauss(gen)
+    return ad(sample_K(rng, n), b)
+
+
+def _power_sum_polys():
+    """(monic coefficients, whether every root is simple) of degree 1..8:
+    random coefficients, random roots, and both characteristic polynomials of
+    planted points and of planted points with a double eigenvalue."""
+    gen = np.random.default_rng(43)
+    rng = SeededRng(43)
+    for k in range(1, 9):
+        for _ in range(10):
+            yield np.concatenate([[1.0], cgauss(gen, k)]), True
+            yield np.poly(2.0 * cgauss(gen, k)), True
+    for n in range(2, 9):
+        for l in range(n):
+            trial = rng.derive(2 * (10 * n + l))
+            img = phi_n(ad(sample_K(trial.derive(1), n), xi_build(random_xi(trial, n, l))))
+            yield newton_to_charpoly(img.c_prev), True
+            yield newton_to_charpoly(img.c_full), True
+    for n in range(3, 9):
+        for l in range(2, n):
+            img = phi_n(_repeated_planted(gen, rng.derive(200 + 10 * n + l), n, l))
+            yield newton_to_charpoly(img.c_prev), False
+            yield newton_to_charpoly(img.c_full), False
+
+
+def test_aberth_matches_the_numpy_loop():
+    # the scalar loop runs the numpy loop's iteration with other rounding:
+    # converged simple roots agree to rounding; runs the oracle capped at
+    # max_iter, and double roots (fixed only to ~sqrt(eps) by any floating
+    # evaluation), agree to 1e-6
+    seen = {"converged": 0, "loose": 0}
+    for coeffs, simple in _power_sum_polys():
+        with np.errstate(all="ignore"):
+            want = numpy_aberth_roots(coeffs)
+            # a run that passed its step test stops at the same iteration when allowed more
+            converged = np.array_equal(want, numpy_aberth_roots(coeffs, max_iter=400))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = aberth_roots(coeffs)
+        want, got = sort_complex(want), sort_complex(got)
+        if converged and simple:
+            seen["converged"] += 1
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+        else:
+            seen["loose"] += 1
+            assert np.abs(got - want).max() <= 1e-6
+    assert seen["converged"] > 200 and seen["loose"] > 10
+
+
+def test_newton_to_charpoly_matches_the_numpy_loop():
+    gen = np.random.default_rng(47)
+    for n in range(2, 9):
+        for _ in range(5):
+            img = phi_n(cgauss(gen, (n, n)))
+            for sums in (img.c_prev, img.c_full):
+                assert_array_equal(newton_to_charpoly(sums), numpy_newton_to_charpoly(sums))
 
 
 def test_two_eigenvalue_routes_agree():

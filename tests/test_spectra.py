@@ -19,8 +19,10 @@ from gzcut import (
     match_spectra,
     newton_to_charpoly,
     phi_n,
+    random_xi,
     sample_K,
     v_membership,
+    xi_build,
 )
 from oracles import brute_match, cgauss, exact_char_poly
 
@@ -225,3 +227,20 @@ def test_two_path_classification_agreement():
             assert v_membership(img, l, tol)
             if l < n - 1:
                 assert not v_membership(img, l + 1, tol)
+
+
+# a simple root can leave Aberth's step test unmet at the rounding floor (here
+# one of 198 solves, n = 5, last step ~7e-13); the capped roots must still
+# classify, so that warning is allowed and no other
+@pytest.mark.filterwarnings("ignore:Aberth iteration:RuntimeWarning")
+def test_both_routes_classify_planted_points_exactly():
+    rng = SeededRng(53)
+    for n in range(3, 9):
+        for l in range(n):
+            for t in range(3):
+                trial = rng.derive(2 * (100 * n + 10 * l + t))
+                x = ad(sample_K(trial.derive(1), n), xi_build(random_xi(trial, n, l)))
+                assert coincidence_count(x).l == l
+                img = phi_n(x)
+                assert v_membership(img, l)
+                assert l == n - 1 or not v_membership(img, l + 1)
