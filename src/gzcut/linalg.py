@@ -183,10 +183,14 @@ def aberth_roots(coeffs, max_iter: int = 200, step_tol: float = 1e-14) -> np.nda
     Self-contained on purpose: fed by `spectra.newton_to_charpoly`, it gives a
     spectral route with no shared code with the QR eigensolver.  Multiple
     roots converge linearly and come back as a tight cluster, which is exactly
-    what multiset matching downstream wants.  Reaching `max_iter` without
-    passing the step test emits a RuntimeWarning; the roots are still
-    returned.  Raises EigensolverError when the iterates leave the finite
-    numbers or two of them coincide exactly.
+    what multiset matching downstream wants.  The iteration starts on the
+    circle about the centroid whose radius is the geometric mean of the root
+    moduli about it, and stops at whichever comes first: every `|p(z_i)|` down
+    at the a priori bound on Horner's rounding error (Bini, Numer. Algorithms
+    13, 1996), or a step below `step_tol`.  Reaching `max_iter` with neither
+    emits a RuntimeWarning; the roots are still returned.  Raises
+    EigensolverError when the iterates leave the finite numbers or two of them
+    coincide exactly.
     """
     c = np.asarray(coeffs, dtype=complex).ravel().tolist()
     if not c or c[0] == 0:
@@ -209,14 +213,22 @@ def aberth_roots(coeffs, max_iter: int = 200, step_tol: float = 1e-14) -> np.nda
         if not any(mags):
             # p(z) = (z - centroid)^k exactly
             return np.full(k, centroid)
-        radius = 2.0 * max(m ** (1.0 / d) for d, m in enumerate(mags, 1))
+        if mags[-1]:
+            # |p(centroid)|^(1/k): the geometric mean of |z_i - centroid|
+            radius = mags[-1] ** (1.0 / k)
+        else:
+            radius = 2.0 * max(m ** (1.0 / d) for d, m in enumerate(mags, 1))
         # offset breaks symmetry
         z = [centroid + cmath.rect(radius, 2.0 * math.pi * i / k + 0.39) for i in range(k)]
         c0, c_rest = c[0], c[1:]
+        # |p(z)| <= floor * s(|z|) is within Horner's rounding error, where s
+        # is Horner's rule on the absolute coefficients
+        floor = k * 2.0**-53
+        abs_rest = [abs(v) for v in c_rest]
         dc = [v * (k - i) for i, v in enumerate(c[:-1])]
         dc0, dc_rest = dc[0], dc[1:]
         pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-        converged, step = False, math.inf
+        converged = False
         for _ in range(max_iter):
             # 1/(z_j - z_i) = -1/(z_i - z_j) exactly, so each pair divides once
             repulsion = [0j] * k
@@ -225,20 +237,30 @@ def aberth_roots(coeffs, max_iter: int = 200, step_tol: float = 1e-14) -> np.nda
                 repulsion[i] += t
                 repulsion[j] -= t
             w = []
+            at_floor = True
             for zi, r in zip(z, repulsion):
                 # Horner's rule, as np.polyval
                 p = c0
                 for a in c_rest:
                     p = p * zi + a
+                if at_floor:
+                    # once one root is off the floor this pass cannot stop
+                    azi = abs(zi)
+                    s = 1.0
+                    for a in abs_rest:
+                        s = s * azi + a
+                    at_floor = abs(p) <= floor * s
                 dp = dc0
                 for a in dc_rest:
                     dp = dp * zi + a
                 newton = p / (dp if dp != 0 else 1e-300)
                 denom = 1.0 - newton * r
                 w.append(newton / (denom if denom != 0 else 1e-300))
+            if at_floor:
+                converged = True
+                break
             z = [zi - wi for zi, wi in zip(z, w)]
-            step = max(map(abs, w))
-            if step <= step_tol * (1.0 + max(map(abs, z))):
+            if max(map(abs, w)) <= step_tol * (1.0 + max(map(abs, z))):
                 converged = True
                 break
     except (ZeroDivisionError, OverflowError) as exc:
@@ -246,9 +268,10 @@ def aberth_roots(coeffs, max_iter: int = 200, step_tol: float = 1e-14) -> np.nda
     if not all(map(cmath.isfinite, z)):
         raise EigensolverError("Aberth iteration diverged")
     if not converged:
+        # one text per degree and cap, so the warning registry stays bounded
         warnings.warn(
             f"Aberth iteration on a degree-{k} polynomial stopped at max_iter={max_iter} "
-            f"with last step {step:.1e}; returning unconverged roots",
+            "without converging; returning unconverged roots",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -134,9 +134,11 @@ def lsa_assignment(a, b, radius):
 
 # The power-sum route as gzcut ran it on numpy before it moved to Python
 # complex scalars, kept as the reference the scalar code must reproduce: the
-# Aberth roots to rounding, the Newton coefficients exactly.  numpy returns
-# inf/nan where Python scalars raise, so a divergent input reaches the
-# finiteness check at the end of the Aberth loop.
+# Aberth roots to rounding, the Newton coefficients exactly.  The numpy Aberth
+# loop keeps the old start circle (twice the largest |a_d|^(1/d)) and the step
+# test as its only exit, so it reaches the same fixed points by another path.
+# numpy returns inf/nan where Python scalars raise, so a divergent input
+# reaches the finiteness check at the end of the Aberth loop.
 
 
 def _numpy_shift_poly(coeffs: np.ndarray, s: complex) -> np.ndarray:
@@ -152,8 +154,9 @@ def _numpy_shift_poly(coeffs: np.ndarray, s: complex) -> np.ndarray:
 
 
 def numpy_aberth_roots(coeffs, max_iter: int = 200, step_tol: float = 1e-14) -> np.ndarray:
-    """gzcut.aberth_roots on numpy arrays: same start points, update, guards
-    and step test, silent at max_iter."""
+    """gzcut.aberth_roots on numpy arrays as it was before the rounding-floor
+    exit and the root-modulus start circle: same update, guards and step
+    test, silent at max_iter."""
     from gzcut import EigensolverError
 
     c = np.asarray(coeffs, dtype=complex).ravel()

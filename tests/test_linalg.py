@@ -90,10 +90,27 @@ def test_aberth_multiple_roots_cluster():
     assert_allclose(aberth_roots([1, 0, 0, 0]), [0, 0, 0], atol=0)
     roots = aberth_roots([1, -4, 4])  # (z - 2)^2
     assert_allclose(roots, [2, 2], atol=1e-5)
-    # two triple roots: linear convergence runs the loop to max_iter
-    with pytest.warns(RuntimeWarning, match="degree-6.*max_iter=200"):
-        roots = sort_complex(aberth_roots(np.poly([1, 1, 1, 2, 2, 2])))
-    assert_allclose(roots, [1, 1, 1, 2, 2, 2], atol=2e-4)
+    # two triple roots converge linearly, and stop once p is down at
+    # Horner's rounding error: silently, a cluster of radius ~eps^(1/3)
+    coeffs = np.poly([1, 1, 1, 2, 2, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = sort_complex(aberth_roots(coeffs))
+    assert_allclose(roots, [1, 1, 1, 2, 2, 2], atol=1e-4)
+    # a cap the iteration cannot converge in is still loud
+    with pytest.warns(RuntimeWarning, match="degree-6.*max_iter=3"):
+        aberth_roots(coeffs, max_iter=3)
+
+
+def test_aberth_capped_warning_text_depends_only_on_degree_and_cap():
+    # one text per (degree, max_iter): capped solves do not grow the
+    # warning registry
+    messages = []
+    for coeffs in ([1, -6, 11, -6], [1, 2j, -3, 5]):
+        with pytest.warns(RuntimeWarning, match="degree-3.*max_iter=2") as record:
+            aberth_roots(coeffs, max_iter=2)
+        messages += [str(w.message) for w in record]
+    assert len(messages) == 2 and messages[0] == messages[1]
 
 
 def test_aberth_rejects_nonmonic_garbage():
@@ -185,6 +202,15 @@ def test_aberth_matches_the_numpy_loop():
             seen["loose"] += 1
             assert np.abs(got - want).max() <= 1e-6
     assert seen["converged"] > 200 and seen["loose"] > 10
+
+
+def test_aberth_converges_on_every_power_sum_polynomial():
+    # the rounding-floor exit ends double-eigenvalue solves and simple roots
+    # whose steps stall above step_tol alike: no solve reaches max_iter
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for coeffs, _ in _power_sum_polys():
+            aberth_roots(coeffs)
 
 
 def test_newton_to_charpoly_matches_the_numpy_loop():

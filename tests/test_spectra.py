@@ -229,10 +229,6 @@ def test_two_path_classification_agreement():
                 assert not v_membership(img, l + 1, tol)
 
 
-# a simple root can leave Aberth's step test unmet at the rounding floor (here
-# one of 198 solves, n = 5, last step ~7e-13); the capped roots must still
-# classify, so that warning is allowed and no other
-@pytest.mark.filterwarnings("ignore:Aberth iteration:RuntimeWarning")
 def test_both_routes_classify_planted_points_exactly():
     rng = SeededRng(53)
     for n in range(3, 9):
