@@ -27,8 +27,8 @@ x = np.array(
 )
 
 print("matrix:\n", x)
-print("\ncutoff spectrum: ", eigenvalues(x[:2, :2]).values)
-print("full spectrum:   ", eigenvalues(x).values)
+print("\ncutoff spectrum: ", eigenvalues(x[:2, :2]))
+print("full spectrum:   ", eigenvalues(x))
 
 # route 1: match the two spectra directly
 rep = coincidence_count(x)

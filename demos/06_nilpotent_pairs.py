@@ -39,5 +39,5 @@ for i in range(1, n + 1):
 rng = SeededRng(31, stream)
 x = ad(sample_K(rng, n), sample_in(nilradical_n(1, n), rng))
 print("\na sample from component 1 has both spectra at zero:")
-print("  matrix spectrum moduli:", [f"{abs(v):.1e}" for v in eigenvalues(x).values])
-print("  cutoff spectrum moduli:", [f"{abs(v):.1e}" for v in eigenvalues(x[:-1, :-1]).values])
+print("  matrix spectrum moduli:", [f"{abs(v):.1e}" for v in eigenvalues(x)])
+print("  cutoff spectrum moduli:", [f"{abs(v):.1e}" for v in eigenvalues(x[:-1, :-1])])

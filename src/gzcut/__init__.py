@@ -13,7 +13,6 @@ its catalog parabolic.
 from .linalg import (
     DEFAULT_TOL,
     EigensolverError,
-    Spectrum,
     SubspaceTest,
     Tolerances,
     aberth_roots,

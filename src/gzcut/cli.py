@@ -6,9 +6,17 @@ routes disagreeing, or a broken internal invariant), 4 precondition not met
 (report status "n/a").
 
 Reports are JSON objects with sorted keys (or a flat text table), so a fixed
-command line plus a fixed seed produces byte-identical output.  `verify` runs
-each loop's trials as one stack (see gzcut.orbits); `--workers` is accepted
-but has no effect.
+command line plus a fixed seed produces byte-identical output.  The seeded
+commands share one stream layout: loop k of a report starts on stream k*T,
+T being its trial or repeat count, and trial t of the loop draws from
+derive(t).  `verify` runs each loop's trials as one stack (see
+gzcut.orbits); `--workers` is accepted but has no effect.
+
+A status is decided by the claim's own checks.  `sn` passes when every
+sampled pair is nilpotent and the strongly regular fraction is above 0.99 on
+components 1 and n and below 0.01 on the others; its `method_disagreements`
+are tallied but, like `verify`'s `failures`, do not decide the status.
+
 Matrix files are JSON: {"n": 3, "entries": [[...], ...]} where each entry is
 either a plain number or an [re, im] pair.
 """
@@ -16,6 +24,7 @@ either a plain number or an [re, im] pair.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401 (unused; bench/spans.py patches it)
@@ -47,7 +56,7 @@ from .flags import (
     standard_flag,
     v_matrix,
 )
-from .linalg import DEFAULT_TOL, Tolerances
+from .linalg import DEFAULT_TOL
 from .orbits import SeededRng, ad, estimate_dim, sample_K, sample_in, verify_containment
 from .spectra import coincidence_count
 
@@ -121,28 +130,38 @@ def write_matrix_file(path: str, m: np.ndarray) -> None:
         fh.write("\n")
 
 
-def _tolerances(args) -> Tolerances:
-    tol = DEFAULT_TOL
+_PARAMS = ("input", "n", "trials", "repeats", "seed")
+
+
+def _inputs(args, low: int = 2):
+    """The input check every command makes first: the tolerances, then the
+    matrix file (at least 2 x 2) or `--n` in [low, 8].
+
+    Returns (tol, m, params); m is None for the sized commands.
+    """
+    # the --tol-* dests are the Tolerances fields
+    given = {k: v for k, v in vars(args).items() if k in vars(DEFAULT_TOL) and v is not None}
     try:
-        if args.tol_eig is not None:
-            tol = replace(tol, eig_match=args.tol_eig)
-        if args.tol_rank is not None:
-            tol = replace(tol, rank_rel=args.tol_rank)
-        if args.tol_membership is not None:
-            tol = replace(tol, membership=args.tol_membership)
+        tol = replace(DEFAULT_TOL, **given)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return tol
+    params = {k: v for k, v in vars(args).items() if k in _PARAMS}
+    m = None
+    if "input" in params:
+        m = read_matrix_file(args.input)
+        if m.shape[0] < 2:
+            raise InputError("no cutoff: the matrix must be at least 2 x 2")
+        params["n"] = m.shape[0]
+    elif not low <= args.n <= 8:
+        raise InputError(f"n={args.n} out of the supported range [{low}, 8]")
+    params["tolerances"] = asdict(tol)
+    return tol, m, params
 
 
-def _report(command, parameters, results, claim, status):
-    return {
-        "command": command,
-        "parameters": _encode(parameters),
-        "results": _encode(results),
-        "claim": claim,
-        "status": status,
-    }
+def _loops(args, trials: int):
+    """The stream layout of every seeded report: loop k starts on stream k*T,
+    T being the loop's trial count, and its trial t draws from derive(t)."""
+    return (SeededRng(args.seed, k * trials) for k in itertools.count())
 
 
 def _render_table(report, out):
@@ -163,7 +182,20 @@ def _render_table(report, out):
     walk("results.", report["results"])
 
 
-def emit(report, args) -> None:
+_STATUS_EXIT = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "n/a": EXIT_NA}
+
+
+def _exit(args, params, claim, results, ok) -> int:
+    """Write the report and return its status's exit code; ok is None when
+    the precondition is not met (status n/a)."""
+    status = "n/a" if ok is None else "pass" if ok else "fail"
+    report = {
+        "command": args.command,
+        "parameters": _encode(params),
+        "results": _encode(results),
+        "claim": claim,
+        "status": status,
+    }
     if args.format == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
@@ -175,9 +207,7 @@ def emit(report, args) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-_STATUS_EXIT = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "n/a": EXIT_NA}
+    return _STATUS_EXIT[status]
 
 
 # ---------------------------------------------------------------------------
@@ -185,47 +215,30 @@ _STATUS_EXIT = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "n/a": EXIT_NA}
 
 
 def cmd_coincidence(args) -> int:
-    tol = _tolerances(args)
-    m = read_matrix_file(args.input)
-    if m.shape[0] < 2:
-        raise InputError("no cutoff: the matrix must be at least 2 x 2")
+    tol, m, params = _inputs(args)
     rep = coincidence_count(m, tol)
     results = {
         "l": rep.l,
         "pairs": [list(p) for p in rep.pairs],
         "residuals": list(rep.residuals),
     }
-    report = _report(
-        "coincidence",
-        {"input": args.input, "n": m.shape[0], "tolerances": asdict(tol)},
-        results,
+    claim = (
         "the matrix is classified by how many eigenvalues it shares with its "
-        "cutoff, counted with multiplicity via one-to-one matching",
-        "pass",
+        "cutoff, counted with multiplicity via one-to-one matching"
     )
-    emit(report, args)
-    return EXIT_PASS
+    return _exit(args, params, claim, results, True)
 
 
 def cmd_canonical(args) -> int:
-    tol = _tolerances(args)
-    m = read_matrix_file(args.input)
-    if m.shape[0] < 2:
-        raise InputError("no cutoff: the matrix must be at least 2 x 2")
+    tol, m, params = _inputs(args)
     try:
         res = canonical_form(m, tol)
     except CutoffNotRegularSemisimple as exc:
-        report = _report(
-            "canonical",
-            {"input": args.input, "n": m.shape[0], "tolerances": asdict(tol)},
-            {"message": str(exc)},
+        claim = (
             "a matrix with regular semisimple cutoff is conjugate, inside the "
-            "block-diagonal group, into an explicit catalog parabolic",
-            "n/a",
+            "block-diagonal group, into an explicit catalog parabolic"
         )
-        emit(report, args)
-        return EXIT_NA
-    status = "pass" if res.residual <= tol.membership else "fail"
+        return _exit(args, params, claim, {"message": str(exc)}, None)
     results = {
         "l": res.l,
         "idx": [res.idx.i, res.idx.j],
@@ -235,110 +248,74 @@ def cmd_canonical(args) -> int:
         "image": res.image,
         "residual": res.residual,
     }
-    report = _report(
-        "canonical",
-        {"input": args.input, "n": m.shape[0], "tolerances": asdict(tol)},
-        results,
+    claim = (
         "a matrix with l coincidences and regular semisimple cutoff is "
-        "conjugate into the catalog parabolic indexed (k, k + n - 1 - l)",
-        status,
+        "conjugate into the catalog parabolic indexed (k, k + n - 1 - l)"
     )
-    emit(report, args)
-    return _STATUS_EXIT[status]
+    return _exit(args, params, claim, results, res.residual <= tol.membership)
 
 
 def cmd_verify(args) -> int:
-    tol = _tolerances(args)
+    tol, _, params = _inputs(args)
     n, trials = args.n, args.trials
-    if not 2 <= n <= 8:
-        raise InputError(f"n={n} out of the supported range [2, 8]")
-    params = {"n": n, "trials": trials, "seed": args.seed, "tolerances": asdict(tol)}
     claim = (
         "conjugates of the catalog parabolic (i, j) keep at least n-1-(j-i) "
         "coincidences, and the canonical reduction recovers every planted "
         "coincidence count inside the predicted parabolic"
     )
     if trials == 0:
-        report = _report("verify", params, {}, claim, "n/a")
-        emit(report, args)
-        return EXIT_NA
-    # catalog index k starts on stream k*T; count l continues after the last index
-    indices = all_orbit_indices(n)
+        return _exit(args, params, claim, {}, None)
+    # one loop per catalog index, then one per count l
+    loops = _loops(args, trials)
     containment = []
-    for k, idx in enumerate(indices):
-        rep = verify_containment(idx, n, trials, SeededRng(args.seed, k * trials), tol)
+    for idx in all_orbit_indices(n):
+        rep = verify_containment(idx, n, trials, next(loops), tol)
         containment.append({**asdict(rep), "idx": [idx.i, idx.j], "bound": n - 1 - idx.length})
     roundtrips = []
     for l in range(n):
-        stream = (len(indices) + l) * trials
-        entry = asdict(verify_roundtrips(n, l, trials, SeededRng(args.seed, stream), tol))
+        entry = asdict(verify_roundtrips(n, l, trials, next(loops), tol))
         if l < n - 1:
             del entry["borel_indices"]
         roundtrips.append(entry)
     bad = sum(c["violations"] for c in containment) + sum(
         r["mismatches"] + r["residual_violations"] for r in roundtrips
     )
-    status = "pass" if bad == 0 else "fail"
-    report = _report(
-        "verify",
-        params,
-        {"containment": containment, "roundtrips": roundtrips},
-        claim,
-        status,
-    )
-    emit(report, args)
-    return _STATUS_EXIT[status]
+    results = {"containment": containment, "roundtrips": roundtrips}
+    return _exit(args, params, claim, results, bad == 0)
 
 
 def cmd_dims(args) -> int:
-    tol = _tolerances(args)
+    tol, _, params = _inputs(args)
     n, repeats = args.n, args.repeats
-    if not 2 <= n <= 8:
-        raise InputError(f"n={n} out of the supported range [2, 8]")
-    params = {"n": n, "repeats": repeats, "seed": args.seed, "tolerances": asdict(tol)}
     claim = (
         "the conjugation saturation of parabolic (i, j) has dimension "
         "n^2 - n + 1 + (j - i); each nilradical saturation has dimension "
         "n^2 - 2n + 1"
     )
     if repeats == 0:
-        report = _report("dims", params, {}, claim, "n/a")
-        emit(report, args)
-        return EXIT_NA
+        return _exit(args, params, claim, {}, None)
+    # one loop per catalog index, then one per nilradical component i
+    loops = _loops(args, repeats)
     saturations = []
     ok = True
-    for ordinal, idx in enumerate(all_orbit_indices(n)):
+    for idx in all_orbit_indices(n):
         expected = n * n - n + 1 + idx.length
-        got = estimate_dim(
-            parabolic_p(idx, n), repeats, SeededRng(args.seed, ordinal * repeats), tol
-        )
+        got = estimate_dim(parabolic_p(idx, n), repeats, next(loops), tol)
         ok &= got == expected
-        saturations.append(
-            {"idx": [idx.i, idx.j], "estimated": got, "expected": expected}
-        )
-    nilres = []
-    base = len(saturations) * repeats
+        saturations.append({"idx": [idx.i, idx.j], "estimated": got, "expected": expected})
+    nilradicals = []
     for i in range(1, n + 1):
         expected = n * n - 2 * n + 1
-        got = estimate_dim(
-            nilradical_n(i, n), repeats, SeededRng(args.seed, base + i * repeats), tol
-        )
+        got = estimate_dim(nilradical_n(i, n), repeats, next(loops), tol)
         ok &= got == expected
-        nilres.append({"i": i, "estimated": got, "expected": expected})
-    status = "pass" if ok else "fail"
-    report = _report(
-        "dims", params, {"saturations": saturations, "nilradicals": nilres}, claim, status
-    )
-    emit(report, args)
-    return _STATUS_EXIT[status]
+        nilradicals.append({"i": i, "estimated": got, "expected": expected})
+    results = {"saturations": saturations, "nilradicals": nilradicals}
+    return _exit(args, params, claim, results, ok)
 
 
 def cmd_catalog(args) -> int:
-    tol = _tolerances(args)
+    tol, _, params = _inputs(args, low=1)
     n = args.n
-    if not 1 <= n <= 8:
-        raise InputError(f"n={n} out of the supported range [1, 8]")
-    params = {"n": n, "tolerances": asdict(tol)}
     entries = []
     ok = True
     std = standard_flag(n)
@@ -378,66 +355,51 @@ def cmd_catalog(args) -> int:
             ok &= entry["cutoff_projection_matches"]
         ok &= flag_match and b_in_p and theta_ok and borel_is_parabolic
         entries.append(entry)
-    status = "pass" if ok else "fail"
-    report = _report(
-        "catalog",
-        params,
-        {"orbits": entries, "count": len(entries)},
+    claim = (
         "the permutation-and-shear matrices carry the standard flag onto the "
         "catalog flags; each Borel sits inside its parabolic, every catalog "
         "parabolic is stable under the last-coordinate involution, and its "
-        "cutoff projection is a parabolic with one block of size j - i",
-        status,
+        "cutoff projection is a parabolic with one block of size j - i"
     )
-    emit(report, args)
-    return _STATUS_EXIT[status]
+    return _exit(args, params, claim, {"orbits": entries, "count": len(entries)}, ok)
 
 
 def cmd_sn(args) -> int:
-    tol = _tolerances(args)
+    tol, _, params = _inputs(args)
     n, trials = args.n, args.trials
-    if not 2 <= n <= 8:
-        raise InputError(f"n={n} out of the supported range [2, 8]")
-    params = {"n": n, "trials": trials, "seed": args.seed, "tolerances": asdict(tol)}
     claim = (
         "conjugates of each catalog nilradical are nilpotent together with "
         "their cutoffs; strongly independent trace differentials occur only "
         "on the first and last components"
     )
     if trials == 0:
-        report = _report("sn", params, {}, claim, "n/a")
-        emit(report, args)
-        return EXIT_NA
+        return _exit(args, params, claim, {}, None)
+    # one loop per nilradical component i
     components = []
     ok = True
-    for i in range(1, n + 1):
+    for i, rng in zip(range(1, n + 1), _loops(args, trials)):
         nil = nilradical_n(i, n)
-        base = (i - 1) * trials
-        passed = 0
-        strong = 0
-        failures = 0
+        passed = strong = failures = 0
         for t in range(trials):
-            rng = SeededRng(args.seed, base + t)
-            x = ad(sample_K(rng, n), sample_in(nil, rng))
+            draw = rng.derive(t)
+            x = ad(sample_K(draw, n), sample_in(nil, draw))
             passed += bool(sn_membership(x, tol))
             try:
                 strong += bool(is_n_strongly_regular(x, tol).ok)
             except MethodDisagreement:
                 failures += 1
-        ok &= passed == trials
+        fraction = strong / trials
+        ok &= passed == trials and (fraction > 0.99 if i in (1, n) else fraction < 0.01)
         components.append(
             {
                 "i": i,
                 "trials": trials,
                 "nilpotent_pairs": passed,
-                "strongly_regular_fraction": strong / trials,
+                "strongly_regular_fraction": fraction,
                 "method_disagreements": failures,
             }
         )
-    status = "pass" if ok else "fail"
-    report = _report("sn", params, {"components": components}, claim, status)
-    emit(report, args)
-    return _STATUS_EXIT[status]
+    return _exit(args, params, claim, {"components": components}, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +421,9 @@ def _add_common(sub, *, seeded=False, sized=False, fileinput=False):
         sub.add_argument("--n", type=int, required=True, help="matrix dimension")
     if seeded:
         sub.add_argument("--seed", type=_nonnegative_int, default=0, help="RNG seed (default 0)")
-    sub.add_argument("--tol-eig", type=float, default=None, dest="tol_eig")
-    sub.add_argument("--tol-rank", type=float, default=None, dest="tol_rank")
-    sub.add_argument("--tol-membership", type=float, default=None, dest="tol_membership")
+    sub.add_argument("--tol-eig", type=float, default=None, dest="eig_match")
+    sub.add_argument("--tol-rank", type=float, default=None, dest="rank_rel")
+    sub.add_argument("--tol-membership", type=float, default=None, dest="membership")
     sub.add_argument("--output", default=None, help="write the report here")
     sub.add_argument("--format", choices=("json", "table"), default="json")
 

@@ -22,7 +22,6 @@ __all__ = [
     "EigensolverError",
     "Tolerances",
     "DEFAULT_TOL",
-    "Spectrum",
     "SubspaceTest",
     "as_cmatrix",
     "cutoff",
@@ -46,8 +45,8 @@ class Tolerances:
     rank_rel    relative singular-value cutoff for numerical ranks
     membership  residual cap for subspace and subalgebra membership
 
-    All radii are absolute; callers working with large-norm matrices should
-    rescale eig_match themselves.
+    All radii are absolute and finite; callers working with large-norm
+    matrices should rescale eig_match themselves.
     """
 
     eig_match: float = 1e-7
@@ -55,9 +54,9 @@ class Tolerances:
     membership: float = 1e-8
 
     def __post_init__(self):
-        # written as `not >= 0` so that NaN is rejected too
-        if not (self.eig_match >= 0 and self.rank_rel >= 0 and self.membership >= 0):
-            raise ValueError("tolerances must be nonnegative numbers")
+        # comparisons are False for NaN, so it is rejected too
+        if not all(0 <= v < math.inf for v in (self.eig_match, self.rank_rel, self.membership)):
+            raise ValueError("tolerances must be finite nonnegative numbers")
 
 
 DEFAULT_TOL = Tolerances()
@@ -85,21 +84,6 @@ def sort_complex(values) -> np.ndarray:
     """Lexicographic (real, imag) ordering along the last axis; makes spectra
     reproducible.  The sort is stable, so equal values keep their order."""
     return np.sort(np.asarray(values, dtype=complex), axis=-1, kind="stable")
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues with algebraic multiplicity, sorted by (real, imag)."""
-
-    values: tuple
-    dim: int
-
-    def __post_init__(self):
-        if len(self.values) != self.dim:
-            raise ValueError("spectrum length must equal the matrix dimension")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=complex)
 
 
 def _lapack_stack(kernel, mats):
@@ -135,11 +119,12 @@ def _eigvals_stack(mats: np.ndarray, tol: Tolerances):
     """
     vals, failed = _lapack_stack(np.linalg.eigvals, mats)
     # ufunc reductions, not ndarray methods: on the one-matrix path of
-    # `eigenvalues` the method wrappers would cost as much as the check
-    add = np.add.reduce
-    drift = abs(add(vals - mats.diagonal(0, -2, -1), -1))
-    parts = mats.view(float)
-    bound = (1.0 + np.sqrt(add(parts * parts, (-2, -1)))) * (tol.rank_rel * mats.shape[-1])
+    # `eigenvalues` the method wrappers would cost as much as the check.  The
+    # Frobenius norm is a hypot reduction, which scales each step by its
+    # larger operand, so it neither overflows nor warns where squares would
+    drift = abs(np.add.reduce(vals - mats.diagonal(0, -2, -1), -1))
+    frobenius = np.hypot.reduce(mats.view(float), (-2, -1))
+    bound = (1.0 + frobenius) * (tol.rank_rel * mats.shape[-1])
     errors = {
         t: EigensolverError(
             f"eigenvalue iteration failed on\n{np.array2string(mats[t], precision=6)}"
@@ -154,8 +139,8 @@ def _eigvals_stack(mats: np.ndarray, tol: Tolerances):
     return vals, errors
 
 
-def eigenvalues(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
-    """All eigenvalues with algebraic multiplicity, deterministically ordered.
+def eigenvalues(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """All eigenvalues with algebraic multiplicity, sorted by (real, imag).
 
     The one-matrix case of the stacked solve, with the same trace check.
     """
@@ -163,7 +148,7 @@ def eigenvalues(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     vals, errors = _eigvals_stack(m[None], tol)
     if errors:
         raise errors[0]
-    return Spectrum(tuple(sort_complex(vals[0])), m.shape[0])
+    return sort_complex(vals[0])
 
 
 def _shift_poly(coeffs: list, s: complex) -> list:

@@ -18,7 +18,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .linalg import (
     DEFAULT_TOL,
-    Spectrum,
     Tolerances,
     _eigvals_stack,
     aberth_roots,
@@ -108,12 +107,6 @@ def phi_n(x) -> GZImage:
     return GZImage(_power_traces(cutoff(m), n - 1), _power_traces(m, n), n)
 
 
-def _spectrum_values(s) -> np.ndarray:
-    if isinstance(s, Spectrum):
-        return s.as_array()
-    return np.asarray(s, dtype=complex).ravel()
-
-
 def _match_stack(a: np.ndarray, b: np.ndarray, radius: float):
     """Max-cardinality, then min-total-residual matching of each row of a
     (T, p) value stack with the same row of a (T, q) one.
@@ -157,8 +150,8 @@ def match_spectra(s1, s2, tol: Tolerances = DEFAULT_TOL) -> CoincidenceReport:
     A pair is admissible when |lambda - mu| <= eig_match; each eigenvalue is
     used at most once per side, so multiplicities are respected.
     """
-    a = _spectrum_values(s1)
-    b = _spectrum_values(s2)
+    a = np.asarray(s1, dtype=complex).ravel()
+    b = np.asarray(s2, dtype=complex).ravel()
     rows, cols, residuals = _assignment(a, b, tol.eig_match)
     order = sorted(
         range(len(rows)),

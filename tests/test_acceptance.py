@@ -180,8 +180,8 @@ def test_criterion_5_two_path_classification():
             # near-threshold carve-out: both paths must sit close to a radius
             from gzcut import cutoff, eigenvalues
 
-            a = eigenvalues(cutoff(m), tol).as_array()
-            b = eigenvalues(m, tol).as_array()
+            a = eigenvalues(cutoff(m), tol)
+            b = eigenvalues(m, tol)
             dists = np.abs(a[:, None] - b[None, :]).ravel()
             near = np.any((dists >= tol.eig_match / 10) & (dists <= 100 * tol.eig_match))
             if near:

@@ -1,15 +1,29 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import gzcut
-from gzcut import SeededRng, all_orbit_indices, verify_containment, verify_roundtrips
+from gzcut import (
+    MethodDisagreement,
+    SeededRng,
+    ad,
+    all_orbit_indices,
+    estimate_dim,
+    nilradical_n,
+    parabolic_p,
+    sample_K,
+    sample_in,
+    verify_containment,
+    verify_roundtrips,
+)
 from gzcut.cli import main, read_matrix_file, write_matrix_file
 
 BORDERED = {"n": 3, "entries": [[1, 0, 0], [0, 2, 1], [0, 1, 3]]}
@@ -76,9 +90,11 @@ def test_malformed_file_is_an_input_error(tmp_path):
         code, _ = run(tmp_path, "coincidence", "--input", str(path))
         assert code == 2, payload
     path = matrix_file(tmp_path, BORDERED)
-    for bad in ("-1", "nan"):
-        code, _ = run(tmp_path, "coincidence", "--input", path, "--tol-eig", bad)
-        assert code == 2
+    # an infinite rank cutoff makes every rank 0 and turns off the trace check
+    for flag in ("--tol-eig", "--tol-rank", "--tol-membership"):
+        for bad in ("-1", "nan", "inf"):
+            code, report = run(tmp_path, "coincidence", "--input", path, flag, bad)
+            assert code == 2 and report is None, (flag, bad)
 
 
 def test_internal_invariant_failure_is_a_numerical_failure(tmp_path, capsys):
@@ -173,6 +189,30 @@ def test_verify_entries_are_the_library_reports(tmp_path):
         assert res["roundtrips"][l] == json.loads(json.dumps(want))
 
 
+def test_dims_entries_are_the_library_estimates_on_the_stream_layout(tmp_path, monkeypatch):
+    # catalog index k starts on stream k*R; nilradical i continues with no gap
+    n, repeats, seed = 3, 2, 4
+    streams = []
+
+    def recording(s, r, rng, tol):
+        streams.append(rng.stream)
+        return estimate_dim(s, r, rng, tol)
+
+    monkeypatch.setattr(gzcut.cli, "estimate_dim", recording)
+    code, report = run(tmp_path, "dims", "--n", str(n), "--repeats", str(repeats), "--seed", str(seed))
+    assert code == 0
+    indices = all_orbit_indices(n)
+    assert streams == [k * repeats for k in range(len(indices) + n)]
+    res = report["results"]
+    for k, idx in enumerate(indices):
+        want = estimate_dim(parabolic_p(idx, n), repeats, SeededRng(seed, k * repeats))
+        assert res["saturations"][k]["estimated"] == want
+    for i in range(1, n + 1):
+        stream = (len(indices) + i - 1) * repeats
+        want = estimate_dim(nilradical_n(i, n), repeats, SeededRng(seed, stream))
+        assert res["nilradicals"][i - 1]["estimated"] == want
+
+
 def test_dims_n2(tmp_path):
     code, report = run(tmp_path, "dims", "--n", "2", "--repeats", "3", "--seed", "1")
     assert code == 0 and report["status"] == "pass"
@@ -204,6 +244,78 @@ def test_sn_command(tmp_path):
     assert comps[1]["strongly_regular_fraction"] > 0.9
     assert comps[3]["strongly_regular_fraction"] > 0.9
     assert comps[2]["strongly_regular_fraction"] < 0.1
+
+
+def test_sn_draws_each_trial_on_the_stream_layout(tmp_path, monkeypatch):
+    # component i starts on stream (i-1)*T and trial t draws from derive(t)
+    n, trials, seed = 3, 4, 9
+    seen = []
+    real = gzcut.cli.is_n_strongly_regular
+    monkeypatch.setattr(gzcut.cli, "is_n_strongly_regular", lambda x, tol: seen.append(x) or real(x, tol))
+    code, report = run(tmp_path, "sn", "--n", str(n), "--trials", str(trials), "--seed", str(seed))
+    assert code == 0
+    want = []
+    for i in range(1, n + 1):
+        for t in range(trials):
+            rng = SeededRng(seed, (i - 1) * trials + t)
+            want.append(ad(sample_K(rng, n), sample_in(nilradical_n(i, n), rng)))
+    assert len(seen) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(seen, want))
+    fractions = [c["strongly_regular_fraction"] for c in report["results"]["components"]]
+    want_fractions = [
+        sum(real(x).ok for x in want[k * trials : (k + 1) * trials]) / trials for k in range(n)
+    ]
+    assert fractions == want_fractions
+
+
+def _fake_strong_regularity(monkeypatch, trials, verdict):
+    """is_n_strongly_regular answering verdict(i, t) for trial t of component i."""
+    calls = itertools.count()
+
+    def fake(x, tol):
+        k = next(calls)
+        return SimpleNamespace(ok=verdict(k // trials + 1, k % trials))
+
+    monkeypatch.setattr(gzcut.cli, "is_n_strongly_regular", fake)
+
+
+@pytest.mark.parametrize(
+    "verdict",
+    [
+        # one of 20 trials on component 1 is not strongly regular: 0.95
+        lambda i, t: i in (1, 4) and (i, t) != (1, 7),
+        # one of 20 trials on component 2 is: 0.05
+        lambda i, t: i in (1, 4) or (i, t) == (2, 0),
+        # the fractions swapped
+        lambda i, t: i in (2, 3),
+    ],
+    ids=["component_1_at_0.95", "component_2_at_0.05", "swapped"],
+)
+def test_sn_fails_unless_strong_regularity_sits_on_the_end_components(tmp_path, monkeypatch, verdict):
+    _fake_strong_regularity(monkeypatch, 20, verdict)
+    code, report = run(tmp_path, "sn", "--n", "4", "--trials", "20", "--seed", "2")
+    assert code == 1 and report["status"] == "fail"
+    assert all(c["nilpotent_pairs"] == 20 for c in report["results"]["components"])
+
+
+def test_sn_method_disagreements_are_tallied_not_failed(tmp_path, monkeypatch):
+    def verdict(i, t):
+        if (i, t) == (2, 3):
+            raise MethodDisagreement("the two routes disagree")
+        return i in (1, 3)
+
+    _fake_strong_regularity(monkeypatch, 10, verdict)
+    code, report = run(tmp_path, "sn", "--n", "3", "--trials", "10", "--seed", "2")
+    assert code == 0 and report["status"] == "pass"
+    comps = report["results"]["components"]
+    assert [c["method_disagreements"] for c in comps] == [0, 1, 0]
+    assert [c["strongly_regular_fraction"] for c in comps] == [1.0, 0.0, 1.0]
+
+
+def test_sn_zero_trials_is_na(tmp_path):
+    code, report = run(tmp_path, "sn", "--n", "3", "--trials", "0")
+    assert code == 4 and report["status"] == "n/a"
+    assert report["results"] == {}
 
 
 def test_table_format(tmp_path, capsys):
