@@ -21,16 +21,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flags import OrbitIndex, PartialFlag, parabolic_p, contains
+from .flags import OrbitIndex, PartialFlag, contains, nilradical_n, parabolic_p
 from .linalg import (
     DEFAULT_TOL,
     EigensolverError,
     Tolerances,
     _eigvals_stack,
     _lapack_stack,
+    _rank_stack,
     as_cmatrix,
-    centralizer_basis,
-    numerical_rank,
     sort_complex,
 )
 from .orbits import (
@@ -39,6 +38,7 @@ from .orbits import (
     SeededRng,
     _block_diagonal,
     _conjugate,
+    _conjugated_samples,
     _sample_K_stack,
     _Trials,
 )
@@ -63,6 +63,7 @@ __all__ = [
     "gz_gradients",
     "is_n_strongly_regular",
     "sn_membership",
+    "verify_nilradical",
 ]
 
 # a cutoff counts as regular semisimple when its eigenvalue gaps clear
@@ -548,10 +549,15 @@ def verify_roundtrips(
     )
 
 
-def _embed(mat: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=complex)
-    k = mat.shape[0]
-    out[:k, :k] = mat
+def _gradients(xs: np.ndarray) -> np.ndarray:
+    """gz_gradients over a (T, n, n) stack, as a (T, 2n - 1, n, n) stack."""
+    t, n, _ = xs.shape
+    out = np.zeros((t, 2 * n - 1, n, n), dtype=complex)
+    for size, mats, first in ((n - 1, xs[:, :-1, :-1], 0), (n, xs, n - 1)):
+        power = np.broadcast_to(np.eye(size, dtype=complex), mats.shape)
+        for j in range(1, size + 1):
+            out[:, first + j - 1, :size, :size] = j * power
+            power = power @ mats
     return out
 
 
@@ -564,20 +570,28 @@ def gz_gradients(x) -> list:
     the test suite.
     """
     m = as_cmatrix(x)
-    n = m.shape[0]
-    if n < 2:
+    if m.shape[0] < 2:
         raise ValueError("need n >= 2")
-    out = []
-    cut = m[:-1, :-1]
-    power = np.eye(n - 1, dtype=complex)
-    for j in range(1, n):
-        out.append(j * _embed(power, n))
-        power = power @ cut
-    power = np.eye(n, dtype=complex)
-    for j in range(1, n + 1):
-        out.append(j * power)
-        power = power @ m
-    return out
+    return list(_gradients(m[None])[0])
+
+
+def _centralizers(mats: np.ndarray, tol: Tolerances):
+    """Centralizers {z : az = za} of a (T, m, m) stack, as (vh, dims): the last
+    dims[t] rows of vh[t], reshaped to m x m, are an orthonormal basis for matrix t.
+
+    They span the kernel of z -> az - za, flattened (row-major) to the m^2 x m^2
+    map a (x) I - I (x) a^T; a zero map keeps the standard basis.
+    """
+    t, m, _ = mats.shape
+    eye = np.eye(m, dtype=complex)
+    ops = (
+        mats[:, :, None, :, None] * eye[None, None, :, None, :]
+        - eye[None, :, None, :, None] * mats.transpose(0, 2, 1)[:, None, :, None, :]
+    ).reshape(t, m * m, m * m)
+    _, sv, vh = np.linalg.svd(ops)
+    vh = vh.conj()
+    vh[sv[:, 0] == 0] = np.eye(m * m)
+    return vh, m * m - _rank_stack(ops, tol, sv)
 
 
 class StrongRegularityReport(NamedTuple):
@@ -589,6 +603,42 @@ class StrongRegularityReport(NamedTuple):
     centralizer_rank: int
     centralizer_expected: int
     gradient_rank: int
+
+
+def _strong_regularity_stack(xs: np.ndarray, tol: Tolerances):
+    """is_n_strongly_regular over a (T, n, n) stack: a report whose fields are
+    arrays over the stack, and the MethodDisagreement of each position where
+    the two routes disagree."""
+    t, n, _ = xs.shape
+    k = n - 1
+    v_full, d_full = _centralizers(xs, tol)
+    v_cut, d_cut = _centralizers(xs[:, :-1, :-1], tol)
+    # both bases, the cutoff's embedded in the corner, ranked by one call per
+    # pair of centralizer dimensions
+    cent_rank = np.empty(t, dtype=int)
+    for df, dc in set(zip(d_full.tolist(), d_cut.tolist())):
+        sel = ((d_full == df) & (d_cut == dc)).nonzero()[0]
+        rows = np.zeros((len(sel), df + dc, n, n), dtype=complex)
+        rows[:, :df] = v_full[sel, n * n - df :].reshape(-1, df, n, n)
+        rows[:, df:, :k, :k] = v_cut[sel, k * k - dc :].reshape(-1, dc, k, k)
+        cent_rank[sel] = _rank_stack(rows.reshape(len(sel), df + dc, n * n), tol)
+    grads = _gradients(xs).reshape(t, 2 * n - 1, n * n)
+    norms = np.linalg.norm(grads, axis=-1)
+    norms[norms == 0] = 1.0
+    regular_full, regular_cut, expected = d_full == n, d_cut == k, d_full + d_cut
+    a_ok = regular_full & regular_cut & (cent_rank == expected)
+    grad_rank = _rank_stack(grads / norms[..., None], tol)
+    b_ok = grad_rank == 2 * n - 1
+    errors = {
+        pos: MethodDisagreement(
+            f"centralizer route says {a_ok[pos]} (rank {cent_rank[pos]}/{expected[pos]}, "
+            f"regular: {regular_full[pos]}/{regular_cut[pos]}) but gradient route says "
+            f"{b_ok[pos]} (rank {grad_rank[pos]}/{2 * n - 1})"
+        )
+        for pos in (a_ok != b_ok).nonzero()[0].tolist()
+    }
+    rep = StrongRegularityReport(a_ok, regular_full, regular_cut, cent_rank, expected, grad_rank)
+    return rep, errors
 
 
 def is_n_strongly_regular(x, tol: Tolerances = DEFAULT_TOL) -> StrongRegularityReport:
@@ -603,46 +653,26 @@ def is_n_strongly_regular(x, tol: Tolerances = DEFAULT_TOL) -> StrongRegularityR
     A disagreement is a genuine tolerance pathology and is raised, not hidden.
     """
     m = as_cmatrix(x)
-    n = m.shape[0]
-    if n < 2:
+    if m.shape[0] < 2:
         raise ValueError("need n >= 2")
-    cut = m[:-1, :-1]
-
-    z_full = centralizer_basis(m, tol)
-    z_cut = centralizer_basis(cut, tol)
-    regular_full = len(z_full) == n
-    regular_cut = len(z_cut) == n - 1
-    stacked = np.array(
-        [b.reshape(-1) for b in z_full]
-        + [_embed(b, n).reshape(-1) for b in z_cut]
-    )
-    cent_rank = numerical_rank(stacked, tol)
-    expected = len(z_full) + len(z_cut)
-    a_ok = regular_full and regular_cut and cent_rank == expected
-
-    rows = np.array([g.reshape(-1) for g in gz_gradients(m)])
-    norms = np.linalg.norm(rows, axis=1)
-    norms[norms == 0] = 1.0
-    grad_rank = numerical_rank(rows / norms[:, None], tol)
-    b_ok = grad_rank == 2 * n - 1
-
-    if a_ok != b_ok:
-        raise MethodDisagreement(
-            f"centralizer route says {a_ok} (rank {cent_rank}/{expected}, "
-            f"regular: {regular_full}/{regular_cut}) but gradient route says "
-            f"{b_ok} (rank {grad_rank}/{2 * n - 1})"
-        )
-    return StrongRegularityReport(
-        a_ok, regular_full, regular_cut, cent_rank, expected, grad_rank
-    )
+    rep, errors = _strong_regularity_stack(m[None], tol)
+    if errors:
+        raise errors[0]
+    return StrongRegularityReport(*(v[0].item() for v in rep))
 
 
-def _nilpotent(m: np.ndarray, tol: Tolerances) -> bool:
-    # an m x m matrix within backward error eps of nilpotent sheds eigenvalues
-    # of size ~eps^(1/m), so the threshold takes the m-th root of the radius
-    vals = np.linalg.eigvals(m)
-    thresh = (1.0 + np.linalg.norm(m, 2)) * tol.eig_match ** (1.0 / m.shape[0])
-    return bool(np.all(np.abs(vals) <= thresh))
+def _nilpotent_pairs(xs: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Whether each matrix of a (T, n, n) stack is nilpotent together with its cutoff.
+
+    An m x m matrix within backward error eps of nilpotent sheds eigenvalues
+    of size ~eps^(1/m), so the threshold takes the m-th root of the radius.
+    """
+    ok = True
+    for mats in (xs, xs[:, :-1, :-1]):
+        norms = np.linalg.norm(mats, 2, axis=(1, 2))
+        thresh = (1.0 + norms) * tol.eig_match ** (1.0 / mats.shape[-1])
+        ok = ok & (abs(np.linalg.eigvals(mats)) <= thresh[:, None]).all(axis=1)
+    return ok
 
 
 def sn_membership(x, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -650,4 +680,21 @@ def sn_membership(x, tol: Tolerances = DEFAULT_TOL) -> bool:
     m = as_cmatrix(x)
     if m.shape[0] < 2:
         raise ValueError("need n >= 2")
-    return _nilpotent(m, tol) and _nilpotent(m[:-1, :-1], tol)
+    return bool(_nilpotent_pairs(m[None], tol)[0])
+
+
+def verify_nilradical(
+    i: int, n: int, trials: int, rng: SeededRng, tol: Tolerances = DEFAULT_TOL
+) -> tuple:
+    """Monte Carlo counts on the catalog nilradical i: trial t draws sample_K,
+    then sample_in of nilradical_n(i, n), from rng.derive(t) and conjugates.
+    Returns (nilpotent pairs, strongly regular trials, method disagreements);
+    a trial whose two strong-regularity routes disagree counts only as a
+    disagreement."""
+    done = _Trials(trials)
+    xs = _conjugated_samples(nilradical_n(i, n), n, [rng.derive(t) for t in range(trials)], done)
+    if done.errors:
+        raise done.errors[min(done.errors)]
+    rep, errors = _strong_regularity_stack(xs, tol)
+    keep = done.drop(errors)
+    return int(_nilpotent_pairs(xs, tol).sum()), int(rep.ok[keep].sum()), len(errors)

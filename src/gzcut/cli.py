@@ -9,8 +9,8 @@ Reports are JSON objects with sorted keys (or a flat text table), so a fixed
 command line plus a fixed seed produces byte-identical output.  The seeded
 commands share one stream layout: loop k of a report starts on stream k*T,
 T being its trial or repeat count, and trial t of the loop draws from
-derive(t).  `verify` runs each loop's trials as one stack (see
-gzcut.orbits); `--workers` is accepted but has no effect.
+derive(t).  Each loop's trials run as one stack (see gzcut.orbits);
+`--workers` is accepted but has no effect.
 
 A status is decided by the claim's own checks.  `sn` passes when every
 sampled pair is nilpotent and the strongly regular fraction is above 0.99 on
@@ -35,9 +35,7 @@ import numpy as np
 from .canonical import (
     CutoffNotRegularSemisimple,
     canonical_form,
-    is_n_strongly_regular,
-    MethodDisagreement,
-    sn_membership,
+    verify_nilradical,
     verify_roundtrips,
 )
 from .flags import (
@@ -57,7 +55,7 @@ from .flags import (
     v_matrix,
 )
 from .linalg import DEFAULT_TOL
-from .orbits import SeededRng, ad, estimate_dim, sample_K, sample_in, verify_containment
+from .orbits import SeededRng, estimate_dim, verify_containment
 from .spectra import coincidence_count
 
 EXIT_PASS = 0
@@ -378,16 +376,7 @@ def cmd_sn(args) -> int:
     components = []
     ok = True
     for i, rng in zip(range(1, n + 1), _loops(args, trials)):
-        nil = nilradical_n(i, n)
-        passed = strong = failures = 0
-        for t in range(trials):
-            draw = rng.derive(t)
-            x = ad(sample_K(draw, n), sample_in(nil, draw))
-            passed += bool(sn_membership(x, tol))
-            try:
-                strong += bool(is_n_strongly_regular(x, tol).ok)
-            except MethodDisagreement:
-                failures += 1
+        passed, strong, failures = verify_nilradical(i, n, trials, rng, tol)
         fraction = strong / trials
         ok &= passed == trials and (fraction > 0.99 if i in (1, n) else fraction < 0.01)
         components.append(

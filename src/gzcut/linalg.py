@@ -29,7 +29,6 @@ __all__ = [
     "eigenvalues",
     "aberth_roots",
     "numerical_rank",
-    "centralizer_basis",
 ]
 
 
@@ -263,41 +262,31 @@ def aberth_roots(coeffs, max_iter: int = 200, step_tol: float = 1e-14) -> np.nda
     return np.array(z)
 
 
+def _rank_stack(mats: np.ndarray, tol: Tolerances, sv=None) -> np.ndarray:
+    """Numerical ranks of a (T, p, q) stack: the singular values above
+    rank_rel * sigma_max * max(p, q), so 0 for a zero matrix.
+
+    The singular values come from one stacked SVD unless given as sv.
+    """
+    if sv is None:
+        sv = np.linalg.svd(mats, compute_uv=False)
+    return np.count_nonzero(sv > tol.rank_rel * sv[..., :1] * max(mats.shape[-2:]), axis=-1)
+
+
 def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Singular values above rank_rel * sigma_max * max(shape); 0 for the zero matrix."""
+    """Singular values above rank_rel * sigma_max * max(shape), by the stacked
+    rule; 0 for the zero matrix."""
     a = np.atleast_2d(np.asarray(m, dtype=complex))
     if a.size == 0:
         return 0
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     try:
-        s = np.linalg.svd(a, compute_uv=False)
+        return int(_rank_stack(a[None], tol)[0])
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(
             f"SVD failed to converge on a {a.shape[0]} x {a.shape[1]} matrix"
         ) from exc
-    if s[0] == 0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_rel * s[0] * max(a.shape)))
-
-
-def centralizer_basis(a, tol: Tolerances = DEFAULT_TOL) -> list:
-    """Orthonormal basis of {z : az = za}.
-
-    The commutation equations are the kernel of the operator z -> az - za,
-    flattened (row-major) to an n^2 x n^2 map a (x) I - I (x) a^T.
-    """
-    m = as_cmatrix(a)
-    n = m.shape[0]
-    eye = np.eye(n, dtype=complex)
-    op = np.kron(m, eye) - np.kron(eye, m.T)
-    _, s, vh = np.linalg.svd(op)
-    if s[0] == 0:
-        kernel = np.eye(n * n, dtype=complex)
-    else:
-        rank = int(np.count_nonzero(s > tol.rank_rel * s[0] * n * n))
-        kernel = vh[rank:].conj()
-    return [row.reshape(n, n) for row in kernel]
 
 
 class SubspaceTest(NamedTuple):

@@ -9,7 +9,8 @@ The trial loops are stacked: every trial still draws from its own handle, in
 the order a lone trial would, but the linear algebra of all the loop's trials
 is done by one call per kernel on a (T, n, n) stack.  A trial that fails is
 retired with its exception and the others go on; the one-trial functions
-(sample_K, containment_trial) are the engine run on a single handle.
+(sample_K, sample_in, containment_trial, tangent_dim) are the engine run on a
+single handle or point.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .linalg import (
     EigensolverError,
     Tolerances,
     _lapack_stack,
+    _rank_stack,
     as_cmatrix,
-    numerical_rank,
 )
 from .spectra import _coincidence_stack
 
@@ -182,12 +183,26 @@ def sample_K(rng: SeededRng, n: int) -> KElement:
     return KElement(blocks[0], complex(scalars[0]), n)
 
 
-def sample_in(s: SubalgebraSpec, rng: SeededRng) -> np.ndarray:
-    """Gaussian linear combination of the basis elements."""
+def _sample_in_stack(s: SubalgebraSpec, rngs: list) -> np.ndarray:
+    """sample_in on every handle.  With a permutation frame (every catalog
+    parabolic and nilradical) each entry is one coefficient or zero, so the
+    contraction of the stack has the same bits as one sample at a time."""
     if not s.basis:
         raise ValueError("subalgebra basis is empty")
-    coeffs = rng.complex_normal(s.dim)
-    return np.tensordot(coeffs, np.array(s.basis), axes=1)
+    coeffs = np.array([rng.complex_normal(s.dim) for rng in rngs], dtype=complex)
+    return np.tensordot(coeffs.reshape(-1, s.dim), np.array(s.basis), axes=1)
+
+
+def _conjugated_samples(s: SubalgebraSpec, n: int, rngs: list, trials: _Trials) -> np.ndarray:
+    """ad(sample_K(r, n), sample_in(s, r)) on the handle r of every live trial."""
+    blocks, scalars, _ = _sample_K_stack(rngs, n, trials)
+    xs = _sample_in_stack(s, [rngs[t] for t in trials.live])
+    return _conjugate(_block_diagonal(blocks, scalars), xs, trials)[0]
+
+
+def sample_in(s: SubalgebraSpec, rng: SeededRng) -> np.ndarray:
+    """Gaussian linear combination of the basis elements."""
+    return _sample_in_stack(s, [rng])[0]
 
 
 def ad(k: KElement, x) -> np.ndarray:
@@ -220,13 +235,7 @@ def _containment_stack(p: SubalgebraSpec, n: int, rngs: list, tol: Tolerances):
     """containment_trial on every handle: (trials, l, worst pair residual),
     the last two for the trials that did not fail."""
     trials = _Trials(len(rngs))
-    blocks, scalars, _ = _sample_K_stack(rngs, n, trials)
-    coeffs = np.array([rngs[t].complex_normal(p.dim) for t in trials.live], dtype=complex)
-    # sample_in on every trial; with the permutation frames of the catalog
-    # parabolics each entry is one coefficient or zero, so the stacked
-    # contraction has the same bits as one sample at a time
-    xs = np.tensordot(coeffs.reshape(-1, p.dim), np.array(p.basis), axes=1)
-    ys, _ = _conjugate(_block_diagonal(blocks, scalars), xs, trials)
+    ys = _conjugated_samples(p, n, rngs, trials)
     _, matched, cost, errors = _coincidence_stack(ys, tol)
     keep = trials.drop(errors)
     matched, cost = matched[keep], cost[keep]
@@ -267,6 +276,18 @@ def verify_containment(
     )
 
 
+def _tangent_ranks(s: SubalgebraSpec, xs: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """tangent_dim, without the membership check, at every point of a (T, n, n) stack."""
+    t, n, _ = xs.shape
+    zs = np.array(fixed_point_subalgebra(n).basis)
+    rows = np.empty((t, len(zs) + s.dim, n * n), dtype=complex)
+    rows[:, : len(zs)] = (zs @ xs[:, None] - xs[:, None] @ zs).reshape(t, -1, n * n)
+    rows[:, len(zs) :] = np.reshape(s.basis, (-1, n * n))
+    norms = np.linalg.norm(rows, axis=-1)
+    norms[norms == 0] = 1.0
+    return _rank_stack(rows / norms[..., None], tol)
+
+
 def tangent_dim(s: SubalgebraSpec, x, tol: Tolerances = DEFAULT_TOL) -> int:
     """Rank of {[z, x] : z in the block-diagonal subalgebra} together with s.
 
@@ -280,25 +301,17 @@ def tangent_dim(s: SubalgebraSpec, x, tol: Tolerances = DEFAULT_TOL) -> int:
         raise ValueError(
             f"point is not in the subalgebra (residual {membership.residual:.3e})"
         )
-    k_basis = fixed_point_subalgebra(s.n).basis
-    rows = [(z @ m - m @ z).reshape(-1) for z in k_basis]
-    rows += [b.reshape(-1) for b in s.basis]
-    stacked = np.array(rows)
-    norms = np.linalg.norm(stacked, axis=1)
-    norms[norms == 0] = 1.0
-    return numerical_rank(stacked / norms[:, None], tol)
+    return int(_tangent_ranks(s, m[None], tol)[0])
 
 
 def estimate_dim(
     s: SubalgebraSpec, repeats: int, rng: SeededRng, tol: Tolerances = DEFAULT_TOL
 ) -> int:
-    """Generic rank of the saturation: max tangent rank over Gaussian samples.
+    """Generic rank of the saturation: max tangent rank over Gaussian samples,
+    sample t drawn from rng.derive(t).
 
     Rank is lower semicontinuous, so the generic value is the max, attained
     with probability one; degenerate samples only ever undershoot.
     """
-    best = 0
-    for t in range(repeats):
-        x = sample_in(s, rng.derive(t))
-        best = max(best, tangent_dim(s, x, tol))
-    return best
+    xs = _sample_in_stack(s, [rng.derive(t) for t in range(repeats)])
+    return int(_tangent_ranks(s, xs, tol).max(initial=0))

@@ -10,7 +10,7 @@ boundaries greedy counting gets the answer wrong.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -219,10 +219,10 @@ def v_membership(img: GZImage, l: int, tol: Tolerances = DEFAULT_TOL) -> bool:
     finding once per image, on the first query, and reused by every later
     query on that image whatever its l or tol.  Each query rematches them at
     10x the coincidence radius: the round trip through coefficients loses
-    precision, so the radius is derated.
+    precision, so the radius is derated.  The derated radius may overflow to
+    inf, which admits every pair.
     """
     if not 0 <= l <= img.n - 1:
         raise ValueError(f"l={l} out of range for n={img.n}")
-    roots_prev, roots_full = img._roots
-    loose = replace(tol, eig_match=10.0 * tol.eig_match)
-    return match_spectra(roots_prev, roots_full, loose).l >= l
+    rows, _, _ = _assignment(*img._roots, 10.0 * tol.eig_match)
+    return len(rows) >= l

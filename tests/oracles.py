@@ -329,3 +329,41 @@ def serial_random_xi(rng, n, l, tol):
             continue
         return e
     raise XiInvariantError("resample limit")
+
+
+def serial_verify_nilradical(i, n, trials, rng, tol):
+    """The per-component loop of `gzcut sn` before it was stacked: one point
+    at a time through ad, sample_K, sample_in, sn_membership and
+    is_n_strongly_regular."""
+    from gzcut import (
+        MethodDisagreement,
+        ad,
+        is_n_strongly_regular,
+        nilradical_n,
+        sample_K,
+        sample_in,
+        sn_membership,
+    )
+
+    nil = nilradical_n(i, n)
+    passed = strong = failures = 0
+    for t in range(trials):
+        draw = rng.derive(t)
+        x = ad(sample_K(draw, n), sample_in(nil, draw))
+        passed += bool(sn_membership(x, tol))
+        try:
+            strong += bool(is_n_strongly_regular(x, tol).ok)
+        except MethodDisagreement:
+            failures += 1
+    return passed, strong, failures
+
+
+def serial_estimate_dim(s, repeats, rng, tol):
+    """estimate_dim before it was stacked: one tangent_dim per sample."""
+    from gzcut import sample_in, tangent_dim
+
+    best = 0
+    for t in range(repeats):
+        x = sample_in(s, rng.derive(t))
+        best = max(best, tangent_dim(s, x, tol))
+    return best

@@ -12,7 +12,6 @@ import numpy as np
 from gzcut import (
     SeededRng,
     Tolerances,
-    ad,
     all_orbit_indices,
     borel_b,
     coincidence_count,
@@ -28,13 +27,11 @@ from gzcut import (
     parabolic_p,
     phi_n,
     project_cutoff,
-    sample_K,
-    sample_in,
-    sn_membership,
     span_contains,
     span_equal,
     v_matrix,
     v_membership,
+    verify_nilradical,
     verify_roundtrips,
 )
 from gzcut.cli import main as cli_main
@@ -232,16 +229,10 @@ def test_criterion_6_strong_regularity():
     trials = 300
     for n in (3, 4, 5):
         for i in range(1, n + 1):
-            nil = nilradical_n(i, n)
-            hits = 0
-            for _ in range(trials):
-                rng = SeededRng(SEED + 3, stream)
-                stream += 1
-                x = ad(sample_K(rng, n), sample_in(nil, rng))
-                try:
-                    hits += bool(is_n_strongly_regular(x, tol).ok)
-                except Exception:
-                    disagreements += 1
+            # trial t draws from stream + t, as the per-point loop did
+            _, hits, disagree = verify_nilradical(i, n, trials, SeededRng(SEED + 3, stream), tol)
+            stream += trials
+            disagreements += disagree
             freq = hits / trials
             if i in (1, n):
                 if freq <= 0.99:
@@ -265,13 +256,8 @@ def test_criterion_7_nilpotent_pair_sampling():
     stream = 0
     for n in range(2, 7):
         for i in range(1, n + 1):
-            nil = nilradical_n(i, n)
-            passed = 0
-            for _ in range(trials):
-                rng = SeededRng(SEED + 4, stream)
-                stream += 1
-                x = ad(sample_K(rng, n), sample_in(nil, rng))
-                passed += bool(sn_membership(x, tol))
+            passed, _, _ = verify_nilradical(i, n, trials, SeededRng(SEED + 4, stream), tol)
+            stream += trials
             if passed != trials:
                 bad.append((n, i, passed))
     _verdict(

@@ -1,11 +1,9 @@
-import itertools
 import json
 import os
 import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +15,7 @@ from gzcut import (
     ad,
     all_orbit_indices,
     estimate_dim,
+    is_n_strongly_regular,
     nilradical_n,
     parabolic_p,
     sample_K,
@@ -249,11 +248,23 @@ def test_sn_command(tmp_path):
 def test_sn_draws_each_trial_on_the_stream_layout(tmp_path, monkeypatch):
     # component i starts on stream (i-1)*T and trial t draws from derive(t)
     n, trials, seed = 3, 4, 9
-    seen = []
-    real = gzcut.cli.is_n_strongly_regular
-    monkeypatch.setattr(gzcut.cli, "is_n_strongly_regular", lambda x, tol: seen.append(x) or real(x, tol))
+    loops, seen = [], []
+    real_loop = gzcut.cli.verify_nilradical
+    real_stack = gzcut.canonical._strong_regularity_stack
+
+    def loop(i, n, trials, rng, tol):
+        loops.append((i, rng.seed, rng.stream))
+        return real_loop(i, n, trials, rng, tol)
+
+    def stack(xs, tol):
+        seen.extend(xs)
+        return real_stack(xs, tol)
+
+    monkeypatch.setattr(gzcut.cli, "verify_nilradical", loop)
+    monkeypatch.setattr(gzcut.canonical, "_strong_regularity_stack", stack)
     code, report = run(tmp_path, "sn", "--n", str(n), "--trials", str(trials), "--seed", str(seed))
     assert code == 0
+    assert loops == [(i, seed, (i - 1) * trials) for i in range(1, n + 1)]
     want = []
     for i in range(1, n + 1):
         for t in range(trials):
@@ -263,20 +274,29 @@ def test_sn_draws_each_trial_on_the_stream_layout(tmp_path, monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(seen, want))
     fractions = [c["strongly_regular_fraction"] for c in report["results"]["components"]]
     want_fractions = [
-        sum(real(x).ok for x in want[k * trials : (k + 1) * trials]) / trials for k in range(n)
+        sum(is_n_strongly_regular(x).ok for x in want[k * trials : (k + 1) * trials]) / trials
+        for k in range(n)
     ]
     assert fractions == want_fractions
 
 
-def _fake_strong_regularity(monkeypatch, trials, verdict):
-    """is_n_strongly_regular answering verdict(i, t) for trial t of component i."""
-    calls = itertools.count()
+def _fake_strong_regularity(monkeypatch, verdict):
+    """verify_nilradical with its nilpotent pairs counted, and verdict(i, t)
+    for trial t of component i; a verdict that raises MethodDisagreement is
+    tallied."""
+    real = gzcut.cli.verify_nilradical
 
-    def fake(x, tol):
-        k = next(calls)
-        return SimpleNamespace(ok=verdict(k // trials + 1, k % trials))
+    def fake(i, n, trials, rng, tol):
+        passed, _, _ = real(i, n, trials, rng, tol)
+        strong = failures = 0
+        for t in range(trials):
+            try:
+                strong += bool(verdict(i, t))
+            except MethodDisagreement:
+                failures += 1
+        return passed, strong, failures
 
-    monkeypatch.setattr(gzcut.cli, "is_n_strongly_regular", fake)
+    monkeypatch.setattr(gzcut.cli, "verify_nilradical", fake)
 
 
 @pytest.mark.parametrize(
@@ -292,7 +312,7 @@ def _fake_strong_regularity(monkeypatch, trials, verdict):
     ids=["component_1_at_0.95", "component_2_at_0.05", "swapped"],
 )
 def test_sn_fails_unless_strong_regularity_sits_on_the_end_components(tmp_path, monkeypatch, verdict):
-    _fake_strong_regularity(monkeypatch, 20, verdict)
+    _fake_strong_regularity(monkeypatch, verdict)
     code, report = run(tmp_path, "sn", "--n", "4", "--trials", "20", "--seed", "2")
     assert code == 1 and report["status"] == "fail"
     assert all(c["nilpotent_pairs"] == 20 for c in report["results"]["components"])
@@ -304,7 +324,7 @@ def test_sn_method_disagreements_are_tallied_not_failed(tmp_path, monkeypatch):
             raise MethodDisagreement("the two routes disagree")
         return i in (1, 3)
 
-    _fake_strong_regularity(monkeypatch, 10, verdict)
+    _fake_strong_regularity(monkeypatch, verdict)
     code, report = run(tmp_path, "sn", "--n", "3", "--trials", "10", "--seed", "2")
     assert code == 0 and report["status"] == "pass"
     comps = report["results"]["components"]

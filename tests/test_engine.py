@@ -1,10 +1,11 @@
 """The stacked trial loops against the serial loops they replaced.
 
-verify_containment and verify_roundtrips run every trial of a loop on one
-(T, n, n) stack per kernel.  Each trial still draws from its own stream in the
-order a lone trial would, so the reports must equal, float for float, those of
-the serial loops in tests/oracles.py, which run the one-trial functions one
-trial at a time.  A trial whose solve fails must cost only itself.
+verify_containment, verify_roundtrips, verify_nilradical and estimate_dim run
+every trial of a loop on one (T, n, n) stack per kernel.  Each trial still
+draws from its own stream in the order a lone trial would, so the reports must
+equal, float for float, those of the serial loops in tests/oracles.py, which
+run the one-trial functions one trial at a time.  A trial whose solve fails
+must cost only itself.
 """
 
 import warnings
@@ -25,19 +26,24 @@ from gzcut import (
     ad,
     eigenvalues,
     all_orbit_indices,
+    estimate_dim,
     match_spectra,
+    nilradical_n,
     parabolic_p,
     random_xi,
     sample_K,
     sample_in,
     verify_containment,
+    verify_nilradical,
     verify_roundtrips,
 )
 from oracles import (
     cgauss,
     lsa_assignment,
+    serial_estimate_dim,
     serial_random_xi,
     serial_verify_containment,
+    serial_verify_nilradical,
     serial_verify_roundtrips,
 )
 
@@ -76,6 +82,33 @@ def test_stacked_loops_equal_the_serial_loops_at_loose_tolerances(eig_match):
         warnings.simplefilter("ignore", RuntimeWarning)
         for n in (3, 5, 6):
             _compare_loops(n, 3, 14, Tolerances(eig_match=eig_match))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacked_nilradical_loop_equals_the_serial_loop(n):
+    # the streams of `sn`: component i starts on stream (i - 1) * T
+    tol = Tolerances()
+    for seed in (0, 5):
+        for trials in (1, 7):
+            for i in range(1, n + 1):
+                rng = SeededRng(seed, (i - 1) * trials)
+                assert verify_nilradical(i, n, trials, rng, tol) == serial_verify_nilradical(
+                    i, n, trials, rng, tol
+                ), (n, seed, trials, i)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacked_tangent_ranks_equal_the_serial_estimate(n):
+    # the streams of `dims`: parabolic k, then nilradical i, each on R streams
+    tol = Tolerances()
+    spaces = [parabolic_p(idx, n) for idx in all_orbit_indices(n)]
+    spaces += [nilradical_n(i, n) for i in range(1, n + 1)]
+    for seed, repeats in ((0, 1), (0, 5), (3, 2)):
+        for k, s in enumerate(spaces):
+            rng = SeededRng(seed, k * repeats)
+            assert estimate_dim(s, repeats, rng, tol) == serial_estimate_dim(
+                s, repeats, rng, tol
+            ), (n, seed, repeats, k)
 
 
 def test_stacked_random_xi_redraws_only_the_rejected_trials(monkeypatch):

@@ -11,7 +11,6 @@ from gzcut import (
     Tolerances,
     aberth_roots,
     ad,
-    centralizer_basis,
     eigenvalues,
     newton_to_charpoly,
     numerical_rank,
@@ -28,6 +27,7 @@ from oracles import (
     numpy_aberth_roots,
     numpy_newton_to_charpoly,
 )
+from gzcut.canonical import _centralizers
 
 
 def test_eigenvalues_identity():
@@ -268,6 +268,18 @@ def test_spectrum_invariant_under_permutation_similarity():
         assert_allclose(a, b, atol=100 * tol.eig_match)
 
 
+def centralizer_bases(mats):
+    """The centralizer bases the stacked kernel gives a stack of matrices."""
+    mats = np.asarray(mats, dtype=complex)
+    vh, dims = _centralizers(mats, Tolerances())
+    n = mats.shape[-1]
+    return [list(v[n * n - d :].reshape(-1, n, n)) for v, d in zip(vh, dims)]
+
+
+def centralizer_basis(a):
+    return centralizer_bases(np.asarray(a)[None])[0]
+
+
 def test_centralizer_identity_is_everything():
     assert len(centralizer_basis(np.eye(3))) == 9
 
@@ -290,8 +302,10 @@ def test_centralizer_nilpotent_2x2_hand_solve():
 def test_centralizer_contains_identity_and_counts_regularity():
     gen = np.random.default_rng(31)
     for n in (2, 3, 4):
-        for m in (cgauss(gen, (n, n)), np.eye(n), np.diag(np.arange(n, dtype=float))):
-            basis = centralizer_basis(m)
+        # one stacked call for a generic, a scalar and a regular diagonal matrix
+        mats = [cgauss(gen, (n, n)), np.eye(n), np.diag(np.arange(n, dtype=float))]
+        for m, basis in zip(mats, centralizer_bases(mats)):
             stacked = np.array([b.reshape(-1) for b in basis] + [np.eye(n).reshape(-1)])
             assert numerical_rank(stacked) == len(basis)  # identity inside the span
             assert len(basis) >= n
+            assert all(np.abs(m @ b - b @ m).max() < 1e-10 for b in basis)

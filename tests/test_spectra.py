@@ -216,6 +216,13 @@ def test_v_membership_range():
         v_membership(phi_n(np.zeros((3, 3))), 3)
 
 
+def test_v_membership_accepts_every_finite_radius():
+    # 10 x 1e308 overflows to inf, a radius that admits every pair
+    img = phi_n(np.diag([1.0, 2.0, 3.0]))
+    assert v_membership(img, 1, Tolerances(eig_match=1e308))
+    assert v_membership(img, 2, Tolerances(eig_match=1e308))
+
+
 def test_two_path_classification_agreement():
     gen = np.random.default_rng(37)
     tol = Tolerances(eig_match=1e-6)
