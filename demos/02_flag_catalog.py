@@ -2,44 +2,36 @@
 
 For each pair (i, j) with 1 <= i <= j <= n there is an explicit flag, an
 integer matrix carrying the standard flag onto it, a Borel subalgebra (its
-stabilizer), and a theta-stable parabolic.  This script prints the whole
-catalog for n = 4 and checks the structural facts the rest of the package
-relies on.
+stabilizer), and a theta-stable parabolic.  A flag is held as its
+stabilizer: the k-th step is spanned by the first k columns of the Borel's
+frame.  This script prints the whole catalog for n = 4 and checks the
+structural facts the rest of the package relies on.
 """
-
-import numpy as np
 
 from gzcut import (
     OrbitIndex,
     all_orbit_indices,
     borel_b,
     column_span_equal,
-    cutoff_flag,
     cutoff_parabolic,
-    flag_F,
     is_theta_stable,
     parabolic_p,
     project_cutoff,
     span_contains,
     span_equal,
-    standard_flag,
     v_matrix,
 )
+from gzcut.flags import _levi_blocks
 
 n = 4
-std = standard_flag(n)
 print(f"catalog for n = {n}: {len(all_orbit_indices(n))} orbit indices\n")
 
 for idx in all_orbit_indices(n):
-    flag = flag_F(idx, n)
     v = v_matrix(idx, n)
-    carried = all(
-        column_span_equal((v @ std.basis)[:, :k], flag.basis[:, :k])
-        for k in range(1, n + 1)
-    )
     b = borel_b(idx, n)
     p = parabolic_p(idx, n)
-    blocks = np.diff((0,) + cutoff_flag(idx, n).steps)
+    carried = all(column_span_equal(v[:, :k], b.frame[:, :k]) for k in range(1, n + 1))
+    cut = cutoff_parabolic(idx, n)
     print(
         f"(i,j) = ({idx.i},{idx.j})  length {idx.length}  "
         f"dim b = {b.dim}, dim p = {p.dim}  "
@@ -49,11 +41,11 @@ for idx in all_orbit_indices(n):
     )
     print(
         f"          cutoff projection is a parabolic with Levi blocks "
-        f"{sorted(blocks.tolist(), reverse=True)}: "
-        f"{span_equal(project_cutoff(p), cutoff_parabolic(idx, n).basis)}"
+        f"{sorted(_levi_blocks(cut.mask), reverse=True)}: "
+        f"{span_equal(project_cutoff(p), cut.basis)}"
     )
 
 print("\nflag for (1, 3): columns are e1+e4, e2, e1, e3")
-print(flag_F(OrbitIndex(1, 3), n).basis.real.astype(int))
+print(borel_b(OrbitIndex(1, 3), n).frame.real.astype(int))
 print("\ncarrier matrix v for (1, 3):")
 print(v_matrix(OrbitIndex(1, 3), n).real.astype(int))

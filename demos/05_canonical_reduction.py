@@ -3,7 +3,7 @@
 Plant a bordered-diagonal matrix with two shared eigenvalues, hide it by a
 random block-diagonal conjugation, then undo everything: diagonalize the
 cutoff, sort shared eigenvalues first, read the U/L pattern off the border,
-and permute the stabilized flag onto the catalog flag.  The output certifies
+and permute the frame of the pattern's parabolic onto the catalog one.  The output certifies
 itself: the image sits inside the catalog parabolic up to a tiny residual.
 """
 
@@ -14,10 +14,10 @@ from gzcut import (
     ad,
     canonical_form,
     coincidence_count,
+    pattern_parabolic,
     random_xi,
     reduce_to_xi,
     sample_K,
-    stabilized_flag,
     xi_build,
     xi_pattern,
 )
@@ -44,8 +44,9 @@ print("\nreduction recovers the bordered form; recovered diagonal:")
 print(np.round(recovered.h, 3))
 
 res = canonical_form(x)
-flag = stabilized_flag(res.pattern, n)
-print(f"\nstabilized flag steps: {flag.steps}")
+spec = pattern_parabolic(res.pattern, n)
+print(f"\nthe pattern's parabolic, as a 0/1 mask in its permuted frame (dim {spec.dim}):")
+print(spec.mask.astype(int))
 print(
     f"target catalog index: ({res.idx.i}, {res.idx.j})  "
     f"(orbit length {res.idx.length} = n - 1 - l)"

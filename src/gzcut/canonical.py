@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flags import OrbitIndex, PartialFlag, contains, nilradical_n, parabolic_p
+from .flags import OrbitIndex, SubalgebraSpec, contains, nilradical_n, parabolic_p, stabilizer
 from .linalg import (
     DEFAULT_TOL,
     EigensolverError,
@@ -55,7 +55,7 @@ __all__ = [
     "StrongRegularityReport",
     "xi_build",
     "xi_pattern",
-    "stabilized_flag",
+    "pattern_parabolic",
     "reduce_to_xi",
     "canonical_form",
     "random_xi",
@@ -279,8 +279,9 @@ def xi_pattern(e: XiElement, tol: Tolerances = DEFAULT_TOL) -> ULPattern:
     return ULPattern(tuple("U" if u else "L" for u in upper[0, : e.l]))
 
 
-def stabilized_flag(pattern: ULPattern, n: int) -> PartialFlag:
-    """The partial flag every normal-form element with this pattern stabilizes.
+def pattern_parabolic(pattern: ULPattern, n: int) -> SubalgebraSpec:
+    """The stabilizer of the partial flag every normal-form element with this
+    pattern stabilizes.
 
     U-slots become leading singleton steps, then the block spanned by the
     non-shared e's together with e_n, then the L-slots; with l coincidences
@@ -292,10 +293,9 @@ def stabilized_flag(pattern: ULPattern, n: int) -> PartialFlag:
     upper = [i + 1 for i, m in enumerate(pattern.marks) if m == "U"]
     lower = [i + 1 for i, m in enumerate(pattern.marks) if m == "L"]
     block = list(range(c + 1, n)) + [n]
-    basis = np.eye(n)[:, np.subtract(upper + block + lower, 1)]
+    frame = np.eye(n)[:, np.subtract(upper + block + lower, 1)]
     sizes = [1] * len(upper) + [len(block)] + [1] * len(lower)
-    steps = tuple(np.cumsum(sizes))
-    return PartialFlag(n, steps, basis)
+    return stabilizer(frame, np.cumsum(sizes))
 
 
 def _reduce_stack(mats: np.ndarray, tol: Tolerances, trials: _Trials):
@@ -367,7 +367,7 @@ def reduce_to_xi(x, tol: Tolerances = DEFAULT_TOL):
 def _canonical_stack(mats: np.ndarray, tol: Tolerances, trials: _Trials) -> list:
     """canonical_form over a (T, n, n) stack: the results of the live trials.
 
-    The catalog parabolic and the stabilized flag are built once per
+    The catalog parabolic and the pattern's parabolic are built once per
     distinct U/L pattern in the stack.
     """
     n = mats.shape[-1]
@@ -383,9 +383,9 @@ def _canonical_stack(mats: np.ndarray, tol: Tolerances, trials: _Trials) -> list
             kpos = sum(key) + 1
             idx = OrbitIndex(kpos, kpos + n - 1 - len(key))
             target = parabolic_p(idx, n)
-            # both flag bases are permutations: kappa carries the stabilized
-            # flag's basis column by column onto the catalog partial flag's
-            kappa = target.frame @ stabilized_flag(pattern, n).basis.T
+            # both frames are permutations: kappa carries the pattern's frame
+            # column by column onto the catalog parabolic's
+            kappa = target.frame @ pattern_parabolic(pattern, n).frame.T
             targets[key] = (pattern, idx, target, kappa[:k, :k])
     k2 = np.array([targets[key][3] for key in keys], dtype=complex).reshape(-1, k, k)
     blocks = k2 @ k1
@@ -411,10 +411,10 @@ def canonical_form(x, tol: Tolerances = DEFAULT_TOL) -> CanonicalFormResult:
     """Conjugate x into the catalog parabolic selected by its coincidences.
 
     Composes the bordered-diagonal reduction, the U/L pattern read-off, and
-    the permutation carrying the stabilized flag onto the catalog partial
-    flag.  With l coincidences and k - 1 upper marks the target index is
-    (k, k + n - 1 - l); the conjugator stays inside the block-diagonal group
-    throughout.
+    the permutation carrying the frame of the pattern's parabolic onto the
+    catalog parabolic's.  With l coincidences and k - 1 upper marks the
+    target index is (k, k + n - 1 - l); the conjugator stays inside the
+    block-diagonal group throughout.
     """
     m = as_cmatrix(x)
     if m.shape[0] < 2:

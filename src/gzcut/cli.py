@@ -1,9 +1,9 @@
 """Command line surface: matrix file I/O, seeded experiments, deterministic reports.
 
 Exit codes: 0 all checks passed, 1 a verified claim failed, 2 input error
-(a malformed file or argument), 3 numerical failure (no convergence, two
-routes disagreeing, or a broken internal invariant), 4 precondition not met
-(report status "n/a").
+(a malformed file or argument, or a report path that cannot be written),
+3 numerical failure (no convergence, two routes disagreeing, or a broken
+internal invariant), 4 precondition not met (report status "n/a").
 
 Reports are JSON objects with sorted keys (or a flat text table), so a fixed
 command line plus a fixed seed produces byte-identical output.  The seeded
@@ -39,19 +39,17 @@ from .canonical import (
     verify_roundtrips,
 )
 from .flags import (
+    _levi_blocks,
     all_orbit_indices,
     borel_b,
     column_span_equal,
-    cutoff_flag,
     cutoff_parabolic,
-    flag_F,
     nilradical_n,
     parabolic_p,
     is_theta_stable,
     project_cutoff,
     span_contains,
     span_equal,
-    standard_flag,
     v_matrix,
 )
 from .linalg import DEFAULT_TOL
@@ -201,8 +199,11 @@ def _exit(args, params, claim, results, ok) -> int:
         _render_table(report, lines)
         text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write report {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return _STATUS_EXIT[status]
@@ -316,24 +317,20 @@ def cmd_catalog(args) -> int:
     n = args.n
     entries = []
     ok = True
-    std = standard_flag(n)
     for idx in all_orbit_indices(n):
-        flag = flag_F(idx, n)
-        v = v_matrix(idx, n)
-        image_cols = v @ std.basis
-        flag_match = all(
-            column_span_equal(image_cols[:, :k], flag.basis[:, :k], tol)
-            for k in range(1, n + 1)
-        )
         b = borel_b(idx, n)
         p = parabolic_p(idx, n)
+        v = v_matrix(idx, n)
+        flag_match = all(
+            column_span_equal(v[:, :k], b.frame[:, :k], tol) for k in range(1, n + 1)
+        )
         b_in_p = span_contains(p.basis, b.basis, tol)
         theta_ok = is_theta_stable(p, tol)
         borel_is_parabolic = idx.i != idx.j or span_equal(b.basis, p.basis, tol)
         entry = {
             "idx": [idx.i, idx.j],
             "orbit_length": idx.length,
-            "flag_columns": flag.basis.real.astype(int),
+            "flag_columns": b.frame.real.astype(int),
             "v": v.real.astype(int),
             "dim_borel": b.dim,
             "dim_parabolic": p.dim,
@@ -343,10 +340,7 @@ def cmd_catalog(args) -> int:
         }
         if n >= 2:
             cut_pred = cutoff_parabolic(idx, n)
-            levi = cutoff_flag(idx, n).steps
-            entry["cutoff_levi_blocks"] = sorted(
-                np.diff((0,) + levi).tolist(), reverse=True
-            )
+            entry["cutoff_levi_blocks"] = sorted(_levi_blocks(cut_pred.mask), reverse=True)
             entry["cutoff_projection_matches"] = span_equal(
                 project_cutoff(p), cut_pred.basis, tol
             )

@@ -1,19 +1,24 @@
-"""Catalog of flags, permutation and Cayley matrices, and their stabilizers.
+"""The catalog of flag stabilizers, permutation and Cayley matrices.
 
 The catalog is indexed by pairs (i, j) with 1 <= i <= j <= n.  Index (i, i)
 names one of the n closed block-diagonal-group orbits on the full flag
 variety; index (i, j) with i < j names one of the C(n, 2) non-closed ones.
-Every flag here carries a unimodular integer basis, so stabilizer bases are
-exact integer matrices and the rank tests downstream are effectively exact.
+
+A flag is held as its stabilizer: a SubalgebraSpec whose frame's first
+steps[k] columns span the k-th step, with the block upper triangular mask
+over the steps.  Every catalog frame is a permutation or unimodular integer
+matrix, so the bases B E_rs B^-1 are exact integer matrices and the rank
+tests downstream are effectively exact.
 
 Convention: the permutation matrix of a cycle c sends e_k to e_{c(k)}.  This
-is validated against the explicit flag constructions (the image of the
-standard flag under v_matrix must equal flag_F) and must not be changed
-independently of them.
+is validated against the explicit frames (the column prefixes of
+v_matrix(idx, n) must span those of borel_b(idx, n).frame) and must not be
+changed independently of them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,12 +35,7 @@ from .linalg import (
 __all__ = [
     "OrbitIndex",
     "all_orbit_indices",
-    "PartialFlag",
     "SubalgebraSpec",
-    "standard_flag",
-    "flag_F",
-    "partial_flag_P",
-    "cutoff_flag",
     "cayley",
     "v_matrix",
     "stabilizer",
@@ -75,31 +75,6 @@ def all_orbit_indices(n: int) -> list:
     if n < 1:
         raise ValueError("n must be positive")
     return [OrbitIndex(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-
-
-@dataclass(frozen=True, eq=False)
-class PartialFlag:
-    """Nested subspace chain: the first steps[k] basis columns span step k."""
-
-    n: int
-    steps: tuple
-    basis: np.ndarray
-
-    def __post_init__(self):
-        steps = tuple(int(s) for s in self.steps)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "basis", as_cmatrix(self.basis))
-        if self.basis.shape != (self.n, self.n):
-            raise ValueError("flag basis must be n x n")
-        if not steps or steps[-1] != self.n or any(
-            b <= a for a, b in zip(steps, steps[1:])
-        ) or steps[0] < 1:
-            raise ValueError(f"steps {steps} must increase strictly to n={self.n}")
-        _checked_inverse(self.basis, "flag basis")
-
-    def subspace(self, k: int) -> np.ndarray:
-        """Basis columns of the k-th step (0-based)."""
-        return self.basis[:, : self.steps[k]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,71 +120,24 @@ def _stack(mats) -> np.ndarray:
     return np.array([np.asarray(m, dtype=complex).reshape(-1) for m in mats])
 
 
-def _basis_columns(cols, n: int) -> np.ndarray:
-    """Matrix whose k-th column is the k-th entry of `cols` (1-based index lists)."""
-    b = np.zeros((n, n))
-    for c, ones in enumerate(cols):
-        for r in ones:
-            b[r - 1, c] = 1.0
-    return b
+def _in_range(idx: OrbitIndex, n: int) -> tuple:
+    if idx.j > n:
+        raise ValueError(f"orbit index {idx} out of range for n={n}")
+    return idx.i, idx.j
 
 
-def standard_flag(n: int) -> PartialFlag:
-    """The full flag e_1 < e_2 < ... < e_n."""
-    return PartialFlag(n, tuple(range(1, n + 1)), np.eye(n))
-
-
-def flag_F(idx: OrbitIndex, n: int) -> PartialFlag:
-    """The catalog full flag for orbit (i, j).
+def _borel_frame(idx: OrbitIndex, n: int) -> np.ndarray:
+    """Frame of the catalog full flag for orbit (i, j).
 
     For i = j the columns are (e_1, ..., e_{i-1}, e_n, e_i, ..., e_{n-1});
     for i < j the column at position i is e_i + e_n and the one at position j
     is e_i, with the remaining e's filling in order.
     """
-    i, j = idx.i, idx.j
-    if j > n:
-        raise ValueError(f"orbit index {idx} out of range for n={n}")
-    if i == j:
-        cols = [[k] for k in range(1, i)] + [[n]] + [[k] for k in range(i, n)]
-    else:
-        cols = (
-            [[k] for k in range(1, i)]
-            + [[i, n]]
-            + [[k] for k in range(i + 1, j)]
-            + [[i]]
-            + [[k] for k in range(j, n)]
-        )
-    return PartialFlag(n, tuple(range(1, n + 1)), _basis_columns(cols, n))
-
-
-def partial_flag_P(idx: OrbitIndex, n: int) -> PartialFlag:
-    """The catalog partial flag: e_1 < ... < e_{i-1} < {e_i..e_{j-1}, e_n} < e_j < ...
-
-    Its stabilizer is the theta-stable parabolic attached to the orbit; for
-    i = j it degenerates to the full flag of flag_F.
-    """
-    i, j = idx.i, idx.j
-    if j > n:
-        raise ValueError(f"orbit index {idx} out of range for n={n}")
-    cols = (
-        [[k] for k in range(1, i)]
-        + [[k] for k in range(i, j)]
-        + [[n]]
-        + [[k] for k in range(j, n)]
-    )
-    steps = tuple(range(1, i)) + tuple(range(j, n + 1))
-    return PartialFlag(n, steps, _basis_columns(cols, n))
-
-
-def cutoff_flag(idx: OrbitIndex, n: int) -> PartialFlag:
-    """partial_flag_P with the e_n column deleted, as a flag in C^(n-1)."""
-    i, j = idx.i, idx.j
-    if j > n:
-        raise ValueError(f"orbit index {idx} out of range for n={n}")
-    # step dimensions: 1..i-1, then j-1 when the block e_i..e_{j-1} is not
-    # empty, then j..n-1; strictly increasing and ending at n-1 for n >= 2
-    steps = (*range(1, i), *((j - 1,) if j > i else ()), *range(j, n))
-    return PartialFlag(n - 1, steps, np.eye(n - 1))
+    i, j = _in_range(idx, n)
+    frame = np.eye(n)[:, [*range(j - 1), n - 1 if i == j else i - 1, *range(j - 1, n - 1)]]
+    if i < j:
+        frame[n - 1, i - 1] = 1.0
+    return frame
 
 
 def cayley(i: int, n: int) -> np.ndarray:
@@ -236,14 +164,12 @@ def _cycle_matrix(cycle, n: int) -> np.ndarray:
 
 
 def v_matrix(idx: OrbitIndex, n: int) -> np.ndarray:
-    """Integer matrix carrying the standard flag onto flag_F(idx).
+    """Integer matrix carrying the standard flag onto the flag of borel_b(idx, n).
 
     Built from the cycle (n, n-1, ..., i), and for i < j additionally the
     Cayley matrix at i and the cycle (i+1, ..., j).
     """
-    i, j = idx.i, idx.j
-    if j > n:
-        raise ValueError(f"orbit index {idx} out of range for n={n}")
+    i, j = _in_range(idx, n)
     w = _cycle_matrix(list(range(n, i - 1, -1)), n)
     if i == j:
         return w
@@ -277,45 +203,72 @@ def _checked_inverse(b: np.ndarray, what: str) -> np.ndarray:
     return inverse
 
 
-def stabilizer(flag: PartialFlag, strict: bool = False) -> SubalgebraSpec:
-    """The subalgebra {x : x V_k <= V_k for every step}.
+def stabilizer(frame, steps, strict: bool = False) -> SubalgebraSpec:
+    """The stabilizer {x : x V_k <= V_k for every step} of a flag.
 
-    In the flag's own basis the stabilizer is the block upper triangular
-    pattern, so it is the flag basis as frame with that pattern as mask.
-    With strict=True only the strictly block upper pairs are kept: the
-    nilradical {x : x V_k <= V_(k-1) for every step}.
+    V_k is spanned by the first steps[k] columns of the invertible frame;
+    the steps must increase strictly to n.  In the frame's own basis the
+    stabilizer is the block upper triangular pattern over the steps, so it
+    is the frame with that pattern as mask.  With strict=True only the
+    strictly block upper pairs are kept: the nilradical
+    {x : x V_k <= V_(k-1) for every step}.
     """
-    block = np.searchsorted(flag.steps, np.arange(1, flag.n + 1))
+    n = len(frame)
+    steps = tuple(int(s) for s in steps)
+    rising = all(a < b for a, b in zip(steps, steps[1:]))
+    if not steps or steps[0] < 1 or steps[-1] != n or not rising:
+        raise ValueError(f"steps {steps} must increase strictly to n={n}")
+    block = np.searchsorted(steps, np.arange(1, n + 1))
     mask = block[:, None] < block if strict else block[:, None] <= block
-    return SubalgebraSpec(flag.basis, mask)
+    return SubalgebraSpec(frame, mask)
+
+
+def _levi_blocks(mask) -> list:
+    """Sizes of the diagonal blocks of a block upper triangular mask, in
+    order: a block ends where the mask's subdiagonal is off."""
+    ends = np.flatnonzero(np.append(~np.diagonal(mask, -1), True)) + 1
+    return np.diff(ends, prepend=0).tolist()
 
 
 def parabolic_p(idx: OrbitIndex, n: int) -> SubalgebraSpec:
-    """Theta-stable parabolic for orbit (i, j): stabilizer of partial_flag_P."""
-    return stabilizer(partial_flag_P(idx, n))
+    """Theta-stable parabolic for orbit (i, j): the stabilizer of the partial
+    flag e_1 < ... < e_{i-1} < {e_i..e_{j-1}, e_n} < e_j < ... < e_{n-1}.
+
+    For i = j the flag is full and the parabolic is borel_b(idx, n).
+    """
+    i, j = _in_range(idx, n)
+    frame = np.eye(n)[:, [*range(j - 1), n - 1, *range(j - 1, n - 1)]]
+    return stabilizer(frame, (*range(1, i), *range(j, n + 1)))
 
 
 def borel_b(idx: OrbitIndex, n: int) -> SubalgebraSpec:
-    """Borel subalgebra for orbit (i, j): stabilizer of the full flag flag_F."""
-    return stabilizer(flag_F(idx, n))
+    """Borel subalgebra for orbit (i, j): the stabilizer of the catalog full
+    flag, whose k-th step is spanned by the first k columns of its frame."""
+    return stabilizer(_borel_frame(idx, n), range(1, n + 1))
 
 
 def nilradical_n(i: int, n: int) -> SubalgebraSpec:
     """Nilradical of the closed-orbit Borel (i, i): strictly upper pattern in
-    the flag_F(i, i) basis.  Its elements are nilpotent together with their
-    cutoffs."""
+    the frame of borel_b((i, i), n).  Its elements are nilpotent together
+    with their cutoffs."""
     if not 1 <= i <= n:
         raise ValueError(f"index {i} out of range for n={n}")
-    return stabilizer(flag_F(OrbitIndex(i, i), n), strict=True)
+    return stabilizer(_borel_frame(OrbitIndex(i, i), n), range(1, n + 1), strict=True)
 
 
 def cutoff_parabolic(idx: OrbitIndex, n: int) -> SubalgebraSpec:
     """Parabolic of gl(n-1) predicted for the cutoff projection of parabolic_p.
 
-    Its Levi blocks are n-1-(j-i) singletons and one block of size j-i, which
-    is the shape the projection of the catalog parabolic must reproduce.
+    It stabilizes parabolic_p's flag with e_n deleted, as a flag in C^(n-1):
+    its Levi blocks are n-1-(j-i) singletons and one block of size j-i,
+    which is the shape the projection of the catalog parabolic must
+    reproduce.
     """
-    return stabilizer(cutoff_flag(idx, n))
+    i, j = _in_range(idx, n)
+    # step dimensions: 1..i-1, then j-1 when the block e_i..e_{j-1} is not
+    # empty, then j..n-1; strictly increasing and ending at n-1 for n >= 2
+    steps = (*range(1, i), *((j - 1,) if j > i else ()), *range(j, n))
+    return stabilizer(np.eye(n - 1), steps)
 
 
 def fixed_point_subalgebra(n: int) -> SubalgebraSpec:
@@ -355,9 +308,15 @@ def contains(s: SubalgebraSpec, x, tol: Tolerances = DEFAULT_TOL) -> SubspaceTes
     m = as_cmatrix(x)
     if m.shape != (s.n, s.n):
         raise ValueError("dimension mismatch")
+    # both norms are taken of m / 2^e, 2^e a power of two near max|m| (capped,
+    # as |m| overflows past 2^1024), so they cannot overflow; the scaling is
+    # exact: the residual's bits are the unscaled formula's wherever it is finite
+    e = math.frexp(min(np.abs(m).max(), 2.0**1023))[1]
+    unit = math.ldexp(1.0, -max(e, 0))
+    m = m * unit
     off = s.inverse @ m @ s.frame
     off[s.mask] = 0.0
-    residual = float(np.linalg.norm(s.frame @ off @ s.inverse) / (1.0 + np.linalg.norm(m)))
+    residual = float(np.linalg.norm(s.frame @ off @ s.inverse) / (unit + np.linalg.norm(m)))
     return SubspaceTest(residual <= tol.membership, residual)
 
 

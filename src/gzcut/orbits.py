@@ -91,11 +91,6 @@ class KElement:
     def as_matrix(self) -> np.ndarray:
         return _block_diagonal(self.block[None], self.scalar)[0]
 
-    def __matmul__(self, other: "KElement") -> "KElement":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return KElement(self.block @ other.block, self.scalar * other.scalar, self.n)
-
 
 class _Trials:
     """The trials of a stacked loop: which are still live, and why the others failed.

@@ -106,6 +106,17 @@ def lstsq_membership_residual(basis, x):
     return float(np.linalg.norm(a @ coef - v) / (1.0 + np.linalg.norm(v)))
 
 
+def levi_blocks(mask):
+    """Sizes of the Levi blocks of a block upper triangular mask, largest first.
+
+    The Levi part mask & mask.T is block diagonal, and each of its distinct
+    rows is the indicator of one block.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    rows = {tuple(row) for row in (mask & mask.T).tolist()}
+    return sorted((sum(row) for row in rows), reverse=True)
+
+
 def cgauss(gen, shape=None):
     """Standard complex Gaussian draws from a numpy Generator."""
     return (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)

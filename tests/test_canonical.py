@@ -23,13 +23,14 @@ from gzcut import (
     nilradical_n,
     numerical_rank,
     parabolic_p,
+    pattern_parabolic,
     random_xi,
     reduce_to_xi,
     sample_K,
     sample_in,
     sn_membership,
     sort_complex,
-    stabilized_flag,
+    stabilizer,
     verify_roundtrips,
     xi_build,
     xi_pattern,
@@ -78,17 +79,16 @@ def test_xi_pattern_examples():
 
 
 def test_stabilized_flag_shapes():
-    f = stabilized_flag(ULPattern(("U",)), 3)
-    assert f.steps == (1, 3)
-    assert_allclose(f.basis.real, np.eye(3), atol=0)
+    s = pattern_parabolic(ULPattern(("U",)), 3)
+    assert (s.mask == stabilizer(np.eye(3), (1, 3)).mask).all()
+    assert_allclose(s.frame.real, np.eye(3), atol=0)
 
-    f = stabilized_flag(ULPattern(("L",)), 3)
-    assert f.steps == (2, 3)
-    assert_allclose(f.basis.real[:, 0], [0, 1, 0], atol=0)
-    assert_allclose(f.basis.real[:, 2], [1, 0, 0], atol=0)
+    s = pattern_parabolic(ULPattern(("L",)), 3)
+    assert (s.mask == stabilizer(np.eye(3), (2, 3)).mask).all()
+    assert_allclose(s.frame.real[:, 0], [0, 1, 0], atol=0)
+    assert_allclose(s.frame.real[:, 2], [1, 0, 0], atol=0)
 
-    f = stabilized_flag(ULPattern(()), 4)
-    assert f.steps == (4,)
+    assert pattern_parabolic(ULPattern(()), 4).mask.all()  # one step: (4,)
 
 
 def test_xi_elements_stabilize_their_flag():
@@ -96,9 +96,12 @@ def test_xi_elements_stabilize_their_flag():
     for n, l in ((3, 1), (4, 2), (5, 3)):
         e = random_xi(rng.derive(10 * n + l), n, l)
         m = xi_build(e)
-        flag = stabilized_flag(xi_pattern(e), n)
-        for k in range(len(flag.steps)):
-            v = flag.subspace(k)
+        s = pattern_parabolic(xi_pattern(e), n)
+        # V_k is a step of the flag when no mask entry carries it out of itself
+        steps = [k for k in range(1, n + 1) if not s.mask[k:, :k].any()]
+        assert len(steps) == l + 1
+        for k in steps:
+            v = s.frame[:, :k]
             assert numerical_rank(np.hstack([v, m @ v])) == v.shape[1]
 
 

@@ -346,5 +346,12 @@ def test_table_format(tmp_path, capsys):
     assert "results.l: 1" in out
 
 
+@pytest.mark.parametrize("where", ("directory", "missing parent"))
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, where):
+    target = tmp_path if where == "directory" else tmp_path / "absent" / "report.json"
+    assert main(["catalog", "--n", "3", "--output", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: cannot write report {target}")
+
+
 def test_unknown_command_is_input_error():
     assert main(["frobnicate"]) == 2

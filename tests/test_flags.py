@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from gzcut import (
     OrbitIndex,
-    PartialFlag,
     SeededRng,
     SubalgebraSpec,
     all_orbit_indices,
@@ -14,26 +13,22 @@ from gzcut import (
     cayley,
     column_span_equal,
     contains,
-    cutoff_flag,
     cutoff_parabolic,
     eigenvalues,
     fixed_point_subalgebra,
-    flag_F,
     is_theta_stable,
     nilradical_n,
     numerical_rank,
     parabolic_p,
-    partial_flag_P,
     project_cutoff,
     sample_in,
     span_contains,
     span_equal,
     stabilizer,
-    standard_flag,
     theta,
     v_matrix,
 )
-from oracles import cgauss, exact_rank, lstsq_membership_residual
+from oracles import cgauss, exact_rank, levi_blocks, lstsq_membership_residual
 
 
 def e(k, n):
@@ -54,32 +49,35 @@ def test_orbit_index_validation_and_counts():
 
 
 def test_standard_flag():
-    f = standard_flag(3)
-    assert f.steps == (1, 2, 3)
-    assert_allclose(f.basis.real, np.eye(3), atol=0)
-    assert standard_flag(1).basis[0, 0] == 1
+    s = stabilizer(np.eye(3), (1, 2, 3))
+    assert_allclose(s.frame.real, np.eye(3), atol=0)
+    assert (s.mask == np.triu(np.ones((3, 3), dtype=bool))).all()
+    assert stabilizer(np.eye(1), (1,)).frame[0, 0] == 1
 
 
 def test_partial_flag_validation():
     with pytest.raises(ValueError):
-        PartialFlag(3, (1, 2), np.eye(3))  # steps must end at n
+        stabilizer(np.eye(3), (1, 2))  # steps must end at n
     with pytest.raises(ValueError):
-        PartialFlag(2, (1, 2), np.ones((2, 2)))  # singular basis
+        stabilizer(np.eye(3), (2, 1, 3))  # steps must increase
+    with pytest.raises(ValueError):
+        stabilizer(np.ones((2, 2)), (1, 2))  # singular basis
 
 
 def test_flag_F_examples():
-    f = flag_F(OrbitIndex(3, 3), 3)
-    assert_allclose(f.basis.real, np.eye(3), atol=0)
+    # the catalog full flag is the column prefixes of its Borel's frame
+    f = borel_b(OrbitIndex(3, 3), 3).frame
+    assert_allclose(f.real, np.eye(3), atol=0)
 
-    f = flag_F(OrbitIndex(1, 1), 2)
-    assert_allclose(f.basis.real.T, [e(2, 2), e(1, 2)], atol=0)
+    f = borel_b(OrbitIndex(1, 1), 2).frame
+    assert_allclose(f.real.T, [e(2, 2), e(1, 2)], atol=0)
 
-    f = flag_F(OrbitIndex(1, 2), 3)
-    assert_allclose(f.basis.real.T, [e(1, 3) + e(3, 3), e(1, 3), e(2, 3)], atol=0)
+    f = borel_b(OrbitIndex(1, 2), 3).frame
+    assert_allclose(f.real.T, [e(1, 3) + e(3, 3), e(1, 3), e(2, 3)], atol=0)
 
 
 def test_stabilizer_of_standard_flag_is_upper_triangular():
-    s = stabilizer(standard_flag(4))
+    s = stabilizer(np.eye(4), range(1, 5))
     assert s.dim == 10
     uppers = [np.triu(np.random.default_rng(i).normal(size=(4, 4))) for i in range(3)]
     for u in uppers:
@@ -88,7 +86,7 @@ def test_stabilizer_of_standard_flag_is_upper_triangular():
 
 
 def test_stabilizer_of_one_step_flag_is_everything():
-    s = stabilizer(PartialFlag(3, (3,), np.eye(3)))
+    s = stabilizer(np.eye(3), (3,))
     assert s.dim == 9
 
 
@@ -96,7 +94,7 @@ def test_stabilizer_of_block_partial_flag():
     # chain e_1 < {e_2..e_4} < e_5..: upper triangles plus the inner block
     i, j, n = 2, 4, 5
     steps = tuple(range(1, i)) + tuple(range(j, n + 1))
-    r = stabilizer(PartialFlag(n, steps, np.eye(n)))
+    r = stabilizer(np.eye(n), steps)
     expected_dim = sum(s1 * s2 for a, s1 in enumerate([1, 3, 1]) for b, s2 in enumerate([1, 3, 1]) if a <= b)
     assert r.dim == expected_dim
     # generated by the uppers and the negative simple roots inside the block
@@ -108,14 +106,14 @@ def test_stabilizer_of_block_partial_flag():
 
 
 def test_subalgebra_spec_is_a_read_only_frame_and_mask():
-    flag = partial_flag_P(OrbitIndex(1, 2), 3)
-    s = stabilizer(flag)
+    frame = np.eye(3, dtype=complex)[:, [0, 2, 1]]
+    s = stabilizer(frame, (2, 3))
     assert s.n == 3 and s.dim == len(s.basis) == 7
     for arr in (s.frame, s.mask, s.inverse):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 0
-    assert flag.basis.flags.writeable  # the frame is a copy
+    assert frame.flags.writeable  # the frame is a copy
     assert_allclose(s.frame @ s.inverse, np.eye(3), atol=0)
     # the basis lists B E_rs B^-1 over the mask in row-major order
     expected = [
@@ -195,7 +193,7 @@ def test_v_carries_standard_flag_exactly(n):
     # subspace equalities checked with the exact rational rank oracle
     for idx in all_orbit_indices(n):
         v = v_matrix(idx, n).real.astype(int)
-        f = flag_F(idx, n).basis.real.astype(int)
+        f = borel_b(idx, n).frame.real.astype(int)
         for k in range(1, n + 1):
             a, b = v[:, :k], f[:, :k]
             stacked = np.hstack([a, b])
@@ -231,7 +229,7 @@ def test_parabolic_is_conjugated_standard_parabolic(n):
     for idx in all_orbit_indices(n):
         i, j = idx.i, idx.j
         steps = tuple(range(1, i)) + tuple(range(j, n + 1))
-        r = stabilizer(PartialFlag(n, steps, np.eye(n)))
+        r = stabilizer(np.eye(n), steps)
         v = v_matrix(idx, n)
         vinv = np.linalg.inv(v)
         conj = [v @ b @ vinv for b in r.basis]
@@ -242,8 +240,8 @@ def test_parabolic_is_conjugated_standard_parabolic(n):
 def test_catalog_dimensions(n):
     for idx in all_orbit_indices(n):
         assert borel_b(idx, n).dim == n * (n + 1) // 2
-        flag = partial_flag_P(idx, n)
-        sizes = np.diff((0,) + flag.steps)
+        # the catalog partial flag's steps: 1, ..., i-1, then j, ..., n
+        sizes = np.diff((0, *range(1, idx.i), *range(idx.j, n + 1)))
         expected = sum(
             int(sizes[a] * sizes[b]) for a in range(len(sizes)) for b in range(a, len(sizes))
         )
@@ -260,11 +258,10 @@ def test_borel_contained_in_parabolic(n):
 
 def test_borel_stabilizes_its_flag():
     for idx in all_orbit_indices(4):
-        flag = flag_F(idx, 4)
         b = borel_b(idx, 4)
         for elt in b.basis:
-            for k in range(4):
-                v = flag.subspace(k)
+            for k in range(1, 5):
+                v = b.frame[:, :k]
                 assert numerical_rank(np.hstack([v, elt @ v])) == v.shape[1]
 
 
@@ -290,13 +287,14 @@ def test_nilradical_patterns():
         np.outer(np.eye(n)[:, r], np.eye(n)[s, :]) for r in range(n) for s in range(r + 1, n)
     ]
     assert span_equal(nil.basis, strict_uppers)
-    # i = 1: steps of the reversed flag drop by one under every basis element
+    # i = 1: steps of the catalog flag (e_n < e_1 < ... < e_{n-1}) drop by one
+    # under every basis element
     nil1 = nilradical_n(1, n)
-    flag = flag_F(OrbitIndex(1, 1), n)
+    frame = np.eye(n)[:, [n - 1, *range(n - 1)]]
     for elt in nil1.basis:
         for k in range(1, n):
-            image = elt @ flag.subspace(k)
-            prev = flag.subspace(k - 1)
+            image = elt @ frame[:, : k + 1]
+            prev = frame[:, :k]
             assert numerical_rank(np.hstack([prev, image])) == numerical_rank(prev)
 
 
@@ -348,6 +346,25 @@ def test_contains_examples():
     assert contains(borel_b(OrbitIndex(1, 2), 3), v @ upper @ np.linalg.inv(v)).ok
 
 
+def test_contains_scales_huge_entries():
+    # the norms would overflow without the power-of-two scaling; the suite
+    # turns any RuntimeWarning into an error
+    p = parabolic_p(OrbitIndex(3, 3), 3)
+    y = np.triu(cgauss(np.random.default_rng(6), (3, 3)))
+    inside = contains(p, 2.0**600 * y)
+    assert inside.ok and np.isfinite(inside.residual)
+    outside = contains(p, 2.0**600 * (y + np.tril(np.ones((3, 3)), -1)))
+    assert not outside.ok and np.isfinite(outside.residual)
+    everywhere = contains(p, np.full((3, 3), 1e200 + 0j))
+    assert not everywhere.ok and np.isfinite(everywhere.residual)
+    # where the unscaled formula is finite, the scaling leaves its bits alone
+    m = 2.0**100 * (y + np.tril(np.ones((3, 3)), -1))
+    off = p.inverse @ m @ p.frame
+    off[p.mask] = 0.0
+    unscaled = np.linalg.norm(p.frame @ off @ p.inverse) / (1.0 + np.linalg.norm(m))
+    assert contains(p, m).residual == unscaled
+
+
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_bracket_closure_of_catalog_subalgebras(n):
     from gzcut.flags import _stack
@@ -368,7 +385,7 @@ def test_cutoff_projection_is_the_predicted_parabolic(n):
         p = parabolic_p(idx, n)
         predicted = cutoff_parabolic(idx, n)
         assert span_equal(project_cutoff(p), predicted.basis)
-        sizes = sorted(np.diff((0,) + cutoff_flag(idx, n).steps), reverse=True)
+        sizes = levi_blocks(predicted.mask)
         l = idx.length
         expected = sorted([l] * (l > 0) + [1] * (n - 1 - l), reverse=True)
         assert sizes == expected

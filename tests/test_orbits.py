@@ -77,7 +77,7 @@ def test_ad_identity_and_inverse():
     k = sample_K(rng, 3)
     k_inv = KElement(np.linalg.inv(k.block), 1 / k.scalar, 3)
     assert_allclose(ad(k, ad(k_inv, x)), x, atol=1e-10)
-    assert_allclose((k @ k_inv).as_matrix(), np.eye(3), atol=1e-12)
+    assert_allclose(k.as_matrix() @ k_inv.as_matrix(), np.eye(3), atol=1e-12)
 
 
 def test_ad_preserves_coincidence_count():
