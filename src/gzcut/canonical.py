@@ -279,6 +279,17 @@ def xi_pattern(e: XiElement, tol: Tolerances = DEFAULT_TOL) -> ULPattern:
     return ULPattern(tuple("U" if u else "L" for u in upper[0, : e.l]))
 
 
+def _pattern_columns(pattern: ULPattern, n: int) -> list:
+    """0-based positions of the e's that make up pattern_parabolic's frame, in
+    order: the U-slots, then the non-shared slots and e_n, then the L-slots."""
+    c = len(pattern)
+    if c > n - 1:
+        raise ValueError("pattern longer than n - 1")
+    upper = [i for i, m in enumerate(pattern.marks) if m == "U"]
+    lower = [i for i, m in enumerate(pattern.marks) if m == "L"]
+    return upper + list(range(c, n)) + lower
+
+
 def pattern_parabolic(pattern: ULPattern, n: int) -> SubalgebraSpec:
     """The stabilizer of the partial flag every normal-form element with this
     pattern stabilizes.
@@ -287,15 +298,9 @@ def pattern_parabolic(pattern: ULPattern, n: int) -> SubalgebraSpec:
     non-shared e's together with e_n, then the L-slots; with l coincidences
     the chain has l + 1 steps.
     """
-    c = len(pattern)
-    if c > n - 1:
-        raise ValueError("pattern longer than n - 1")
-    upper = [i + 1 for i, m in enumerate(pattern.marks) if m == "U"]
-    lower = [i + 1 for i, m in enumerate(pattern.marks) if m == "L"]
-    block = list(range(c + 1, n)) + [n]
-    frame = np.eye(n)[:, np.subtract(upper + block + lower, 1)]
-    sizes = [1] * len(upper) + [len(block)] + [1] * len(lower)
-    return stabilizer(frame, np.cumsum(sizes))
+    frame = np.eye(n)[:, _pattern_columns(pattern, n)]
+    u, c = pattern.marks.count("U"), len(pattern)
+    return stabilizer(frame, np.cumsum([1] * u + [n - c] + [1] * (c - u)))
 
 
 def _reduce_stack(mats: np.ndarray, tol: Tolerances, trials: _Trials):
@@ -367,8 +372,8 @@ def reduce_to_xi(x, tol: Tolerances = DEFAULT_TOL):
 def _canonical_stack(mats: np.ndarray, tol: Tolerances, trials: _Trials) -> list:
     """canonical_form over a (T, n, n) stack: the results of the live trials.
 
-    The catalog parabolic and the pattern's parabolic are built once per
-    distinct U/L pattern in the stack.
+    The conjugating permutation is built once per distinct U/L pattern in
+    the stack, from the pattern's column order and the catalog frame.
     """
     n = mats.shape[-1]
     k = n - 1
@@ -384,8 +389,10 @@ def _canonical_stack(mats: np.ndarray, tol: Tolerances, trials: _Trials) -> list
             idx = OrbitIndex(kpos, kpos + n - 1 - len(key))
             target = parabolic_p(idx, n)
             # both frames are permutations: kappa carries the pattern's frame
-            # column by column onto the catalog parabolic's
-            kappa = target.frame @ pattern_parabolic(pattern, n).frame.T
+            # column by column onto the catalog parabolic's, and the pattern's
+            # columns are a permutation of range(n), so all of kappa is written
+            kappa = np.empty((n, n), dtype=complex)
+            kappa[:, _pattern_columns(pattern, n)] = target.frame
             targets[key] = (pattern, idx, target, kappa[:k, :k])
     k2 = np.array([targets[key][3] for key in keys], dtype=complex).reshape(-1, k, k)
     blocks = k2 @ k1
@@ -692,7 +699,7 @@ def verify_nilradical(
     a trial whose two strong-regularity routes disagree counts only as a
     disagreement."""
     done = _Trials(trials)
-    xs = _conjugated_samples(nilradical_n(i, n), n, [rng.derive(t) for t in range(trials)], done)
+    xs = _conjugated_samples([nilradical_n(i, n)], n, [rng.derive(t) for t in range(trials)], done)
     if done.errors:
         raise done.errors[min(done.errors)]
     rep, errors = _strong_regularity_stack(xs, tol)

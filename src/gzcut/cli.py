@@ -9,8 +9,9 @@ Reports are JSON objects with sorted keys (or a flat text table), so a fixed
 command line plus a fixed seed produces byte-identical output.  The seeded
 commands share one stream layout: loop k of a report starts on stream k*T,
 T being its trial or repeat count, and trial t of the loop draws from
-derive(t).  Each loop's trials run as one stack (see gzcut.orbits);
-`--workers` is accepted but has no effect.
+derive(t).  Each loop's trials run as one stack, and `verify` runs all its
+containment loops as one stack (see gzcut.orbits); `--workers` is accepted
+but has no effect.
 
 A status is decided by the claim's own checks.  `sn` passes when every
 sampled pair is nilpotent and the strongly regular fraction is above 0.99 on
@@ -53,7 +54,7 @@ from .flags import (
     v_matrix,
 )
 from .linalg import DEFAULT_TOL
-from .orbits import SeededRng, estimate_dim, verify_containment
+from .orbits import SeededRng, _containment_loops, estimate_dim
 from .spectra import coincidence_count
 
 EXIT_PASS = 0
@@ -264,12 +265,13 @@ def cmd_verify(args) -> int:
     )
     if trials == 0:
         return _exit(args, params, claim, {}, None)
-    # one loop per catalog index, then one per count l
+    # one loop per catalog index, all run as one stack, then one per count l
     loops = _loops(args, trials)
-    containment = []
-    for idx in all_orbit_indices(n):
-        rep = verify_containment(idx, n, trials, next(loops), tol)
-        containment.append({**asdict(rep), "idx": [idx.i, idx.j], "bound": n - 1 - idx.length})
+    indices = all_orbit_indices(n)
+    containment = [
+        {**asdict(rep), "idx": [rep.idx.i, rep.idx.j], "bound": n - 1 - rep.idx.length}
+        for rep in _containment_loops(indices, n, trials, [next(loops) for _ in indices], tol)
+    ]
     roundtrips = []
     for l in range(n):
         entry = asdict(verify_roundtrips(n, l, trials, next(loops), tol))

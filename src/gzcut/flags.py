@@ -8,7 +8,8 @@ A flag is held as its stabilizer: a SubalgebraSpec whose frame's first
 steps[k] columns span the k-th step, with the block upper triangular mask
 over the steps.  Every catalog frame is a permutation or unimodular integer
 matrix, so the bases B E_rs B^-1 are exact integer matrices and the rank
-tests downstream are effectively exact.
+tests downstream are effectively exact.  Each catalog constructor builds its
+spec once per argument and returns that one read-only spec on every call.
 
 Convention: the permutation matrix of a cycle c sends e_k to e_{c(k)}.  This
 is validated against the explicit frames (the column prefixes of
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -83,8 +84,9 @@ class SubalgebraSpec:
 
     frame is the invertible matrix B and mask a boolean n x n pattern, both
     kept read-only with the inverse of B.  The basis {B E_rs B^-1 : mask[r, s]},
-    row-major over the mask, is built on first use.  Closure under the bracket
-    holds for the catalog's masks and is tested, not checked here.
+    row-major over the mask, is built on first use and read-only too, so a
+    spec can be shared.  Closure under the bracket holds for the catalog's
+    masks and is tested, not checked here.
     """
 
     frame: np.ndarray
@@ -111,9 +113,10 @@ class SubalgebraSpec:
     @cached_property
     def basis(self) -> tuple:
         rows, cols = np.nonzero(self.mask)
-        return tuple(
-            np.outer(self.frame[:, r], self.inverse[s, :]) for r, s in zip(rows, cols)
-        )
+        basis = tuple(np.outer(self.frame[:, r], self.inverse[s, :]) for r, s in zip(rows, cols))
+        for b in basis:
+            b.flags.writeable = False
+        return basis
 
 
 def _stack(mats) -> np.ndarray:
@@ -230,6 +233,7 @@ def _levi_blocks(mask) -> list:
     return np.diff(ends, prepend=0).tolist()
 
 
+@cache
 def parabolic_p(idx: OrbitIndex, n: int) -> SubalgebraSpec:
     """Theta-stable parabolic for orbit (i, j): the stabilizer of the partial
     flag e_1 < ... < e_{i-1} < {e_i..e_{j-1}, e_n} < e_j < ... < e_{n-1}.
@@ -241,12 +245,14 @@ def parabolic_p(idx: OrbitIndex, n: int) -> SubalgebraSpec:
     return stabilizer(frame, (*range(1, i), *range(j, n + 1)))
 
 
+@cache
 def borel_b(idx: OrbitIndex, n: int) -> SubalgebraSpec:
     """Borel subalgebra for orbit (i, j): the stabilizer of the catalog full
     flag, whose k-th step is spanned by the first k columns of its frame."""
     return stabilizer(_borel_frame(idx, n), range(1, n + 1))
 
 
+@cache
 def nilradical_n(i: int, n: int) -> SubalgebraSpec:
     """Nilradical of the closed-orbit Borel (i, i): strictly upper pattern in
     the frame of borel_b((i, i), n).  Its elements are nilpotent together
@@ -256,6 +262,7 @@ def nilradical_n(i: int, n: int) -> SubalgebraSpec:
     return stabilizer(_borel_frame(OrbitIndex(i, i), n), range(1, n + 1), strict=True)
 
 
+@cache
 def cutoff_parabolic(idx: OrbitIndex, n: int) -> SubalgebraSpec:
     """Parabolic of gl(n-1) predicted for the cutoff projection of parabolic_p.
 
@@ -271,6 +278,7 @@ def cutoff_parabolic(idx: OrbitIndex, n: int) -> SubalgebraSpec:
     return stabilizer(np.eye(n - 1), steps)
 
 
+@cache
 def fixed_point_subalgebra(n: int) -> SubalgebraSpec:
     """Block-diagonal gl(n-1) + gl(1): the fixed points of the involution."""
     if n < 2:

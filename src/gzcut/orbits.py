@@ -7,15 +7,18 @@ handle on stream + t, so a loop's draws depend only on its starting handle.
 
 The trial loops are stacked: every trial still draws from its own handle, in
 the order a lone trial would, but the linear algebra of all the loop's trials
-is done by one call per kernel on a (T, n, n) stack.  A trial that fails is
-retired with its exception and the others go on; the one-trial functions
-(sample_K, sample_in, containment_trial, tangent_dim) are the engine run on a
-single handle or point.
+is done by one call per kernel on a (T, n, n) stack.  The containment loops
+of a report, one per catalog index, run as one stack of all their trials
+with the stream layout unchanged; only the sample_in contraction stays per
+index.  A trial that fails is retired with its exception and the others go
+on; the one-trial functions (sample_K, sample_in, containment_trial,
+tangent_dim) are the engine run on a single handle or point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,14 +51,19 @@ _RESAMPLE_LIMIT = 100
 
 @dataclass(eq=False)
 class SeededRng:
-    """Reproducible RNG handle: (seed, stream) fully determines the draws."""
+    """Reproducible RNG handle: (seed, stream) fully determines the draws.
+
+    The generator is seeded on the first draw, so a handle that only derives
+    others costs nothing.
+    """
 
     seed: int
     stream: int = 0
 
-    def __post_init__(self):
+    @cached_property
+    def _gen(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        return np.random.Generator(np.random.PCG64(ss))
 
     def derive(self, offset: int) -> "SeededRng":
         """Fresh handle on stream + offset; used to give each trial its own."""
@@ -188,10 +196,17 @@ def _sample_in_stack(s: SubalgebraSpec, rngs: list) -> np.ndarray:
     return np.tensordot(coeffs.reshape(-1, s.dim), np.array(s.basis), axes=1)
 
 
-def _conjugated_samples(s: SubalgebraSpec, n: int, rngs: list, trials: _Trials) -> np.ndarray:
-    """ad(sample_K(r, n), sample_in(s, r)) on the handle r of every live trial."""
+def _conjugated_samples(specs: list, n: int, rngs: list, trials: _Trials) -> np.ndarray:
+    """ad(sample_K(r, n), sample_in(s, r)) on the handle r of every live trial.
+
+    The handles run over the specs in equal consecutive groups, trial t
+    sampling specs[t // (len(rngs) / len(specs))]; each group's sample_in is
+    one contraction, and sample_K and ad one stack over all the groups.
+    """
     blocks, scalars, _ = _sample_K_stack(rngs, n, trials)
-    xs = _sample_in_stack(s, [rngs[t] for t in trials.live])
+    per = max(len(rngs) // len(specs), 1)
+    groups = [trials.live[trials.live // per == k] for k in range(len(specs))]
+    xs = np.concatenate([_sample_in_stack(s, [rngs[t] for t in g]) for s, g in zip(specs, groups)])
     return _conjugate(_block_diagonal(blocks, scalars), xs, trials)[0]
 
 
@@ -226,11 +241,12 @@ class ContainmentReport:
     worst_residual: float
 
 
-def _containment_stack(p: SubalgebraSpec, n: int, rngs: list, tol: Tolerances):
-    """containment_trial on every handle: (trials, l, worst pair residual),
-    the last two for the trials that did not fail."""
+def _containment_stack(specs: list, n: int, rngs: list, tol: Tolerances):
+    """containment_trial on every handle, the handles running over the specs
+    in equal consecutive groups: (trials, l, worst pair residual), the last
+    two for the trials that did not fail."""
     trials = _Trials(len(rngs))
-    ys = _conjugated_samples(p, n, rngs, trials)
+    ys = _conjugated_samples(specs, n, rngs, trials)
     _, matched, cost, errors = _coincidence_stack(ys, tol)
     keep = trials.drop(errors)
     matched, cost = matched[keep], cost[keep]
@@ -240,10 +256,30 @@ def _containment_stack(p: SubalgebraSpec, n: int, rngs: list, tol: Tolerances):
 def containment_trial(p: SubalgebraSpec, n: int, rng: SeededRng, tol: Tolerances):
     """One trial: conjugate a random element of p by a random group element
     and count coincidences.  Returns (l, worst pair residual) or raises."""
-    trials, l, worst = _containment_stack(p, n, [rng], tol)
+    trials, l, worst = _containment_stack([p], n, [rng], tol)
     if trials.errors:
         raise trials.errors[0]
     return int(l[0]), float(worst[0])
+
+
+def _containment_loops(idxs: list, n: int, trials: int, rngs: list, tol: Tolerances) -> list:
+    """verify_containment for every idxs[k] on its loop handle rngs[k], as one
+    stack: the trials of all the loops share each sample_K, ad and
+    eigenvalue call, and every trial draws from its own handle as before."""
+    handles = [rng.derive(t) for rng in rngs for t in range(trials)]
+    specs = [parabolic_p(idx, n) for idx in idxs]
+    done, l, worst = _containment_stack(specs, n, handles, tol)
+    per = max(trials, 1)
+    loop = done.live // per
+    failed = np.bincount(np.fromiter(done.errors, int) // per, minlength=len(idxs))
+    reports = []
+    for k, idx in enumerate(idxs):
+        lk = l[loop == k]
+        low = int((lk < n - 1 - idx.length).sum())
+        least = int(lk.min()) if lk.size else None
+        top = float(worst[loop == k].max(initial=0.0))
+        reports.append(ContainmentReport(idx, trials, low, int(failed[k]), least, top))
+    return reports
 
 
 def verify_containment(
@@ -259,16 +295,7 @@ def verify_containment(
     The containment is an exact algebraic statement, so any violation beyond
     eigensolver noise is a bug; numerical failures are tallied separately.
     """
-    p = parabolic_p(idx, n)
-    done, l, worst = _containment_stack(p, n, [rng.derive(t) for t in range(trials)], tol)
-    return ContainmentReport(
-        idx,
-        trials,
-        int((l < n - 1 - idx.length).sum()),
-        len(done.errors),
-        int(l.min()) if l.size else None,
-        float(worst.max(initial=0.0)),
-    )
+    return _containment_loops([idx], n, trials, [rng], tol)[0]
 
 
 def _tangent_ranks(s: SubalgebraSpec, xs: np.ndarray, tol: Tolerances) -> np.ndarray:

@@ -272,6 +272,12 @@ def serial_verify_containment(idx, n, trials, rng, tol):
     return ContainmentReport(idx, trials, violations, failures, min_l, worst)
 
 
+def serial_containment_loops(idxs, n, trials, rngs, tol):
+    """The containment loops of a `verify` report before they shared one
+    stack: one loop per index idxs[k] on its handle rngs[k], in turn."""
+    return [serial_verify_containment(idx, n, trials, rng, tol) for idx, rng in zip(idxs, rngs)]
+
+
 def serial_verify_roundtrips(n, l, trials, rng, tol):
     from gzcut import (
         CutoffNotRegularSemisimple,

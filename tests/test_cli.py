@@ -174,6 +174,29 @@ def test_verify_serial_and_parallel_reports_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_report_does_not_depend_on_what_ran_before_it(tmp_path):
+    # the catalog specs are cached per process: a report must not see
+    # anything an earlier report in the same process left behind
+    argv = ["verify", "--n", "6", "--trials", "14", "--seed", "11"]
+    env = {**os.environ, "PYTHONPATH": str(Path(gzcut.__file__).parents[1])}
+    fresh = subprocess.run(
+        [sys.executable, "-m", "gzcut.cli", *argv], capture_output=True, env=env, timeout=120
+    )
+    assert fresh.returncode == 0 and fresh.stdout
+    for other in (
+        ["catalog", "--n", "6"],
+        ["dims", "--n", "6", "--repeats", "3"],
+        ["sn", "--n", "4", "--trials", "40"],
+    ):
+        assert main(other + ["--output", str(tmp_path / "other.json")]) == 0, other
+    reports = []
+    for k in range(2):
+        out = tmp_path / f"verify{k}.json"
+        assert main(argv + ["--output", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports == [fresh.stdout, fresh.stdout]
+
+
 def test_verify_entries_are_the_library_reports(tmp_path):
     # catalog index k starts on stream k*T; count l continues after the 6 indices
     code, report = run(tmp_path, "verify", "--n", "3", "--trials", "20", "--seed", "5")

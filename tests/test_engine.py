@@ -40,6 +40,7 @@ from gzcut import (
 from oracles import (
     cgauss,
     lsa_assignment,
+    serial_containment_loops,
     serial_estimate_dim,
     serial_random_xi,
     serial_verify_containment,
@@ -191,6 +192,45 @@ def test_a_failed_stacked_solve_costs_only_its_own_trial(monkeypatch):
     assert rep.failures == 1 and clean.failures == 0 and rep.violations == 0
     # the other five trials count as they do one at a time
     assert rep == serial_verify_containment(idx, n, trials, rng, Tolerances())
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_one_containment_stack_equals_the_per_index_loops(n):
+    # the streams of `verify`: index k starts on stream k*T
+    tol, trials = Tolerances(), 14
+    idxs = all_orbit_indices(n)
+    for seed in SEEDS:
+        rngs = [SeededRng(seed, k * trials) for k in range(len(idxs))]
+        got = gzcut.orbits._containment_loops(idxs, n, trials, rngs, tol)
+        # the reports are dataclasses: every field, worst_residual too, is equal
+        assert got == serial_containment_loops(idxs, n, trials, rngs, tol), (n, seed)
+
+
+def test_a_failed_trial_in_the_containment_stack_lands_on_its_own_index(monkeypatch):
+    n, trials, bad, tol = 4, 6, 3, Tolerances()
+    idxs = all_orbit_indices(n)
+    rngs = [SeededRng(21, k * trials) for k in range(len(idxs))]
+    clean = gzcut.orbits._containment_loops(idxs, n, trials, rngs, tol)
+    # the conjugated sample of trial 2 of index `bad`, whose eigenvalues are made to fail
+    r = rngs[bad].derive(2)
+    poison = ad(sample_K(r, n), sample_in(parabolic_p(idxs[bad], n), r))
+    real = np.linalg.eigvals
+    stacks = []
+
+    def eigvals(a):
+        a = np.asarray(a)
+        stacks.append(a.shape)
+        if any(np.array_equal(m, poison) for m in a.reshape(-1, *a.shape[-2:])):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    got = gzcut.orbits._containment_loops(idxs, n, trials, rngs, tol)
+    assert (len(idxs) * trials, n, n) in stacks  # every index's trials in one call first
+    assert [rep.failures for rep in got] == [int(k == bad) for k in range(len(idxs))]
+    assert [rep.failures for rep in clean] == [0] * len(idxs)
+    assert got[:bad] + got[bad + 1 :] == clean[:bad] + clean[bad + 1 :]
+    assert got[bad] == serial_verify_containment(idxs[bad], n, trials, rngs[bad], tol)
 
 
 def test_sample_K_past_its_resample_limit_fails_only_that_round_trip(monkeypatch):

@@ -122,6 +122,26 @@ def test_subalgebra_spec_is_a_read_only_frame_and_mask():
     assert all(np.array_equal(a, b) for a, b in zip(s.basis, expected))
 
 
+@pytest.mark.parametrize("n", [3, 6])
+def test_catalog_constructors_share_one_read_only_spec_per_argument(n):
+    idx = OrbitIndex(2, n)
+    p = parabolic_p(idx, n)
+    assert parabolic_p(idx, n) is p
+    assert borel_b(idx, n) is borel_b(idx, n)
+    assert nilradical_n(2, n) is nilradical_n(2, n)
+    assert cutoff_parabolic(idx, n) is cutoff_parabolic(idx, n)
+    assert fixed_point_subalgebra(n) is fixed_point_subalgebra(n)
+    before = [b.copy() for b in p.basis]
+    for arr in (p.basis[0], p.frame, p.inverse):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 7.0
+    with pytest.raises(ValueError):
+        p.basis[0] += 1.0
+    # nothing a caller tried reached the shared spec
+    assert parabolic_p(idx, n) is p
+    assert all(np.array_equal(a, b) for a, b in zip(parabolic_p(idx, n).basis, before))
+
+
 def test_subalgebra_spec_rejects_singular_frames_and_misshapen_masks():
     mask = np.ones((3, 3), dtype=bool)
     for frame in (np.ones((3, 3)), np.diag([1.0, 1.0, 0.0]), [[1.0, 1.0], [1.0, 1.0 + 1e-15]]):
