@@ -29,6 +29,7 @@ from .linalg import (
     _eigvals_stack,
     _lapack_stack,
     _rank_stack,
+    _record,
     as_cmatrix,
     sort_complex,
 )
@@ -37,10 +38,10 @@ from .orbits import (
     KElement,
     SeededRng,
     _block_diagonal,
+    _check_arg,
     _conjugate,
     _conjugated_samples,
     _sample_K_stack,
-    _Trials,
 )
 from .spectra import _coincidence_stack, _match_stack
 
@@ -177,9 +178,9 @@ def _xi_stack(h, y, z, w, l: int, tol: Tolerances):
     """xi_build over stacks: h, y, z of shape (T, n-1) and w of shape (T,).
 
     Returns the (T, n, n) bordered matrices and, for each position that fails
-    a check, its XiInvariantError or the EigensolverError of the spectral
-    check.  The coincidences of all positions that pass the structural checks
-    are counted by one stacked solve.
+    a check, its first XiInvariantError or the EigensolverError of the
+    spectral check.  The coincidences of every position are counted by one
+    stacked solve.
     """
     count, k = h.shape
     slots = np.arange(k)
@@ -215,27 +216,23 @@ def _xi_stack(h, y, z, w, l: int, tol: Tolerances):
                 f"slot {i + 1} lies outside the shared range but z*y vanishes"
             )
 
-    rest = np.array([t for t in range(count) if t not in errors], dtype=int)
-    cut, matched, _, spectral = _coincidence_stack(mats[rest], tol)
+    cut, matched, _ = _coincidence_stack(mats, tol, errors)
     counts = matched.sum(axis=(1, 2))
-    for pos, exc in spectral.items():
-        errors[rest[pos]] = exc
-    for pos in (counts != l).nonzero()[0]:
+    for t in (counts != l).nonzero()[0]:
         errors.setdefault(
-            rest[pos],
+            t,
             XiInvariantError(
-                f"assembled matrix shares {counts[pos]} eigenvalues with its cutoff, expected {l}"
+                f"assembled matrix shares {counts[t]} eigenvalues with its cutoff, expected {l}"
             ),
         )
     if l:
         exact = (counts == l).nonzero()[0]
         shared = cut[exact][matched[exact].any(axis=2)].reshape(-1, l)
-        planted = sort_complex(h[rest[exact], :l])
-        off = np.abs(shared - planted).max(axis=1) > 10.0 * gap_tol[rest[exact]]
-        for pos in exact[off]:
+        planted = sort_complex(h[exact, :l])
+        off = np.abs(shared - planted).max(axis=1) > 10.0 * gap_tol[exact]
+        for t in exact[off]:
             errors.setdefault(
-                rest[pos],
-                XiInvariantError("shared eigenvalues differ from the leading diagonal values"),
+                t, XiInvariantError("shared eigenvalues differ from the leading diagonal values")
             )
     return mats, errors
 
@@ -303,22 +300,25 @@ def pattern_parabolic(pattern: ULPattern, n: int) -> SubalgebraSpec:
     return stabilizer(frame, np.cumsum([1] * u + [n - c] + [1] * (c - u)))
 
 
-def _reduce_stack(mats: np.ndarray, tol: Tolerances, trials: _Trials):
+def _reduce_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
     """reduce_to_xi over a (T, n, n) stack: one eig call for the cutoffs, one
     eigvals call for the full matrices and one inv call for each inverse.
 
-    Returns, for the trials still live: their matrices, the conjugating
-    blocks, the bordered forms and the shared counts.
+    Returns the conjugating blocks, the bordered forms and the shared counts
+    of every trial.  A failed trial counts 0 shared values and gets no
+    conditioning warning.
     """
     n = mats.shape[-1]
     (evals, evecs), failed = _lapack_stack(np.linalg.eig, mats[:, :-1, :-1])
-    errors = {t: EigensolverError("eigendecomposition of the cutoff failed") for t in failed}
+    _record(
+        errors, {t: EigensolverError("eigendecomposition of the cutoff failed") for t in failed}
+    )
     diag = np.arange(n - 1)
     gaps = np.abs(evals[:, :, None] - evals[:, None, :])
     gaps[:, diag, diag] = np.inf
     gap = gaps.min(axis=(1, 2))
     policy = _RS_GAP_FACTOR * tol.eig_match * (1.0 + np.abs(evals).max(axis=1))
-    for t in (gap <= policy).nonzero()[0]:
+    for t in (gap <= policy).nonzero()[0].tolist():
         errors.setdefault(
             t,
             CutoffNotRegularSemisimple(
@@ -327,26 +327,26 @@ def _reduce_stack(mats: np.ndarray, tol: Tolerances, trials: _Trials):
             ),
         )
     for t in ((gap > policy) & (gap <= 10.0 * policy)).nonzero()[0]:
-        warnings.warn(
-            f"cutoff spectrum nearly degenerate (gap {gap[t]:.3e}); eigenvector "
-            f"condition number {np.linalg.cond(evecs[t]):.3e}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        if t not in errors:
+            warnings.warn(
+                f"cutoff spectrum nearly degenerate (gap {gap[t]:.3e}); eigenvector "
+                f"condition number {np.linalg.cond(evecs[t]):.3e}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
     full, spectral = _eigvals_stack(mats, tol)
-    for t, exc in spectral.items():
-        errors.setdefault(t, exc)
-    keep = trials.drop(errors)
-    mats, evals, evecs, full = mats[keep], evals[keep], evecs[keep], full[keep]
+    _record(errors, spectral)
 
     # shared values first, each group sorted by (real, imag)
     shared = _match_stack(evals, sort_complex(full), tol.eig_match)[0].any(axis=2)
     order = np.lexsort((evals.imag, evals.real, ~shared), axis=-1)
     inverses, failed = _lapack_stack(np.linalg.inv, evecs)
-    keep = trials.drop({t: EigensolverError("cutoff eigenvectors are singular") for t in failed})
-    blocks = np.eye(n - 1)[order[keep]] @ inverses[keep]
-    forms, kept = _conjugate(_block_diagonal(blocks, 1.0), mats[keep], trials)
-    return mats[keep][kept], blocks[kept], forms, shared[keep][kept].sum(axis=1)
+    _record(errors, {t: EigensolverError("cutoff eigenvectors are singular") for t in failed})
+    blocks = np.eye(n - 1)[order] @ inverses
+    forms = _conjugate(_block_diagonal(blocks, 1.0), mats, errors)
+    counts = shared.sum(axis=1)
+    counts[list(errors)] = 0
+    return blocks, forms, counts
 
 
 def reduce_to_xi(x, tol: Tolerances = DEFAULT_TOL):
@@ -362,22 +362,23 @@ def reduce_to_xi(x, tol: Tolerances = DEFAULT_TOL):
     n = m.shape[0]
     if n < 2:
         raise ValueError("the reduction needs n >= 2")
-    trials = _Trials(1)
-    _, blocks, forms, counts = _reduce_stack(m[None], tol, trials)
-    if trials.errors:
-        raise trials.errors[0]
+    errors = {}
+    blocks, forms, counts = _reduce_stack(m[None], tol, errors)
+    if errors:
+        raise errors[0]
     return KElement(blocks[0], 1.0, n), _xi_element(forms[0], int(counts[0]))
 
 
-def _canonical_stack(mats: np.ndarray, tol: Tolerances, trials: _Trials) -> list:
-    """canonical_form over a (T, n, n) stack: the results of the live trials.
+def _canonical_stack(mats: np.ndarray, tol: Tolerances, errors: dict) -> list:
+    """canonical_form over a (T, n, n) stack: the results of the trials that
+    did not fail, in trial order.
 
     The conjugating permutation is built once per distinct U/L pattern in
     the stack, from the pattern's column order and the catalog frame.
     """
     n = mats.shape[-1]
     k = n - 1
-    mats, k1, forms, counts = _reduce_stack(mats, tol, trials)
+    k1, forms, counts = _reduce_stack(mats, tol, errors)
     h, y, z, w = forms.diagonal(0, 1, 2)[:, :k], forms[:, :k, k], forms[:, k, :k], forms[:, k, k]
     upper = _upper_marks(h, y, z, w, counts, tol)
     targets = {}
@@ -396,17 +397,18 @@ def _canonical_stack(mats: np.ndarray, tol: Tolerances, trials: _Trials) -> list
             targets[key] = (pattern, idx, target, kappa[:k, :k])
     k2 = np.array([targets[key][3] for key in keys], dtype=complex).reshape(-1, k, k)
     blocks = k2 @ k1
-    images, kept = _conjugate(_block_diagonal(blocks, 1.0), mats, trials)
-    keys = [key for key, live in zip(keys, kept) if live]
+    images = _conjugate(_block_diagonal(blocks, 1.0), mats, errors)
     results = []
-    for t, (key, block, c) in enumerate(zip(keys, blocks[kept], counts[kept])):
+    for t, (key, block, image, c) in enumerate(zip(keys, blocks, images, counts)):
+        if t in errors:
+            continue
         pattern, idx, target, _ = targets[key]
         results.append(
             CanonicalFormResult(
                 k=KElement(block, 1.0, n),
                 idx=idx,
-                image=images[t],
-                residual=contains(target, images[t], tol).residual,
+                image=image,
+                residual=contains(target, image, tol).residual,
                 l=int(c),
                 pattern=pattern,
             )
@@ -426,10 +428,10 @@ def canonical_form(x, tol: Tolerances = DEFAULT_TOL) -> CanonicalFormResult:
     m = as_cmatrix(x)
     if m.shape[0] < 2:
         raise ValueError("the reduction needs n >= 2")
-    trials = _Trials(1)
-    results = _canonical_stack(m[None], tol, trials)
-    if trials.errors:
-        raise trials.errors[0]
+    errors = {}
+    results = _canonical_stack(m[None], tol, errors)
+    if errors:
+        raise errors[0]
     return results[0]
 
 
@@ -459,42 +461,42 @@ def _draw_xi(rng: SeededRng, n: int, l: int):
     return h, y, z, complex(rng.complex_normal())
 
 
-def _random_xi_stack(rngs: list, n: int, l: int, tol: Tolerances, trials: _Trials):
-    """random_xi on the handle of every live trial: their bordered matrices.
+def _random_xi_stack(rngs: list, n: int, l: int, tol: Tolerances, errors: dict):
+    """random_xi on the handle of every trial: their bordered matrices.
 
     Each round draws one candidate per pending trial and validates all of
-    them by one stacked xi_build; the rejected ones draw again.
+    them by one stacked xi_build; the rejected ones draw again.  A candidate
+    whose spectral check fails keeps its slot and fails its trial.
     """
-    accepted = np.empty((len(trials.live), n, n), dtype=complex)
-    draws = np.zeros(len(trials.live), dtype=int)
-    pending = list(range(len(trials.live)))
-    errors = {}
+    accepted = np.empty((len(rngs), n, n), dtype=complex)
+    draws = np.zeros(len(rngs), dtype=int)
+    pending = list(range(len(rngs)))
     while pending:
         candidates = []
-        for pos in pending:
+        for t in pending:
             draw = None
             while draw is None:
-                if draws[pos] == _RESAMPLE_LIMIT:
+                if draws[t] == _RESAMPLE_LIMIT:
                     raise XiInvariantError(
                         f"no draw out of {_RESAMPLE_LIMIT} planted exactly l={l} coincidences "
                         f"at n={n} with eig_match={tol.eig_match:g}"
                     )
-                draws[pos] += 1
-                draw = _draw_xi(rngs[trials.live[pos]], n, l)
+                draws[t] += 1
+                draw = _draw_xi(rngs[t], n, l)
             candidates.append(draw)
         h, y, z, w = (np.array(part) for part in zip(*candidates))
         mats, rejected = _xi_stack(h, y, z, w, l, tol)
         redraw = []
-        for i, pos in enumerate(pending):
+        for i, t in enumerate(pending):
             exc = rejected.get(i)
-            if exc is None:
-                accepted[pos] = mats[i]
-            elif isinstance(exc, XiInvariantError):
-                redraw.append(pos)
-            else:
-                errors[pos] = exc
+            if isinstance(exc, XiInvariantError):
+                redraw.append(t)
+                continue
+            accepted[t] = mats[i]
+            if exc is not None:
+                errors.setdefault(t, exc)
         pending = redraw
-    return accepted[trials.drop(errors)]
+    return accepted
 
 
 def random_xi(rng: SeededRng, n: int, l: int, tol: Tolerances = DEFAULT_TOL) -> XiElement:
@@ -506,12 +508,12 @@ def random_xi(rng: SeededRng, n: int, l: int, tol: Tolerances = DEFAULT_TOL) -> 
     it at the given tolerance; after _RESAMPLE_LIMIT draws, which a loose
     eig_match can force, XiInvariantError is raised.
     """
-    if not 0 <= l <= n - 1:
-        raise ValueError(f"l={l} out of range for n={n}")
-    trials = _Trials(1)
-    mats = _random_xi_stack([rng], n, l, tol, trials)
-    if trials.errors:
-        raise trials.errors[0]
+    _check_arg("n", n, 2)
+    _check_arg("l", l, 0, n - 1)
+    errors = {}
+    mats = _random_xi_stack([rng], n, l, tol, errors)
+    if errors:
+        raise errors[0]
     return _xi_element(mats[0], l)
 
 
@@ -536,18 +538,21 @@ def verify_roundtrips(
 ) -> RoundTripReport:
     """Monte Carlo check that canonical_form recovers a planted count l; trial
     t draws random_xi, then sample_K, from rng.derive(t)."""
+    _check_arg("n", n, 2)
+    _check_arg("l", l, 0, n - 1)
+    _check_arg("trials", trials, 0)
     rngs = [rng.derive(t) for t in range(trials)]
-    done = _Trials(trials)
-    planted = _random_xi_stack(rngs, n, l, tol, done)
-    blocks, scalars, keep = _sample_K_stack(rngs, n, done)
-    xs, _ = _conjugate(_block_diagonal(blocks, scalars), planted[keep], done)
-    results = _canonical_stack(xs, tol, done)
+    errors = {}
+    planted = _random_xi_stack(rngs, n, l, tol, errors)
+    blocks, scalars = _sample_K_stack(rngs, n, errors)
+    xs = _conjugate(_block_diagonal(blocks, scalars), planted, errors)
+    results = _canonical_stack(xs, tol, errors)
     worst = max((res.residual for res in results), default=0.0)
     borel_indices = tuple(sorted({res.idx.i for res in results})) if l == n - 1 else None
     return RoundTripReport(
         l,
         trials,
-        len(done.errors),
+        len(errors),
         sum(res.l != l or res.idx.length != n - 1 - l for res in results),
         worst,
         _ROUNDTRIP_RESIDUAL_CAP,
@@ -698,10 +703,14 @@ def verify_nilradical(
     Returns (nilpotent pairs, strongly regular trials, method disagreements);
     a trial whose two strong-regularity routes disagree counts only as a
     disagreement."""
-    done = _Trials(trials)
-    xs = _conjugated_samples([nilradical_n(i, n)], n, [rng.derive(t) for t in range(trials)], done)
-    if done.errors:
-        raise done.errors[min(done.errors)]
-    rep, errors = _strong_regularity_stack(xs, tol)
-    keep = done.drop(errors)
-    return int(_nilpotent_pairs(xs, tol).sum()), int(rep.ok[keep].sum()), len(errors)
+    _check_arg("n", n, 2)
+    _check_arg("i", i, 1, n)
+    _check_arg("trials", trials, 0)
+    errors = {}
+    rngs = [rng.derive(t) for t in range(trials)]
+    xs = _conjugated_samples([nilradical_n(i, n)], n, rngs, errors)
+    if errors:
+        raise errors[min(errors)]
+    rep, disagreements = _strong_regularity_stack(xs, tol)
+    strong = int(np.delete(rep.ok, list(disagreements)).sum())
+    return int(_nilpotent_pairs(xs, tol).sum()), strong, len(disagreements)

@@ -85,6 +85,13 @@ def sort_complex(values) -> np.ndarray:
     return np.sort(np.asarray(values, dtype=complex), axis=-1, kind="stable")
 
 
+def _record(errors: dict, failures: dict) -> None:
+    """Add each trial's exception to errors unless that trial failed already:
+    a trial reports the first failure it met."""
+    for t, exc in failures.items():
+        errors.setdefault(int(t), exc)
+
+
 def _lapack_stack(kernel, mats):
     """kernel applied to a (T, n, n) stack of matrices in one call.
 

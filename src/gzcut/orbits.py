@@ -10,9 +10,12 @@ the order a lone trial would, but the linear algebra of all the loop's trials
 is done by one call per kernel on a (T, n, n) stack.  The containment loops
 of a report, one per catalog index, run as one stack of all their trials
 with the stream layout unchanged; only the sample_in contraction stays per
-index.  A trial that fails is retired with its exception and the others go
-on; the one-trial functions (sample_K, sample_in, containment_trial,
-tangent_dim) are the engine run on a single handle or point.
+index.  Every stage takes and returns arrays with one entry per trial: a
+failed trial keeps its slot, with stand-in values, and its first exception
+goes to the loop's errors dict, keyed by trial number; results skip the
+failed trials only at the end.  The one-trial functions (sample_K,
+sample_in, containment_trial, tangent_dim) are the engine run on a single
+handle or point.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .linalg import (
     Tolerances,
     _lapack_stack,
     _rank_stack,
+    _record,
     as_cmatrix,
 )
 from .spectra import _coincidence_stack
@@ -100,25 +104,11 @@ class KElement:
         return _block_diagonal(self.block[None], self.scalar)[0]
 
 
-class _Trials:
-    """The trials of a stacked loop: which are still live, and why the others failed.
-
-    Stages keep their arrays aligned with `live`; a stage that loses trials
-    passes their positions in `live`, with the exception of each, to `drop`
-    and filters its arrays by the mask it returns.
-    """
-
-    def __init__(self, count: int):
-        self.live = np.arange(count)
-        self.errors = {}
-
-    def drop(self, errors: dict) -> np.ndarray:
-        keep = np.ones(len(self.live), dtype=bool)
-        for pos, exc in errors.items():
-            keep[pos] = False
-            self.errors[int(self.live[pos])] = exc
-        self.live = self.live[keep]
-        return keep
+def _check_arg(name: str, value: int, low: int, high: int | None = None) -> None:
+    """Raise a ValueError naming an argument below low or above high."""
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def _block_diagonal(blocks: np.ndarray, scalars) -> np.ndarray:
@@ -134,44 +124,43 @@ def _singular_values(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mats, compute_uv=False)
 
 
-def _sample_K_stack(rngs: list, n: int, trials: _Trials):
-    """sample_K on the handle of every live trial: (blocks, scalars, kept mask).
+def _sample_K_stack(rngs: list, n: int, errors: dict):
+    """sample_K on the handle of every trial: (blocks, scalars).
 
     The first block of every trial is checked against the conditioning floor
     by one stacked SVD; a trial whose block misses it redraws on its own
-    handle, up to _RESAMPLE_LIMIT draws in all.
+    handle, up to _RESAMPLE_LIMIT draws in all, unless it has failed already.
     """
     k = n - 1
-    blocks = np.array([rngs[t].complex_normal((k, k)) for t in trials.live], dtype=complex)
+    blocks = np.array([rng.complex_normal((k, k)) for rng in rngs], dtype=complex)
     blocks = blocks.reshape(-1, k, k)
     unsolved = f"SVD failed to converge on a {k} x {k} block"
     sv, failed = _lapack_stack(_singular_values, blocks)
-    errors = {pos: EigensolverError(unsolved) for pos in failed}
-    for pos in (sv[:, -1] <= _MIN_BLOCK_SV).nonzero()[0]:
-        rng = rngs[trials.live[pos]]
+    _record(errors, {t: EigensolverError(unsolved) for t in failed})
+    for t in (sv[:, -1] <= _MIN_BLOCK_SV).nonzero()[0].tolist():
+        if t in errors:
+            continue
         for _ in range(_RESAMPLE_LIMIT - 1):
-            block = rng.complex_normal((k, k))
+            block = rngs[t].complex_normal((k, k))
             redraw, failed = _lapack_stack(_singular_values, block[None])
             if failed:
-                errors[pos] = EigensolverError(unsolved)
+                errors[t] = EigensolverError(unsolved)
                 break
             if redraw[0, -1] > _MIN_BLOCK_SV:
-                blocks[pos] = block
+                blocks[t] = block
                 break
         else:
-            errors[pos] = EigensolverError("conditioning resample limit exceeded")
-    keep = trials.drop(errors)
-    scalars = [
-        np.exp(2j * np.pi * rngs[t].uniform()) * (1.0 + rngs[t].uniform()) for t in trials.live
-    ]
-    return blocks[keep], np.array(scalars, dtype=complex), keep
+            errors[t] = EigensolverError("conditioning resample limit exceeded")
+    scalars = [np.exp(2j * np.pi * rng.uniform()) * (1.0 + rng.uniform()) for rng in rngs]
+    return blocks, np.array(scalars, dtype=complex)
 
 
-def _conjugate(kms: np.ndarray, xs: np.ndarray, trials: _Trials):
-    """ad over stacks: (kms @ xs @ kms^-1 for every live trial, kept mask)."""
+def _conjugate(kms: np.ndarray, xs: np.ndarray, errors: dict) -> np.ndarray:
+    """ad over stacks: kms @ xs @ kms^-1 for every trial; a singular kms
+    stands in as the identity."""
     inverses, failed = _lapack_stack(np.linalg.inv, kms)
-    keep = trials.drop({t: EigensolverError("conjugating element is singular") for t in failed})
-    return kms[keep] @ xs[keep] @ inverses[keep], keep
+    _record(errors, {t: EigensolverError("conjugating element is singular") for t in failed})
+    return kms @ xs @ inverses
 
 
 def sample_K(rng: SeededRng, n: int) -> KElement:
@@ -179,10 +168,10 @@ def sample_K(rng: SeededRng, n: int) -> KElement:
     value floor (for conditioning), scalar on an annulus around the circle."""
     if n < 2:
         raise ValueError("need n >= 2")
-    trials = _Trials(1)
-    blocks, scalars, _ = _sample_K_stack([rng], n, trials)
-    if trials.errors:
-        raise trials.errors[0]
+    errors = {}
+    blocks, scalars = _sample_K_stack([rng], n, errors)
+    if errors:
+        raise errors[0]
     return KElement(blocks[0], complex(scalars[0]), n)
 
 
@@ -196,18 +185,19 @@ def _sample_in_stack(s: SubalgebraSpec, rngs: list) -> np.ndarray:
     return np.tensordot(coeffs.reshape(-1, s.dim), np.array(s.basis), axes=1)
 
 
-def _conjugated_samples(specs: list, n: int, rngs: list, trials: _Trials) -> np.ndarray:
-    """ad(sample_K(r, n), sample_in(s, r)) on the handle r of every live trial.
+def _conjugated_samples(specs: list, n: int, rngs: list, errors: dict) -> np.ndarray:
+    """ad(sample_K(r, n), sample_in(s, r)) on the handle r of every trial.
 
-    The handles run over the specs in equal consecutive groups, trial t
-    sampling specs[t // (len(rngs) / len(specs))]; each group's sample_in is
-    one contraction, and sample_K and ad one stack over all the groups.
+    The handles run over the specs in equal consecutive groups; each group's
+    sample_in is one contraction, and sample_K and ad one stack over all the
+    groups.
     """
-    blocks, scalars, _ = _sample_K_stack(rngs, n, trials)
-    per = max(len(rngs) // len(specs), 1)
-    groups = [trials.live[trials.live // per == k] for k in range(len(specs))]
-    xs = np.concatenate([_sample_in_stack(s, [rngs[t] for t in g]) for s, g in zip(specs, groups)])
-    return _conjugate(_block_diagonal(blocks, scalars), xs, trials)[0]
+    blocks, scalars = _sample_K_stack(rngs, n, errors)
+    per = len(rngs) // len(specs)
+    xs = np.concatenate(
+        [_sample_in_stack(s, rngs[k * per : (k + 1) * per]) for k, s in enumerate(specs)]
+    )
+    return _conjugate(_block_diagonal(blocks, scalars), xs, errors)
 
 
 def sample_in(s: SubalgebraSpec, rng: SeededRng) -> np.ndarray:
@@ -241,24 +231,21 @@ class ContainmentReport:
     worst_residual: float
 
 
-def _containment_stack(specs: list, n: int, rngs: list, tol: Tolerances):
+def _containment_stack(specs: list, n: int, rngs: list, tol: Tolerances, errors: dict):
     """containment_trial on every handle, the handles running over the specs
-    in equal consecutive groups: (trials, l, worst pair residual), the last
-    two for the trials that did not fail."""
-    trials = _Trials(len(rngs))
-    ys = _conjugated_samples(specs, n, rngs, trials)
-    _, matched, cost, errors = _coincidence_stack(ys, tol)
-    keep = trials.drop(errors)
-    matched, cost = matched[keep], cost[keep]
-    return trials, matched.sum(axis=(1, 2)), np.where(matched, cost, 0.0).max(axis=(1, 2))
+    in equal consecutive groups: (l, worst pair residual) of every trial."""
+    ys = _conjugated_samples(specs, n, rngs, errors)
+    _, matched, cost = _coincidence_stack(ys, tol, errors)
+    return matched.sum(axis=(1, 2)), np.where(matched, cost, 0.0).max(axis=(1, 2))
 
 
 def containment_trial(p: SubalgebraSpec, n: int, rng: SeededRng, tol: Tolerances):
     """One trial: conjugate a random element of p by a random group element
     and count coincidences.  Returns (l, worst pair residual) or raises."""
-    trials, l, worst = _containment_stack([p], n, [rng], tol)
-    if trials.errors:
-        raise trials.errors[0]
+    errors = {}
+    l, worst = _containment_stack([p], n, [rng], tol, errors)
+    if errors:
+        raise errors[0]
     return int(l[0]), float(worst[0])
 
 
@@ -266,19 +253,19 @@ def _containment_loops(idxs: list, n: int, trials: int, rngs: list, tol: Toleran
     """verify_containment for every idxs[k] on its loop handle rngs[k], as one
     stack: the trials of all the loops share each sample_K, ad and
     eigenvalue call, and every trial draws from its own handle as before."""
+    _check_arg("n", n, 2)
+    _check_arg("trials", trials, 0)
     handles = [rng.derive(t) for rng in rngs for t in range(trials)]
-    specs = [parabolic_p(idx, n) for idx in idxs]
-    done, l, worst = _containment_stack(specs, n, handles, tol)
-    per = max(trials, 1)
-    loop = done.live // per
-    failed = np.bincount(np.fromiter(done.errors, int) // per, minlength=len(idxs))
+    errors = {}
+    l, worst = _containment_stack([parabolic_p(idx, n) for idx in idxs], n, handles, tol, errors)
     reports = []
     for k, idx in enumerate(idxs):
-        lk = l[loop == k]
+        done = [t for t in range(k * trials, (k + 1) * trials) if t not in errors]
+        lk = l[done]
         low = int((lk < n - 1 - idx.length).sum())
         least = int(lk.min()) if lk.size else None
-        top = float(worst[loop == k].max(initial=0.0))
-        reports.append(ContainmentReport(idx, trials, low, int(failed[k]), least, top))
+        top = float(worst[done].max(initial=0.0))
+        reports.append(ContainmentReport(idx, trials, low, trials - len(done), least, top))
     return reports
 
 
@@ -303,7 +290,7 @@ def _tangent_ranks(s: SubalgebraSpec, xs: np.ndarray, tol: Tolerances) -> np.nda
     t, n, _ = xs.shape
     zs = np.array(fixed_point_subalgebra(n).basis)
     rows = np.empty((t, len(zs) + s.dim, n * n), dtype=complex)
-    rows[:, : len(zs)] = (zs @ xs[:, None] - xs[:, None] @ zs).reshape(t, -1, n * n)
+    rows[:, : len(zs)] = (zs @ xs[:, None] - xs[:, None] @ zs).reshape(t, len(zs), n * n)
     rows[:, len(zs) :] = np.reshape(s.basis, (-1, n * n))
     norms = np.linalg.norm(rows, axis=-1)
     norms[norms == 0] = 1.0
@@ -335,5 +322,6 @@ def estimate_dim(
     Rank is lower semicontinuous, so the generic value is the max, attained
     with probability one; degenerate samples only ever undershoot.
     """
+    _check_arg("repeats", repeats, 0)
     xs = _sample_in_stack(s, [rng.derive(t) for t in range(repeats)])
     return int(_tangent_ranks(s, xs, tol).max(initial=0))

@@ -20,6 +20,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     _eigvals_stack,
+    _record,
     aberth_roots,
     as_cmatrix,
     cutoff,
@@ -30,7 +31,6 @@ from .linalg import (
 __all__ = [
     "GZImage",
     "CoincidenceReport",
-    "gz_function",
     "phi_n",
     "match_spectra",
     "coincidence_count",
@@ -78,15 +78,6 @@ class CoincidenceReport:
     l: int
     pairs: tuple
     residuals: tuple
-
-
-def gz_function(x, i: int, j: int) -> complex:
-    """tr((x_i)^j) for the upper-left i x i corner x_i; homogeneous of degree j."""
-    m = as_cmatrix(x)
-    n = m.shape[0]
-    if not (1 <= i <= n and 1 <= j <= i):
-        raise ValueError(f"indices (i={i}, j={j}) out of range for n={n}")
-    return complex(np.trace(np.linalg.matrix_power(m[:i, :i], j)))
 
 
 def _power_traces(m: np.ndarray, count: int) -> tuple:
@@ -169,22 +160,23 @@ def coincidence_count(x, tol: Tolerances = DEFAULT_TOL) -> CoincidenceReport:
     return match_spectra(eigenvalues(m[:-1, :-1], tol), eigenvalues(m, tol), tol)
 
 
-def _coincidence_stack(mats: np.ndarray, tol: Tolerances):
+def _coincidence_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
     """coincidence_count over a (T, n, n) stack, with one eigenvalue call for
     the cutoffs and one for the full matrices.
 
-    Returns (cut, matched, cost, errors): the sorted cutoff spectra (T, n-1),
-    the (T, n-1, n) matching against the sorted full spectra with its
-    distances, and the EigensolverError of each failed position (the
-    cutoff's first, as coincidence_count raises it).
+    Returns (cut, matched, cost): the sorted cutoff spectra (T, n-1) and the
+    (T, n-1, n) matching against the sorted full spectra with its distances.
+    A failed position keeps its slot with stand-in values and its
+    EigensolverError goes to errors, the cutoff's first, as
+    coincidence_count raises it.
     """
-    cut, errors = _eigvals_stack(mats[:, :-1, :-1], tol)
+    cut, cut_errors = _eigvals_stack(mats[:, :-1, :-1], tol)
     full, full_errors = _eigvals_stack(mats, tol)
-    for t, exc in full_errors.items():
-        errors.setdefault(t, exc)
+    _record(errors, cut_errors)
+    _record(errors, full_errors)
     cut = sort_complex(cut)
     matched, cost = _match_stack(cut, sort_complex(full), tol.eig_match)
-    return cut, matched, cost, errors
+    return cut, matched, cost
 
 
 def newton_to_charpoly(power_sums) -> np.ndarray:

@@ -122,6 +122,13 @@ def cgauss(gen, shape=None):
     return (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def gz_function(x, i, j):
+    """tr((x_i)^j) for the upper-left i x i corner x_i, by np.linalg.matrix_power:
+    the oracle for phi_n's power sums and for finite differences of the traces."""
+    m = np.asarray(x, dtype=complex)
+    return complex(np.trace(np.linalg.matrix_power(m[:i, :i], j)))
+
+
 def lsa_assignment(a, b, radius):
     """Max-cardinality, then min-total-residual matching by a rectangular
     assignment with a prohibitive cost on inadmissible pairs, always.

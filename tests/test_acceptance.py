@@ -17,7 +17,6 @@ from gzcut import (
     coincidence_count,
     cutoff_parabolic,
     estimate_dim,
-    gz_function,
     gz_gradients,
     is_theta_stable,
     nilradical_n,
@@ -33,7 +32,7 @@ from gzcut import (
 )
 from gzcut.canonical import _strong_regularity_stack
 from gzcut.cli import main as cli_main
-from oracles import cgauss, exact_rank, levi_blocks
+from oracles import cgauss, exact_rank, gz_function, levi_blocks
 
 SEED = 20260809
 

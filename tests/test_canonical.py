@@ -17,7 +17,6 @@ from gzcut import (
     coincidence_count,
     contains,
     eigenvalues,
-    gz_function,
     gz_gradients,
     is_n_strongly_regular,
     nilradical_n,
@@ -35,7 +34,7 @@ from gzcut import (
     xi_build,
     xi_pattern,
 )
-from oracles import cgauss
+from oracles import cgauss, gz_function
 
 BORDERED = np.array([[1, 0, 0], [0, 2, 1], [0, 1, 3]], dtype=complex)
 

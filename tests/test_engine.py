@@ -21,6 +21,7 @@ import gzcut.orbits
 import gzcut.spectra
 from gzcut import (
     EigensolverError,
+    OrbitIndex,
     SeededRng,
     Tolerances,
     ad,
@@ -36,6 +37,7 @@ from gzcut import (
     verify_containment,
     verify_nilradical,
     verify_roundtrips,
+    xi_build,
 )
 from oracles import (
     cgauss,
@@ -77,7 +79,9 @@ def test_stacked_loops_equal_the_serial_loops(n):
                 _compare_loops(n, seed, trials, Tolerances())
 
 
-@pytest.mark.parametrize("eig_match", (1e-3, 0.1))
+# at 3e-4 some round trips of a loop fail and the others go on; at 1e-3 and
+# 0.1 every round trip fails
+@pytest.mark.parametrize("eig_match", (3e-4, 1e-3, 0.1))
 def test_stacked_loops_equal_the_serial_loops_at_loose_tolerances(eig_match):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -104,7 +108,7 @@ def test_stacked_tangent_ranks_equal_the_serial_estimate(n):
     tol = Tolerances()
     spaces = [parabolic_p(idx, n) for idx in all_orbit_indices(n)]
     spaces += [nilradical_n(i, n) for i in range(1, n + 1)]
-    for seed, repeats in ((0, 1), (0, 5), (3, 2)):
+    for seed, repeats in ((0, 0), (0, 1), (0, 5), (3, 2)):
         for k, s in enumerate(spaces):
             rng = SeededRng(seed, k * repeats)
             assert estimate_dim(s, repeats, rng, tol) == serial_estimate_dim(
@@ -233,13 +237,64 @@ def test_a_failed_trial_in_the_containment_stack_lands_on_its_own_index(monkeypa
     assert got[bad] == serial_verify_containment(idxs[bad], n, trials, rngs[bad], tol)
 
 
+def test_a_failed_eig_in_one_round_trip_costs_only_that_trial(monkeypatch):
+    n, l, trials, rng, tol = 5, 2, 8, SeededRng(13, 40), Tolerances()
+    # the cutoff of trial 3's conjugated planted point, whose eigendecomposition fails
+    r = rng.derive(3)
+    planted = xi_build(random_xi(r, n, l))
+    poison = ad(sample_K(r, n), planted)[:-1, :-1]
+    real = np.linalg.eig
+
+    def eig(a):
+        a = np.asarray(a)
+        if any(np.array_equal(m, poison) for m in a.reshape(-1, *a.shape[-2:])):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    with warnings.catch_warnings():
+        # the failed trial's stand-in values must not warn
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = verify_roundtrips(n, l, trials, rng, tol)
+    assert rep.failures == 1
+    assert rep == serial_verify_roundtrips(n, l, trials, rng, tol)
+
+
 def test_sample_K_past_its_resample_limit_fails_only_that_round_trip(monkeypatch):
     monkeypatch.setattr(gzcut.orbits, "_MIN_BLOCK_SV", np.inf)
     rep = verify_roundtrips(4, 2, 3, SeededRng(8))
     assert rep.failures == 3 and rep.mismatches == 0
     assert rep == serial_verify_roundtrips(4, 2, 3, SeededRng(8), Tolerances())
+    # at 1e-4 every planted cutoff lies in the reduction's warning band, but
+    # a trial that failed before the reduction must not warn
+    tol = Tolerances(eig_match=1e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = verify_roundtrips(4, 2, 3, SeededRng(8), tol)
+    assert rep == serial_verify_roundtrips(4, 2, 3, SeededRng(8), tol)
     with pytest.raises(EigensolverError, match="resample limit"):
         sample_K(SeededRng(8), 4)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda r: verify_containment(OrbitIndex(1, 3), 3, -1, r), "trials", id="c-t"),
+        pytest.param(lambda r: verify_containment(OrbitIndex(1, 1), 1, 2, r), "n", id="c-n"),
+        pytest.param(lambda r: verify_roundtrips(3, 1, -2, r), "trials", id="r-t"),
+        pytest.param(lambda r: verify_roundtrips(3, 5, 2, r), "l", id="r-l-high"),
+        pytest.param(lambda r: verify_roundtrips(3, -1, 2, r), "l", id="r-l-low"),
+        pytest.param(lambda r: verify_roundtrips(1, 0, 2, r), "n", id="r-n"),
+        pytest.param(lambda r: verify_nilradical(1, 1, 2, r), "n", id="nil-n"),
+        pytest.param(lambda r: verify_nilradical(4, 3, 2, r), "i", id="nil-i"),
+        pytest.param(lambda r: verify_nilradical(1, 3, -1, r), "trials", id="nil-t"),
+        pytest.param(lambda r: random_xi(r, 1, 0), "n", id="xi-n"),
+        pytest.param(lambda r: estimate_dim(nilradical_n(1, 3), -1, r), "repeats", id="dim-r"),
+    ],
+)
+def test_library_loops_name_a_bad_argument(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(SeededRng(0))
 
 
 def _spectra_pairs():

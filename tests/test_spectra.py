@@ -15,7 +15,6 @@ from gzcut import (
     ad,
     coincidence_count,
     eigenvalues,
-    gz_function,
     match_spectra,
     newton_to_charpoly,
     phi_n,
@@ -24,24 +23,10 @@ from gzcut import (
     v_membership,
     xi_build,
 )
-from oracles import brute_match, cgauss, exact_char_poly
+from oracles import brute_match, cgauss, exact_char_poly, gz_function
 
 # bordered matrix used across the suite: cutoff diag(1, 2), border (0,1)/(0,1), corner 3
 BORDERED = np.array([[1, 0, 0], [0, 2, 1], [0, 1, 3]], dtype=complex)
-
-
-def test_gz_function_examples():
-    assert gz_function(np.diag([1, 2, 3]), 2, 2) == pytest.approx(5)
-    assert gz_function(np.zeros((3, 3)), 3, 2) == 0
-    cyc = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]).T  # cube root of identity
-    assert gz_function(cyc, 3, 3) == pytest.approx(3)
-
-
-def test_gz_function_range_checks():
-    with pytest.raises(ValueError):
-        gz_function(np.eye(2), 3, 1)
-    with pytest.raises(ValueError):
-        gz_function(np.eye(2), 2, 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -51,11 +36,12 @@ def test_gz_function_range_checks():
     st.integers(0, 2**31 - 1),
 )
 def test_gz_function_homogeneity(n, lam, seed):
+    # the power sum p_j of phi_n, at either level, is homogeneous of degree j
     x = cgauss(np.random.default_rng(seed), (n, n))
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            left = gz_function(lam * x, i, j)
-            right = lam**j * gz_function(x, i, j)
+    scaled, img = phi_n(lam * x), phi_n(x)
+    for sums, base in ((scaled.c_prev, img.c_prev), (scaled.c_full, img.c_full)):
+        for j, (left, p) in enumerate(zip(sums, base), 1):
+            right = lam**j * p
             assert abs(left - right) <= 1e-9 * (1 + abs(right))
 
 
