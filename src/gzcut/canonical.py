@@ -15,6 +15,7 @@ catalog Borel subalgebras.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -29,7 +30,6 @@ from .linalg import (
     _eigvals_stack,
     _lapack_stack,
     _rank_stack,
-    _record,
     as_cmatrix,
     sort_complex,
 )
@@ -110,6 +110,9 @@ class XiElement:
             if len(vec) != self.n - 1:
                 raise ValueError(f"{name} must have length n - 1 = {self.n - 1}")
         object.__setattr__(self, "w", complex(self.w))
+        for name, vec in (("h", self.h), ("y", self.y), ("z", self.z), ("w", (self.w,))):
+            if not all(map(cmath.isfinite, vec)):
+                raise ValueError(f"{name} must be finite")
         if not 0 <= self.l <= self.n - 1:
             raise ValueError(f"coincidence count l={self.l} out of range")
 
@@ -305,13 +308,12 @@ def _reduce_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
     eigvals call for the full matrices and one inv call for each inverse.
 
     Returns the conjugating blocks, the bordered forms and the shared counts
-    of every trial.  A failed trial counts 0 shared values and gets no
-    conditioning warning.
+    of every trial.  One conditioning warning covers all the trials near the
+    gap policy; a failed trial counts 0 shared values and is left out of it.
     """
     n = mats.shape[-1]
-    (evals, evecs), failed = _lapack_stack(np.linalg.eig, mats[:, :-1, :-1])
-    _record(
-        errors, {t: EigensolverError("eigendecomposition of the cutoff failed") for t in failed}
+    evals, evecs = _lapack_stack(
+        np.linalg.eig, mats[:, :-1, :-1], errors, "eigendecomposition of the cutoff failed"
     )
     diag = np.arange(n - 1)
     gaps = np.abs(evals[:, :, None] - evals[:, None, :])
@@ -326,22 +328,23 @@ def _reduce_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
                 "the reduction is undefined here"
             ),
         )
-    for t in ((gap > policy) & (gap <= 10.0 * policy)).nonzero()[0]:
-        if t not in errors:
-            warnings.warn(
-                f"cutoff spectrum nearly degenerate (gap {gap[t]:.3e}); eigenvector "
-                f"condition number {np.linalg.cond(evecs[t]):.3e}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    full, spectral = _eigvals_stack(mats, tol)
-    _record(errors, spectral)
+    near = (gap > policy) & (gap <= 10.0 * policy)
+    near[list(errors)] = False
+    if near.any():
+        # one warning per call, not per trial, so the registry stays bounded
+        warnings.warn(
+            f"cutoff spectrum nearly degenerate at {near.sum()} of {len(mats)} points "
+            f"(smallest gap {gap[near].min():.3e}; largest eigenvector condition number "
+            f"{np.linalg.cond(evecs[near]).max():.3e})",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    full = _eigvals_stack(mats, tol, errors)
 
     # shared values first, each group sorted by (real, imag)
     shared = _match_stack(evals, sort_complex(full), tol.eig_match)[0].any(axis=2)
     order = np.lexsort((evals.imag, evals.real, ~shared), axis=-1)
-    inverses, failed = _lapack_stack(np.linalg.inv, evecs)
-    _record(errors, {t: EigensolverError("cutoff eigenvectors are singular") for t in failed})
+    inverses = _lapack_stack(np.linalg.inv, evecs, errors, "cutoff eigenvectors are singular")
     blocks = np.eye(n - 1)[order] @ inverses
     forms = _conjugate(_block_diagonal(blocks, 1.0), mats, errors)
     counts = shared.sum(axis=1)

@@ -6,6 +6,10 @@ asymptotic speed.  Two independent eigenvalue routes are kept on purpose:
 the LAPACK Hessenberg + shifted-QR route (`eigenvalues`) and the power-sum
 route (`spectra.phi_n`, then `spectra.newton_to_charpoly`, then
 `aberth_roots`), so that each can serve as an oracle for the other.
+
+The stacked kernels record failures where they happen: a failed matrix keeps
+its slot, and its EigensolverError goes into the caller's errors dict by
+setdefault, so each position reports the first failure it met.
 """
 
 from __future__ import annotations
@@ -85,45 +89,44 @@ def sort_complex(values) -> np.ndarray:
     return np.sort(np.asarray(values, dtype=complex), axis=-1, kind="stable")
 
 
-def _record(errors: dict, failures: dict) -> None:
-    """Add each trial's exception to errors unless that trial failed already:
-    a trial reports the first failure it met."""
-    for t, exc in failures.items():
-        errors.setdefault(int(t), exc)
+def _failure(what: str, m: np.ndarray) -> EigensolverError:
+    """The failure "<what> on <the matrix>"."""
+    return EigensolverError(f"{what} on\n{np.array2string(m, precision=6)}")
 
 
-def _lapack_stack(kernel, mats):
+def _lapack_stack(kernel, mats, errors: dict, what: str):
     """kernel applied to a (T, n, n) stack of matrices in one call.
 
-    When LAPACK raises on the stack, each matrix is retried alone.  The ones
-    that fail are listed and stand in as the identity in a second stacked
-    call, so the output still has one entry per matrix and a failure costs
-    only its own matrix.  Returns (output, failed positions).
+    When LAPACK raises on the stack, each matrix is retried alone.  Each one
+    that fails records an EigensolverError, "<what> on <the matrix>", under
+    its position in errors unless that position failed already, and stands
+    in as the identity in a second stacked call, so the output still has one
+    entry per matrix and a failure costs only its own matrix.
     """
     try:
-        return kernel(mats), []
+        return kernel(mats)
     except np.linalg.LinAlgError:
         pass
-    failed = []
+    stand_in = mats.copy()
     for t in range(len(mats)):
         try:
             kernel(mats[t : t + 1])
         except np.linalg.LinAlgError:
-            failed.append(t)
-    stand_in = mats.copy()
-    stand_in[failed] = np.eye(mats.shape[-1])
-    return kernel(stand_in), failed
+            errors.setdefault(t, _failure(what, mats[t]))
+            stand_in[t] = np.eye(mats.shape[-1])
+    return kernel(stand_in)
 
 
-def _eigvals_stack(mats: np.ndarray, tol: Tolerances):
+def _eigvals_stack(mats: np.ndarray, tol: Tolerances, errors: dict) -> np.ndarray:
     """Unsorted eigenvalues of every matrix in a (T, n, n) stack, by one LAPACK call.
 
     Each eigenvalue sum is checked against its matrix's trace as a cheap
     normalization guard; a violation means the QR iteration silently
-    degraded.  Returns the (T, n) values and a dict from the position of
-    each failed matrix to its EigensolverError.
+    degraded.  A failed or drifting matrix records its EigensolverError in
+    errors, as _lapack_stack does, so a failed solve is never reported as
+    drift.  Returns the (T, n) values.
     """
-    vals, failed = _lapack_stack(np.linalg.eigvals, mats)
+    vals = _lapack_stack(np.linalg.eigvals, mats, errors, "eigenvalue iteration failed")
     # ufunc reductions, not ndarray methods: on the one-matrix path of
     # `eigenvalues` the method wrappers would cost as much as the check.  The
     # Frobenius norm is a hypot reduction, which scales each step by its
@@ -131,18 +134,11 @@ def _eigvals_stack(mats: np.ndarray, tol: Tolerances):
     drift = abs(np.add.reduce(vals - mats.diagonal(0, -2, -1), -1))
     frobenius = np.hypot.reduce(mats.view(float), (-2, -1))
     bound = (1.0 + frobenius) * (tol.rank_rel * mats.shape[-1])
-    errors = {
-        t: EigensolverError(
-            f"eigenvalue iteration failed on\n{np.array2string(mats[t], precision=6)}"
-        )
-        for t in failed
-    }
     for t in (drift > bound).nonzero()[0].tolist():
-        errors[t] = EigensolverError(
-            f"eigenvalue sum drifted from the trace by {drift[t]:.3e} on\n"
-            f"{np.array2string(mats[t], precision=6)}"
+        errors.setdefault(
+            t, _failure(f"eigenvalue sum drifted from the trace by {drift[t]:.3e}", mats[t])
         )
-    return vals, errors
+    return vals
 
 
 def eigenvalues(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -151,10 +147,14 @@ def eigenvalues(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     The one-matrix case of the stacked solve, with the same trace check.
     """
     m = as_cmatrix(a)
-    vals, errors = _eigvals_stack(m[None], tol)
+    errors = {}
+    vals = _eigvals_stack(m[None], tol, errors)
     if errors:
         raise errors[0]
     return sort_complex(vals[0])
+
+
+_ABERTH_STEP_TOL = 1e-14
 
 
 def _shift_poly(coeffs: list, s: complex) -> list:
@@ -168,7 +168,7 @@ def _shift_poly(coeffs: list, s: complex) -> list:
     return out[::-1]
 
 
-def aberth_roots(coeffs, max_iter: int = 200, step_tol: float = 1e-14) -> np.ndarray:
+def aberth_roots(coeffs, max_iter: int = 200) -> np.ndarray:
     """All complex roots of a monic polynomial by the Aberth-Ehrlich iteration.
 
     Self-contained on purpose: fed by `spectra.newton_to_charpoly`, it gives a
@@ -178,10 +178,10 @@ def aberth_roots(coeffs, max_iter: int = 200, step_tol: float = 1e-14) -> np.nda
     circle about the centroid whose radius is the geometric mean of the root
     moduli about it, and stops at whichever comes first: every `|p(z_i)|` down
     at the a priori bound on Horner's rounding error (Bini, Numer. Algorithms
-    13, 1996), or a step below `step_tol`.  Reaching `max_iter` with neither
-    emits a RuntimeWarning; the roots are still returned.  Raises
-    EigensolverError when the iterates leave the finite numbers or two of them
-    coincide exactly.
+    13, 1996), or a step below _ABERTH_STEP_TOL relative to the iterates.
+    Reaching `max_iter` with neither emits a RuntimeWarning; the roots are
+    still returned.  Raises EigensolverError when the iterates leave the
+    finite numbers or two of them coincide exactly.
     """
     c = np.asarray(coeffs, dtype=complex).ravel().tolist()
     if not c or c[0] == 0:
@@ -251,7 +251,7 @@ def aberth_roots(coeffs, max_iter: int = 200, step_tol: float = 1e-14) -> np.nda
                 converged = True
                 break
             z = [zi - wi for zi, wi in zip(z, w)]
-            if max(map(abs, w)) <= step_tol * (1.0 + max(map(abs, z))):
+            if max(map(abs, w)) <= _ABERTH_STEP_TOL * (1.0 + max(map(abs, z))):
                 converged = True
                 break
     except (ZeroDivisionError, OverflowError) as exc:

@@ -13,7 +13,8 @@ with the stream layout unchanged; only the sample_in contraction stays per
 index.  Every stage takes and returns arrays with one entry per trial: a
 failed trial keeps its slot, with stand-in values, and its first exception
 goes to the loop's errors dict, keyed by trial number; results skip the
-failed trials only at the end.  The one-trial functions (sample_K,
+failed trials only at the end.  Each stage and kernel records its own
+failures there by setdefault.  The one-trial functions (sample_K,
 sample_in, containment_trial, tangent_dim) are the engine run on a single
 handle or point.
 """
@@ -32,7 +33,6 @@ from .linalg import (
     Tolerances,
     _lapack_stack,
     _rank_stack,
-    _record,
     as_cmatrix,
 )
 from .spectra import _coincidence_stack
@@ -134,17 +134,17 @@ def _sample_K_stack(rngs: list, n: int, errors: dict):
     k = n - 1
     blocks = np.array([rng.complex_normal((k, k)) for rng in rngs], dtype=complex)
     blocks = blocks.reshape(-1, k, k)
-    unsolved = f"SVD failed to converge on a {k} x {k} block"
-    sv, failed = _lapack_stack(_singular_values, blocks)
-    _record(errors, {t: EigensolverError(unsolved) for t in failed})
+    unsolved = "SVD failed to converge"
+    sv = _lapack_stack(_singular_values, blocks, errors, unsolved)
     for t in (sv[:, -1] <= _MIN_BLOCK_SV).nonzero()[0].tolist():
         if t in errors:
             continue
         for _ in range(_RESAMPLE_LIMIT - 1):
             block = rngs[t].complex_normal((k, k))
-            redraw, failed = _lapack_stack(_singular_values, block[None])
-            if failed:
-                errors[t] = EigensolverError(unsolved)
+            lost = {}
+            redraw = _lapack_stack(_singular_values, block[None], lost, unsolved)
+            if lost:
+                errors[t] = lost[0]
                 break
             if redraw[0, -1] > _MIN_BLOCK_SV:
                 blocks[t] = block
@@ -158,8 +158,7 @@ def _sample_K_stack(rngs: list, n: int, errors: dict):
 def _conjugate(kms: np.ndarray, xs: np.ndarray, errors: dict) -> np.ndarray:
     """ad over stacks: kms @ xs @ kms^-1 for every trial; a singular kms
     stands in as the identity."""
-    inverses, failed = _lapack_stack(np.linalg.inv, kms)
-    _record(errors, {t: EigensolverError("conjugating element is singular") for t in failed})
+    inverses = _lapack_stack(np.linalg.inv, kms, errors, "conjugating element is singular")
     return kms @ xs @ inverses
 
 

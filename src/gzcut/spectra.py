@@ -20,7 +20,6 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     _eigvals_stack,
-    _record,
     aberth_roots,
     as_cmatrix,
     cutoff,
@@ -170,11 +169,8 @@ def _coincidence_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
     EigensolverError goes to errors, the cutoff's first, as
     coincidence_count raises it.
     """
-    cut, cut_errors = _eigvals_stack(mats[:, :-1, :-1], tol)
-    full, full_errors = _eigvals_stack(mats, tol)
-    _record(errors, cut_errors)
-    _record(errors, full_errors)
-    cut = sort_complex(cut)
+    cut = sort_complex(_eigvals_stack(mats[:, :-1, :-1], tol, errors))
+    full = _eigvals_stack(mats, tol, errors)
     matched, cost = _match_stack(cut, sort_complex(full), tol.eig_match)
     return cut, matched, cost
 

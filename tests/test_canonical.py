@@ -68,6 +68,15 @@ def test_xi_build_invariant_violations():
         xi_build(xi(3, 0, (1, 2), (0, 1), (0, 1), 0))  # slot 1 should be unshared
 
 
+@pytest.mark.parametrize("field", ("h", "y", "z", "w"))
+@pytest.mark.parametrize("bad", (np.inf, np.nan, complex(0, -np.inf)))
+def test_xi_element_rejects_non_finite_entries(field, bad):
+    data = {"h": (1, 2), "y": (0, 1), "z": (0, 1), "w": 3}
+    data[field] = bad if field == "w" else (bad, 1)
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        XiElement(n=3, l=1, **data)
+
+
 def test_xi_pattern_examples():
     assert xi_pattern(xi(3, 1, (1, 2), (0, 1), (1, 1), 0)).marks == ("L",)
     assert xi_pattern(xi(3, 1, (1, 2), (1, 1), (0, 1), 0)).marks == ("U",)

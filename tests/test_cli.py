@@ -165,6 +165,16 @@ def test_verify_with_a_loose_match_tolerance_exits_as_a_numerical_failure():
     assert "XiInvariantError" in proc.stderr and "eig_match=1" in proc.stderr
 
 
+@pytest.mark.parametrize("n, trials, seed", ((4, 40, 9), (6, 30, 4)))
+def test_near_degenerate_cutoffs_warn_at_most_once_per_round_trip_loop(tmp_path, n, trials, seed):
+    # one reduction per planted count l, each warning once for all its trials
+    argv = ["verify", "--n", str(n), "--trials", str(trials), "--seed", str(seed)]
+    with pytest.warns(RuntimeWarning, match="nearly degenerate") as record:
+        code, _ = run(tmp_path, *argv, "--tol-eig", "1e-4")
+    assert code == 0 and 1 <= len(record) <= n
+    assert all("nearly degenerate" in str(w.message) for w in record)
+
+
 def test_verify_serial_and_parallel_reports_are_byte_identical(tmp_path):
     a = tmp_path / "serial.json"
     b = tmp_path / "parallel.json"

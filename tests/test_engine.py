@@ -25,6 +25,7 @@ from gzcut import (
     SeededRng,
     Tolerances,
     ad,
+    coincidence_count,
     eigenvalues,
     all_orbit_indices,
     estimate_dim,
@@ -167,11 +168,80 @@ def test_the_trace_check_fails_only_the_drifting_matrix(monkeypatch):
         return vals
 
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
-    _, errors = gzcut.linalg._eigvals_stack(mats, Tolerances())
+    errors = {}
+    gzcut.linalg._eigvals_stack(mats, Tolerances(), errors)
     assert list(errors) == [3] and "drifted from the trace" in str(errors[3])
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: real(a) + 1e-6)
     with pytest.raises(EigensolverError, match="drifted from the trace"):
         eigenvalues(mats[0])
+
+
+def test_a_failed_eigvals_solve_is_reported_as_a_failure_not_as_drift(monkeypatch):
+    # the identity that stands in for the failed matrix has trace 3, not 10
+    poison = np.diag([5.0, 2.0, 3.0]).astype(complex)
+    gen = np.random.default_rng(6)
+    mats = np.concatenate([cgauss(gen, (2, 3, 3)), poison[None]])
+    real = np.linalg.eigvals
+
+    def eigvals(a):
+        if any(np.array_equal(m, poison) for m in a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    errors = {}
+    gzcut.linalg._eigvals_stack(mats, Tolerances(), errors)
+    assert list(errors) == [2] and "eigenvalue iteration failed on" in str(errors[2])
+    with pytest.raises(EigensolverError, match="iteration failed"):
+        eigenvalues(poison)
+
+
+def test_a_failed_containment_trial_reports_its_solve_failure(monkeypatch):
+    n, idx = 4, all_orbit_indices(4)[3]
+    r = SeededRng(21, 7)
+    poison = ad(sample_K(r, n), sample_in(parabolic_p(idx, n), r))
+    real = np.linalg.eigvals
+
+    def eigvals(a):
+        if any(np.array_equal(m, poison) for m in a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    with pytest.raises(EigensolverError, match="^eigenvalue iteration failed on"):
+        gzcut.orbits.containment_trial(parabolic_p(idx, n), n, SeededRng(21, 7), Tolerances())
+
+
+@pytest.mark.parametrize("cut_fails", (True, False))
+def test_a_trial_whose_cutoff_and_full_solves_both_fail_reports_the_cutoff(
+    monkeypatch, cut_fails
+):
+    # one side of trial 2 raises in LAPACK and the other drifts from its trace
+    bad, gen = 2, np.random.default_rng(8)
+    mats = cgauss(gen, (4, 4, 4))
+    real = np.linalg.eigvals
+
+    def eigvals(a):
+        cut = a.shape[-1] == 3
+        hit = [np.array_equal(m, mats[bad, :-1, :-1] if cut else mats[bad]) for m in a]
+        if cut == cut_fails and any(hit):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        vals = real(a)
+        if cut != cut_fails:
+            vals[hit, 0] += 1e-3
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    errors = {}
+    gzcut.spectra._coincidence_stack(mats, Tolerances(), errors)
+    want = "iteration failed" if cut_fails else "drifted from the trace"
+    cutoff_text = np.array2string(mats[bad, :-1, :-1], precision=6)
+    assert list(errors) == [bad]
+    assert want in str(errors[bad]) and str(errors[bad]).endswith("\n" + cutoff_text)
+    # coincidence_count solves the cutoff first and raises the same failure
+    with pytest.raises(EigensolverError) as info:
+        coincidence_count(mats[bad])
+    assert str(info.value) == str(errors[bad])
 
 
 def test_a_failed_stacked_solve_costs_only_its_own_trial(monkeypatch):

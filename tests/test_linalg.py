@@ -212,7 +212,7 @@ def test_aberth_matches_the_numpy_loop():
 
 def test_aberth_converges_on_every_power_sum_polynomial():
     # the rounding-floor exit ends double-eigenvalue solves and simple roots
-    # whose steps stall above step_tol alike: no solve reaches max_iter
+    # whose steps stall above the step tolerance alike: no solve reaches max_iter
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for coeffs, _ in _power_sum_polys():
