@@ -6,11 +6,12 @@ pairwise distinct entries, last column y, last row z, corner w.  A diagonal
 value h_i is a shared eigenvalue of the matrix and its cutoff exactly when
 z_i * y_i = 0, so the coincidence structure is carried by which border entries
 vanish.  Sorting the shared values first and reading the U/L pattern (z_i = 0
-versus y_i = 0) identifies a partial flag the matrix stabilizes, and one more
-permutation carries that flag onto a catalog flag.  The net effect: a matrix
-with l coincidences lands in the catalog parabolic indexed (k, k + n - 1 - l),
-where k - 1 counts the U slots.  For l = n - 1 the target is one of the n
-catalog Borel subalgebras.
+versus y_i = 0) identifies a partial flag the matrix stabilizes.  One stable
+sort of the slots, U slots first, then the unshared slots and e_n, then the L
+slots, orders that flag's frame as the catalog orders its frames.  The net
+effect: a matrix with l coincidences lands in the catalog parabolic indexed
+(k, k + n - 1 - l), where k - 1 counts the U slots.  For l = n - 1 the target
+is one of the n catalog Borel subalgebras.
 """
 
 from __future__ import annotations
@@ -254,16 +255,17 @@ def xi_build(e: XiElement, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def _upper_marks(h, y, z, w, counts, tol: Tolerances) -> np.ndarray:
-    """U/L marks over the shared slots of stacked forms, True for U.
+    """U marks of stacked forms: True where slot i of form t is shared
+    (i < counts[t]) and its z_i vanishes.
 
-    Slot i of form t is shared when i < counts[t]; the marks past that are
-    meaningless.  A slot where both border entries vanish resolves to U so
-    the output is deterministic; a shared slot where neither vanishes raises
+    A slot where both border entries vanish resolves to U so the output is
+    deterministic; a shared slot where neither vanishes raises
     XiInvariantError.
     """
     thresh = (tol.eig_match * (1.0 + _scales(h, y, z, w)))[:, None]
-    upper = np.abs(z) <= thresh
-    stray = ~upper & (np.abs(y) > thresh) & (np.arange(h.shape[1]) < counts[:, None])
+    shared = np.arange(h.shape[1]) < counts[:, None]
+    upper = (np.abs(z) <= thresh) & shared
+    stray = ~upper & (np.abs(y) > thresh) & shared
     if stray.any():
         _, i = np.argwhere(stray)[0]
         raise XiInvariantError(
@@ -279,15 +281,11 @@ def xi_pattern(e: XiElement, tol: Tolerances = DEFAULT_TOL) -> ULPattern:
     return ULPattern(tuple("U" if u else "L" for u in upper[0, : e.l]))
 
 
-def _pattern_columns(pattern: ULPattern, n: int) -> list:
-    """0-based positions of the e's that make up pattern_parabolic's frame, in
-    order: the U-slots, then the non-shared slots and e_n, then the L-slots."""
-    c = len(pattern)
-    if c > n - 1:
-        raise ValueError("pattern longer than n - 1")
-    upper = [i for i, m in enumerate(pattern.marks) if m == "U"]
-    lower = [i for i, m in enumerate(pattern.marks) if m == "L"]
-    return upper + list(range(c, n)) + lower
+def _frame_order(upper, shared) -> np.ndarray:
+    """The slots of a frame in flag order, along the last axis: the U slots,
+    then the unshared slots, then the L slots, each group in slot order.  In
+    an n-slot frame e_n is the last slot and unshared."""
+    return np.argsort(np.where(upper, 0, np.where(shared, 2, 1)), axis=-1, kind="stable")
 
 
 def pattern_parabolic(pattern: ULPattern, n: int) -> SubalgebraSpec:
@@ -298,8 +296,12 @@ def pattern_parabolic(pattern: ULPattern, n: int) -> SubalgebraSpec:
     non-shared e's together with e_n, then the L-slots; with l coincidences
     the chain has l + 1 steps.
     """
-    frame = np.eye(n)[:, _pattern_columns(pattern, n)]
-    u, c = pattern.marks.count("U"), len(pattern)
+    c = len(pattern)
+    if c > n - 1:
+        raise ValueError("pattern longer than n - 1")
+    upper = np.array([m == "U" for m in pattern.marks] + [False] * (n - c))
+    frame = np.eye(n)[:, _frame_order(upper, np.arange(n) < c)]
+    u = pattern.marks.count("U")
     return stabilizer(frame, np.cumsum([1] * u + [n - c] + [1] * (c - u)))
 
 
@@ -345,7 +347,7 @@ def _reduce_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
     shared = _match_stack(evals, sort_complex(full), tol.eig_match)[0].any(axis=2)
     order = np.lexsort((evals.imag, evals.real, ~shared), axis=-1)
     inverses = _lapack_stack(np.linalg.inv, evecs, errors, "cutoff eigenvectors are singular")
-    blocks = np.eye(n - 1)[order] @ inverses
+    blocks = np.take_along_axis(inverses, order[..., None], axis=1)
     forms = _conjugate(_block_diagonal(blocks, 1.0), mats, errors)
     counts = shared.sum(axis=1)
     counts[list(errors)] = 0
@@ -376,44 +378,31 @@ def _canonical_stack(mats: np.ndarray, tol: Tolerances, errors: dict) -> list:
     """canonical_form over a (T, n, n) stack: the results of the trials that
     did not fail, in trial order.
 
-    The conjugating permutation is built once per distinct U/L pattern in
-    the stack, from the pattern's column order and the catalog frame.
+    The conjugating block gathers the reduced eigenbasis in _frame_order, so
+    the reduced form's flag lands on the catalog parabolic's frame.
     """
     n = mats.shape[-1]
     k = n - 1
     k1, forms, counts = _reduce_stack(mats, tol, errors)
     h, y, z, w = forms.diagonal(0, 1, 2)[:, :k], forms[:, :k, k], forms[:, k, :k], forms[:, k, k]
     upper = _upper_marks(h, y, z, w, counts, tol)
-    targets = {}
-    keys = [tuple(upper[t, :c].tolist()) for t, c in enumerate(counts)]
-    for key in keys:
-        if key not in targets:
-            pattern = ULPattern(tuple("U" if u else "L" for u in key))
-            kpos = sum(key) + 1
-            idx = OrbitIndex(kpos, kpos + n - 1 - len(key))
-            target = parabolic_p(idx, n)
-            # both frames are permutations: kappa carries the pattern's frame
-            # column by column onto the catalog parabolic's, and the pattern's
-            # columns are a permutation of range(n), so all of kappa is written
-            kappa = np.empty((n, n), dtype=complex)
-            kappa[:, _pattern_columns(pattern, n)] = target.frame
-            targets[key] = (pattern, idx, target, kappa[:k, :k])
-    k2 = np.array([targets[key][3] for key in keys], dtype=complex).reshape(-1, k, k)
-    blocks = k2 @ k1
+    order = _frame_order(upper, np.arange(k) < counts[:, None])
+    blocks = np.take_along_axis(k1, order[..., None], axis=1)
     images = _conjugate(_block_diagonal(blocks, 1.0), mats, errors)
     results = []
-    for t, (key, block, image, c) in enumerate(zip(keys, blocks, images, counts)):
+    for t, (marks, block, image, c) in enumerate(zip(upper, blocks, images, counts.tolist())):
         if t in errors:
             continue
-        pattern, idx, target, _ = targets[key]
+        u = int(marks.sum())
+        idx = OrbitIndex(u + 1, u + n - c)
         results.append(
             CanonicalFormResult(
                 k=KElement(block, 1.0, n),
                 idx=idx,
                 image=image,
-                residual=contains(target, image, tol).residual,
-                l=int(c),
-                pattern=pattern,
+                residual=contains(parabolic_p(idx, n), image, tol).residual,
+                l=c,
+                pattern=ULPattern(tuple("U" if m else "L" for m in marks[:c])),
             )
         )
     return results
@@ -423,10 +412,10 @@ def canonical_form(x, tol: Tolerances = DEFAULT_TOL) -> CanonicalFormResult:
     """Conjugate x into the catalog parabolic selected by its coincidences.
 
     Composes the bordered-diagonal reduction, the U/L pattern read-off, and
-    the permutation carrying the frame of the pattern's parabolic onto the
-    catalog parabolic's.  With l coincidences and k - 1 upper marks the
-    target index is (k, k + n - 1 - l); the conjugator stays inside the
-    block-diagonal group throughout.
+    the reordering of the eigenbasis by _frame_order, which puts the
+    pattern's flag in the catalog parabolic's frame.  With l coincidences and
+    k - 1 upper marks the target index is (k, k + n - 1 - l); the conjugator
+    stays inside the block-diagonal group throughout.
     """
     m = as_cmatrix(x)
     if m.shape[0] < 2:

@@ -3,7 +3,8 @@
 Exit codes: 0 all checks passed, 1 a verified claim failed, 2 input error
 (a malformed file or argument, or a report path that cannot be written),
 3 numerical failure (no convergence, two routes disagreeing, or a broken
-internal invariant), 4 precondition not met (report status "n/a").
+internal invariant), 4 nothing verified (report status "n/a": a precondition
+not met, zero trials, or a `verify` loop that completed no trial).
 
 Reports are JSON objects with sorted keys (or a flat text table), so a fixed
 command line plus a fixed seed produces byte-identical output.  The seeded
@@ -16,7 +17,9 @@ but has no effect.
 A status is decided by the claim's own checks.  `sn` passes when every
 sampled pair is nilpotent and the strongly regular fraction is above 0.99 on
 components 1 and n and below 0.01 on the others; its `method_disagreements`
-are tallied but, like `verify`'s `failures`, do not decide the status.
+are tallied but do not decide the status.  `verify` fails on any violation,
+mismatch or residual violation; otherwise its `failures` decide only whether
+it verified anything: a loop whose every trial failed makes the status n/a.
 
 Matrix files are JSON: {"n": 3, "entries": [[...], ...]} where each entry is
 either a plain number or an [re, im] pair.
@@ -282,7 +285,8 @@ def cmd_verify(args) -> int:
         r["mismatches"] + r["residual_violations"] for r in roundtrips
     )
     results = {"containment": containment, "roundtrips": roundtrips}
-    return _exit(args, params, claim, results, bad == 0)
+    idle = any(r["failures"] == trials for r in containment + roundtrips)
+    return _exit(args, params, claim, results, None if idle and not bad else bad == 0)
 
 
 def cmd_dims(args) -> int:

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 
 import numpy as np
 import pytest
@@ -172,21 +173,24 @@ def test_canonical_form_diagonal_hits_a_borel():
 
 
 def test_canonical_form_planted_patterns_reach_the_predicted_indices():
-    # n = 4, two coincidences: k - 1 counts the U marks, orbit length is 1
-    cases = {
-        ("U", "U"): (3, 4),
-        ("U", "L"): (2, 3),
-        ("L", "U"): (2, 3),
-        ("L", "L"): (1, 2),
-    }
-    for marks, expected in cases.items():
-        y = [0.7 if m == "U" else 0.0 for m in marks] + [0.9]
-        z = [0.0 if m == "U" else 0.6 for m in marks] + [1.1]
-        e = xi(4, 2, (1.0, 2.0, 3.5), y, z, -0.3)
-        res = canonical_form(xi_build(e))
-        assert (res.idx.i, res.idx.j) == expected
-        assert res.pattern.marks == marks
-        assert res.residual < 1e-10
+    # every U/L pattern of every length c <= n - 1, n = 2..6: 119 exact inputs;
+    # k - 1 counts the U marks and the orbit length is n - 1 - c
+    cases = 0
+    for n in range(2, 7):
+        h = [1.0 + 1.25 * i for i in range(n - 1)]
+        for c in range(n):
+            for marks in itertools.product("UL", repeat=c):
+                y = [0.7 if m == "U" else 0.0 for m in marks] + [0.9] * (n - 1 - c)
+                z = [0.0 if m == "U" else 0.6 for m in marks] + [1.1] * (n - 1 - c)
+                m = xi_build(xi(n, c, h, y, z, -0.3))
+                res = canonical_form(m)
+                u = marks.count("U")
+                assert (res.idx.i, res.idx.j) == (u + 1, u + n - c), (n, marks)
+                assert res.pattern.marks == marks and res.l == c
+                assert res.residual < 1e-10
+                assert contains(pattern_parabolic(ULPattern(marks), n), m).ok
+                cases += 1
+    assert cases == 119
 
 
 def test_canonical_form_upper_triangular_sample():

@@ -137,6 +137,14 @@ def test_verify_zero_trials_is_na(tmp_path):
     assert code == 4 and report["status"] == "n/a"
 
 
+def test_verify_that_completes_no_trial_of_a_loop_is_na(tmp_path):
+    # at --tol-rank 0 the trace-drift bound fails every eigenvalue solve
+    code, report = run(tmp_path, "verify", "--n", "4", "--trials", "3", "--tol-rank", "0")
+    loops = report["results"]["containment"] + report["results"]["roundtrips"]
+    assert all(r["failures"] == r["trials"] == 3 for r in loops)
+    assert code == 4 and report["status"] == "n/a"
+
+
 def test_verify_range_check(tmp_path):
     code, _ = run(tmp_path, "verify", "--n", "9", "--trials", "5")
     assert code == 2

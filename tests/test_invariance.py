@@ -4,7 +4,8 @@ A planted point is x = k xi k^-1, with xi a bordered normal form carrying
 exactly l coincidences and k a random block-diagonal element.  Its count must
 come back as l, and must not move under a second conjugation, under the
 involution theta, or under scaling x -> c x once the matching radius is
-scaled by |c|.
+scaled by |c|.  The canonical reduction must land a second conjugate and the
+theta image of x in x's catalog parabolic, with x's U/L pattern.
 """
 
 import cmath
@@ -13,7 +14,17 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gzcut import DEFAULT_TOL, SeededRng, ad, coincidence_count, random_xi, sample_K, theta, xi_build
+from gzcut import (
+    DEFAULT_TOL,
+    SeededRng,
+    ad,
+    canonical_form,
+    coincidence_count,
+    random_xi,
+    sample_K,
+    theta,
+    xi_build,
+)
 
 
 @st.composite
@@ -52,3 +63,16 @@ def test_count_is_invariant_under_scaling(point, log_mag, phase):
     c = 10.0**log_mag * cmath.exp(1j * phase)
     tol = replace(DEFAULT_TOL, eig_match=abs(c) * DEFAULT_TOL.eig_match)
     assert coincidence_count(c * x, tol).l == l
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted())
+def test_canonical_form_is_invariant_under_conjugation_and_theta(point):
+    x, l, rng = point
+    results = [
+        canonical_form(y) for y in (x, ad(sample_K(rng.derive(2), x.shape[0]), x), theta(x))
+    ]
+    first = results[0]
+    for res in results:
+        assert (res.idx, res.pattern, res.l) == (first.idx, first.pattern, l)
+        assert res.residual < 1e-7
