@@ -36,6 +36,8 @@ from .linalg import (
 )
 from .orbits import (
     _RESAMPLE_LIMIT,
+    _XI_NORMALS,
+    _XI_UNIFORMS,
     KElement,
     SeededRng,
     _block_diagonal,
@@ -427,68 +429,61 @@ def canonical_form(x, tol: Tolerances = DEFAULT_TOL) -> CanonicalFormResult:
     return results[0]
 
 
-def _draw_xi(rng: SeededRng, n: int, l: int):
-    """One random_xi draw as (h, y, z, w), or None when its diagonal gap is below 0.5.
+def _draw_xi(rng: SeededRng, rnd: int, rows, n: int, l: int):
+    """Round rnd's random_xi candidates of the trials in rows, as (h, y, z, w)
+    stacks, and whether each one's diagonal keeps a pairwise gap of 0.5.
 
-    After h, each slot draws a border modulus and phase, a second pair for
-    the other border entry, and, when shared, a coin: U (z_i = 0) below 0.5,
-    L (y_i = 0) otherwise.  Then w.
+    Trial t takes row t of two blocks: n complex normals, for h and then w,
+    and five uniforms per slot: a border modulus and phase, a second pair
+    for the other border entry, and a coin that marks a shared slot U
+    (z_i = 0) below 0.5 and L (y_i = 0) otherwise.
     """
     k = n - 1
-    h = 2.0 * rng.complex_normal(k)
-    gaps = np.abs(h[:, None] - h[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    if gaps.min() < 0.5:
-        return None
-    slots = np.arange(k)
-    start = 4 * slots + np.minimum(slots, l)
-    u = rng.uniform(4 * k + l)
-    border = (0.5 + u[start]) * np.exp(2j * np.pi * u[start + 1])
-    other = (0.5 + u[start + 2]) * np.exp(2j * np.pi * u[start + 3])
-    shared = slots < l
-    upper = np.zeros(k, dtype=bool)
-    upper[:l] = u[start[:l] + 4] < 0.5
+    normals = rng.complex_normal(_XI_NORMALS, rnd, rows, (n,))
+    h = 2.0 * normals[:, :k]
+    u = rng.uniform(_XI_UNIFORMS, rnd, rows, (k, 5))
+    border = (0.5 + u[..., 0]) * np.exp(2j * np.pi * u[..., 1])
+    other = (0.5 + u[..., 2]) * np.exp(2j * np.pi * u[..., 3])
+    shared = np.arange(k) < l
+    upper = shared & (u[..., 4] < 0.5)
     y = np.where(shared & ~upper, 0.0, border)
     z = np.where(shared, np.where(upper, 0.0, border), other)
-    return h, y, z, complex(rng.complex_normal())
+    gaps = np.abs(h[:, :, None] - h[:, None, :])
+    gaps[:, range(k), range(k)] = np.inf
+    return h, y, z, normals[:, k], gaps.min(axis=(1, 2)) >= 0.5
 
 
-def _random_xi_stack(rngs: list, n: int, l: int, tol: Tolerances, errors: dict):
-    """random_xi on the handle of every trial: their bordered matrices.
+def _random_xi_stack(rng: SeededRng, trials: int, n: int, l: int, tol: Tolerances, errors: dict):
+    """random_xi on every trial of the loop on rng: their bordered matrices.
 
-    Each round draws one candidate per pending trial and validates all of
-    them by one stacked xi_build; the rejected ones draw again.  A candidate
-    whose spectral check fails keeps its slot and fails its trial.
+    Each round draws one candidate per pending trial and validates the ones
+    with a wide enough diagonal gap by one stacked xi_build; a trial whose
+    candidate is rejected, by the gap or by validation, is pending in the
+    next round.  A candidate whose spectral check fails keeps its slot and
+    fails its trial.
     """
-    accepted = np.empty((len(rngs), n, n), dtype=complex)
-    draws = np.zeros(len(rngs), dtype=int)
-    pending = list(range(len(rngs)))
-    while pending:
-        candidates = []
-        for t in pending:
-            draw = None
-            while draw is None:
-                if draws[t] == _RESAMPLE_LIMIT:
-                    raise XiInvariantError(
-                        f"no draw out of {_RESAMPLE_LIMIT} planted exactly l={l} coincidences "
-                        f"at n={n} with eig_match={tol.eig_match:g}"
-                    )
-                draws[t] += 1
-                draw = _draw_xi(rngs[t], n, l)
-            candidates.append(draw)
-        h, y, z, w = (np.array(part) for part in zip(*candidates))
-        mats, rejected = _xi_stack(h, y, z, w, l, tol)
-        redraw = []
-        for i, t in enumerate(pending):
-            exc = rejected.get(i)
-            if isinstance(exc, XiInvariantError):
-                redraw.append(t)
-                continue
-            accepted[t] = mats[i]
-            if exc is not None:
-                errors.setdefault(t, exc)
-        pending = redraw
-    return accepted
+    accepted = np.empty((trials, n, n), dtype=complex)
+    pending = np.arange(trials)
+    for rnd in range(_RESAMPLE_LIMIT):
+        h, y, z, w, wide = _draw_xi(rng, rnd, pending, n, l)
+        redraw = pending[~wide].tolist()
+        if wide.any():
+            mats, rejected = _xi_stack(h[wide], y[wide], z[wide], w[wide], l, tol)
+            for i, t in enumerate(pending[wide].tolist()):
+                exc = rejected.get(i)
+                if isinstance(exc, XiInvariantError):
+                    redraw.append(t)
+                    continue
+                accepted[t] = mats[i]
+                if exc is not None:
+                    errors.setdefault(t, exc)
+        pending = np.array(sorted(redraw), dtype=int)
+        if not pending.size:
+            return accepted
+    raise XiInvariantError(
+        f"no draw out of {_RESAMPLE_LIMIT} planted exactly l={l} coincidences "
+        f"at n={n} with eig_match={tol.eig_match:g}"
+    )
 
 
 def random_xi(rng: SeededRng, n: int, l: int, tol: Tolerances = DEFAULT_TOL) -> XiElement:
@@ -503,7 +498,7 @@ def random_xi(rng: SeededRng, n: int, l: int, tol: Tolerances = DEFAULT_TOL) -> 
     _check_arg("n", n, 2)
     _check_arg("l", l, 0, n - 1)
     errors = {}
-    mats = _random_xi_stack([rng], n, l, tol, errors)
+    mats = _random_xi_stack(rng, 1, n, l, tol, errors)
     if errors:
         raise errors[0]
     return _xi_element(mats[0], l)
@@ -529,14 +524,14 @@ def verify_roundtrips(
     n: int, l: int, trials: int, rng: SeededRng, tol: Tolerances = DEFAULT_TOL
 ) -> RoundTripReport:
     """Monte Carlo check that canonical_form recovers a planted count l; trial
-    t draws random_xi, then sample_K, from rng.derive(t)."""
+    t conjugates trial t of random_xi by trial t of sample_K, both drawn on
+    rng, each from its own stages."""
     _check_arg("n", n, 2)
     _check_arg("l", l, 0, n - 1)
     _check_arg("trials", trials, 0)
-    rngs = [rng.derive(t) for t in range(trials)]
     errors = {}
-    planted = _random_xi_stack(rngs, n, l, tol, errors)
-    blocks, scalars = _sample_K_stack(rngs, n, errors)
+    planted = _random_xi_stack(rng, trials, n, l, tol, errors)
+    blocks, scalars = _sample_K_stack([rng], trials, n, errors)
     xs = _conjugate(_block_diagonal(blocks, scalars), planted, errors)
     results = _canonical_stack(xs, tol, errors)
     worst = max((res.residual for res in results), default=0.0)
@@ -690,8 +685,8 @@ def sn_membership(x, tol: Tolerances = DEFAULT_TOL) -> bool:
 def verify_nilradical(
     i: int, n: int, trials: int, rng: SeededRng, tol: Tolerances = DEFAULT_TOL
 ) -> tuple:
-    """Monte Carlo counts on the catalog nilradical i: trial t draws sample_K,
-    then sample_in of nilradical_n(i, n), from rng.derive(t) and conjugates.
+    """Monte Carlo counts on the catalog nilradical i: trial t conjugates trial
+    t of sample_in of nilradical_n(i, n) by trial t of sample_K, both on rng.
     Returns (nilpotent pairs, strongly regular trials, method disagreements);
     a trial whose two strong-regularity routes disagree counts only as a
     disagreement."""
@@ -699,8 +694,7 @@ def verify_nilradical(
     _check_arg("i", i, 1, n)
     _check_arg("trials", trials, 0)
     errors = {}
-    rngs = [rng.derive(t) for t in range(trials)]
-    xs = _conjugated_samples([nilradical_n(i, n)], n, rngs, errors)
+    xs = _conjugated_samples([nilradical_n(i, n)], n, [rng], trials, errors)
     if errors:
         raise errors[min(errors)]
     rep, disagreements = _strong_regularity_stack(xs, tol)

@@ -8,11 +8,11 @@ not met, zero trials, or a `verify` loop that completed no trial).
 
 Reports are JSON objects with sorted keys (or a flat text table), so a fixed
 command line plus a fixed seed produces byte-identical output.  The seeded
-commands share one stream layout: loop k of a report starts on stream k*T,
-T being its trial or repeat count, and trial t of the loop draws from
-derive(t).  Each loop's trials run as one stack, and `verify` runs all its
-containment loops as one stack (see gzcut.orbits); `--workers` is accepted
-but has no effect.
+commands share one stream layout: loop k of a report draws on the handle of
+stream k*T, T being its trial or repeat count, and trial t of the loop takes
+row t of each of the handle's stage blocks (see gzcut.orbits).  Each loop's
+trials run as one stack, and `verify` runs all its containment loops as one
+stack; `--workers` is accepted but has no effect.
 
 A status is decided by the claim's own checks.  `sn` passes when every
 sampled pair is nilpotent and the strongly regular fraction is above 0.99 on
@@ -159,8 +159,9 @@ def _inputs(args, low: int = 2):
 
 
 def _loops(args, trials: int):
-    """The stream layout of every seeded report: loop k starts on stream k*T,
-    T being the loop's trial count, and its trial t draws from derive(t)."""
+    """The stream layout of every seeded report: loop k draws on stream k*T,
+    T being the loop's trial count, and its trial t takes row t of each of
+    the loop's stage blocks."""
     return (SeededRng(args.seed, k * trials) for k in itertools.count())
 
 

@@ -1,28 +1,26 @@
 """Sampling from the block-diagonal subgroup and from catalog subalgebras,
 adjoint action, Monte Carlo containment checks, and tangent-space ranks.
 
-All randomness flows through SeededRng handles: a handle is fully determined
-by (seed, stream), and trial t of a loop draws only from rng.derive(t), the
-handle on stream + t, so a loop's draws depend only on its starting handle.
+All randomness flows through SeededRng handles, frozen (seed, stream) pairs.
+A loop draws on one handle: each stage of each redraw round is one block from
+SeedSequence(seed, spawn_key=(stream, stage, round)), and trial t takes row
+t, so its values do not depend on the loop's trial count.  A rejected draw is
+redone on the same row of the next round's block.
 
-The trial loops are stacked: every trial still draws from its own handle, in
-the order a lone trial would, but the linear algebra of all the loop's trials
-is done by one call per kernel on a (T, n, n) stack.  The containment loops
-of a report, one per catalog index, run as one stack of all their trials
-with the stream layout unchanged; only the sample_in contraction stays per
-index.  Every stage takes and returns arrays with one entry per trial: a
-failed trial keeps its slot, with stand-in values, and its first exception
-goes to the loop's errors dict, keyed by trial number; results skip the
-failed trials only at the end.  Each stage and kernel records its own
-failures there by setdefault.  The one-trial functions (sample_K,
-sample_in, containment_trial, tangent_dim) are the engine run on a single
-handle or point.
+The linear algebra of all a loop's trials is done by one call per kernel on
+a (T, n, n) stack; the containment loops of a report, one per catalog index
+and handle, run as one stack, with only the sample_in contraction per index.
+Every stage takes and returns arrays with one entry per trial: a failed
+trial keeps its slot, with stand-in values, and each stage and kernel
+records its first exception in the loop's errors dict by setdefault, keyed
+by trial number; results skip the failed trials only at the end.  The
+one-trial functions (sample_K, sample_in, containment_trial, tangent_dim)
+are the engine on trial 0 of a loop on the same handle, or on one point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -52,35 +50,49 @@ __all__ = [
 _MIN_BLOCK_SV = 1e-3
 _RESAMPLE_LIMIT = 100
 
+# the stages of a loop's randomness, the middle key of each block's stream
+_K_BLOCK, _K_SCALAR, _COEFFS, _XI_NORMALS, _XI_UNIFORMS = range(5)
 
-@dataclass(eq=False)
+
+@dataclass(frozen=True)
 class SeededRng:
-    """Reproducible RNG handle: (seed, stream) fully determines the draws.
-
-    The generator is seeded on the first draw, so a handle that only derives
-    others costs nothing.
-    """
+    """Reproducible RNG handle with no generator state: a draw names a stage,
+    a round and rows of that block, and two draws of one stage and round are
+    equal."""
 
     seed: int
     stream: int = 0
 
-    @cached_property
-    def _gen(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
-        return np.random.Generator(np.random.PCG64(ss))
+    def __post_init__(self):
+        for name in ("seed", "stream"):
+            value = getattr(self, name)
+            # an exact type check, as the CLI's: bool is a subclass of int
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            _check_arg(name, value, 0)
 
     def derive(self, offset: int) -> "SeededRng":
-        """Fresh handle on stream + offset; used to give each trial its own."""
+        """The handle on stream + offset; gives each loop of a report its own."""
         return SeededRng(self.seed, self.stream + offset)
 
-    def complex_normal(self, shape=None) -> np.ndarray:
-        g = self._gen
-        return (g.standard_normal(shape) + 1j * g.standard_normal(shape)) / np.sqrt(2.0)
+    def _rows(self, draw, stage: int, rnd: int, rows, shape: tuple) -> np.ndarray:
+        """The given rows (trial numbers) of the stage's round-rnd block, drawn
+        by the Generator method draw, each row of the given shape."""
+        rows = np.asarray(rows, dtype=np.intp)
+        seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream, stage, rnd))
+        gen = np.random.Generator(np.random.PCG64(seq))
+        return draw(gen, (rows.max(initial=-1) + 1, *shape))[rows]
 
-    def uniform(self, size=None):
-        """Uniform draws on [0, 1); a draw of `size` values equals that many
-        single draws in turn."""
-        return self._gen.random(size)
+    def complex_normal(self, stage: int, rnd: int, rows, shape: tuple = ()) -> np.ndarray:
+        """Standard complex normals, as rows of a block.  A value's real and
+        imaginary parts are adjacent draws, so a row does not depend on how
+        many rows are drawn."""
+        pairs = self._rows(np.random.Generator.standard_normal, stage, rnd, rows, (*shape, 2))
+        return pairs.view(complex)[..., 0] / np.sqrt(2.0)
+
+    def uniform(self, stage: int, rnd: int, rows, shape: tuple = ()) -> np.ndarray:
+        """Uniforms on [0, 1), as rows of a block."""
+        return self._rows(np.random.Generator.random, stage, rnd, rows, shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,35 +136,32 @@ def _singular_values(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mats, compute_uv=False)
 
 
-def _sample_K_stack(rngs: list, n: int, errors: dict):
-    """sample_K on the handle of every trial: (blocks, scalars).
-
-    The first block of every trial is checked against the conditioning floor
-    by one stacked SVD; a trial whose block misses it redraws on its own
-    handle, up to _RESAMPLE_LIMIT draws in all, unless it has failed already.
-    """
+def _sample_K_stack(rngs: list, trials: int, n: int, errors: dict):
+    """sample_K on every trial of the loops on rngs, trials each, loop after
+    loop: (blocks, scalars).  Each round checks its blocks against the
+    conditioning floor by one stacked SVD; a trial whose block misses it,
+    unless it has failed already, draws again in the next round, up to
+    _RESAMPLE_LIMIT rounds."""
     k = n - 1
-    blocks = np.array([rng.complex_normal((k, k)) for rng in rngs], dtype=complex)
-    blocks = blocks.reshape(-1, k, k)
-    unsolved = "SVD failed to converge"
-    sv = _lapack_stack(_singular_values, blocks, errors, unsolved)
-    for t in (sv[:, -1] <= _MIN_BLOCK_SV).nonzero()[0].tolist():
-        if t in errors:
-            continue
-        for _ in range(_RESAMPLE_LIMIT - 1):
-            block = rngs[t].complex_normal((k, k))
-            lost = {}
-            redraw = _lapack_stack(_singular_values, block[None], lost, unsolved)
-            if lost:
-                errors[t] = lost[0]
-                break
-            if redraw[0, -1] > _MIN_BLOCK_SV:
-                blocks[t] = block
-                break
-        else:
-            errors[t] = EigensolverError("conditioning resample limit exceeded")
-    scalars = [np.exp(2j * np.pi * rng.uniform()) * (1.0 + rng.uniform()) for rng in rngs]
-    return blocks, np.array(scalars, dtype=complex)
+    blocks = np.empty((len(rngs) * trials, k, k), dtype=complex)
+    pending = np.arange(len(blocks))
+    for rnd in range(_RESAMPLE_LIMIT):
+        if not pending.size:
+            break
+        loop, row = np.divmod(pending, trials)
+        blocks[pending] = np.concatenate(
+            [rngs[j].complex_normal(_K_BLOCK, rnd, row[loop == j], (k, k)) for j in np.unique(loop)]
+        )
+        lost = {}
+        sv = _lapack_stack(_singular_values, blocks[pending], lost, "SVD failed to converge")
+        for i, exc in lost.items():
+            errors.setdefault(int(pending[i]), exc)
+        missed = pending[sv[:, -1] <= _MIN_BLOCK_SV].tolist()
+        pending = np.array([t for t in missed if t not in errors], dtype=int)
+    for t in pending.tolist():
+        errors[t] = EigensolverError("conditioning resample limit exceeded")
+    u = np.concatenate([rng.uniform(_K_SCALAR, 0, range(trials), (2,)) for rng in rngs])
+    return blocks, np.exp(2j * np.pi * u[:, 0]) * (1.0 + u[:, 1])
 
 
 def _conjugate(kms: np.ndarray, xs: np.ndarray, errors: dict) -> np.ndarray:
@@ -168,40 +177,35 @@ def sample_K(rng: SeededRng, n: int) -> KElement:
     if n < 2:
         raise ValueError("need n >= 2")
     errors = {}
-    blocks, scalars = _sample_K_stack([rng], n, errors)
+    blocks, scalars = _sample_K_stack([rng], 1, n, errors)
     if errors:
         raise errors[0]
     return KElement(blocks[0], complex(scalars[0]), n)
 
 
-def _sample_in_stack(s: SubalgebraSpec, rngs: list) -> np.ndarray:
-    """sample_in on every handle.  With a permutation frame (every catalog
-    parabolic and nilradical) each entry is one coefficient or zero, so the
-    contraction of the stack has the same bits as one sample at a time."""
+def _sample_in_stack(s: SubalgebraSpec, rng: SeededRng, trials: int) -> np.ndarray:
+    """sample_in on every trial of the loop on rng.  With a permutation frame
+    (every catalog parabolic and nilradical) each entry is one coefficient or
+    zero, so the contraction of the stack has the same bits as one sample at
+    a time."""
     if not s.basis:
         raise ValueError("subalgebra basis is empty")
-    coeffs = np.array([rng.complex_normal(s.dim) for rng in rngs], dtype=complex)
-    return np.tensordot(coeffs.reshape(-1, s.dim), np.array(s.basis), axes=1)
+    coeffs = rng.complex_normal(_COEFFS, 0, range(trials), (s.dim,))
+    return np.tensordot(coeffs, np.array(s.basis), axes=1)
 
 
-def _conjugated_samples(specs: list, n: int, rngs: list, errors: dict) -> np.ndarray:
-    """ad(sample_K(r, n), sample_in(s, r)) on the handle r of every trial.
-
-    The handles run over the specs in equal consecutive groups; each group's
-    sample_in is one contraction, and sample_K and ad one stack over all the
-    groups.
-    """
-    blocks, scalars = _sample_K_stack(rngs, n, errors)
-    per = len(rngs) // len(specs)
-    xs = np.concatenate(
-        [_sample_in_stack(s, rngs[k * per : (k + 1) * per]) for k, s in enumerate(specs)]
-    )
+def _conjugated_samples(specs: list, n: int, rngs: list, trials: int, errors: dict) -> np.ndarray:
+    """ad(sample_K, sample_in(specs[k])) on every trial of the loop on rngs[k],
+    trials each, loop after loop: each loop's sample_in is one contraction,
+    and sample_K and ad one stack over all the loops."""
+    blocks, scalars = _sample_K_stack(rngs, trials, n, errors)
+    xs = np.concatenate([_sample_in_stack(s, rng, trials) for s, rng in zip(specs, rngs)])
     return _conjugate(_block_diagonal(blocks, scalars), xs, errors)
 
 
 def sample_in(s: SubalgebraSpec, rng: SeededRng) -> np.ndarray:
     """Gaussian linear combination of the basis elements."""
-    return _sample_in_stack(s, [rng])[0]
+    return _sample_in_stack(s, rng, 1)[0]
 
 
 def ad(k: KElement, x) -> np.ndarray:
@@ -230,10 +234,10 @@ class ContainmentReport:
     worst_residual: float
 
 
-def _containment_stack(specs: list, n: int, rngs: list, tol: Tolerances, errors: dict):
-    """containment_trial on every handle, the handles running over the specs
-    in equal consecutive groups: (l, worst pair residual) of every trial."""
-    ys = _conjugated_samples(specs, n, rngs, errors)
+def _containment_stack(specs: list, n: int, rngs: list, trials: int, tol: Tolerances, errors: dict):
+    """containment_trial on every trial of the loop on rngs[k] in specs[k],
+    trials each, loop after loop: (l, worst pair residual) of every trial."""
+    ys = _conjugated_samples(specs, n, rngs, trials, errors)
     _, matched, cost = _coincidence_stack(ys, tol, errors)
     return matched.sum(axis=(1, 2)), np.where(matched, cost, 0.0).max(axis=(1, 2))
 
@@ -242,7 +246,7 @@ def containment_trial(p: SubalgebraSpec, n: int, rng: SeededRng, tol: Tolerances
     """One trial: conjugate a random element of p by a random group element
     and count coincidences.  Returns (l, worst pair residual) or raises."""
     errors = {}
-    l, worst = _containment_stack([p], n, [rng], tol, errors)
+    l, worst = _containment_stack([p], n, [rng], 1, tol, errors)
     if errors:
         raise errors[0]
     return int(l[0]), float(worst[0])
@@ -250,13 +254,13 @@ def containment_trial(p: SubalgebraSpec, n: int, rng: SeededRng, tol: Tolerances
 
 def _containment_loops(idxs: list, n: int, trials: int, rngs: list, tol: Tolerances) -> list:
     """verify_containment for every idxs[k] on its loop handle rngs[k], as one
-    stack: the trials of all the loops share each sample_K, ad and
-    eigenvalue call, and every trial draws from its own handle as before."""
+    stack: the trials of all the loops share each sample_K round, ad and
+    eigenvalue call."""
     _check_arg("n", n, 2)
     _check_arg("trials", trials, 0)
-    handles = [rng.derive(t) for rng in rngs for t in range(trials)]
     errors = {}
-    l, worst = _containment_stack([parabolic_p(idx, n) for idx in idxs], n, handles, tol, errors)
+    specs = [parabolic_p(idx, n) for idx in idxs]
+    l, worst = _containment_stack(specs, n, rngs, trials, tol, errors)
     reports = []
     for k, idx in enumerate(idxs):
         done = [t for t in range(k * trials, (k + 1) * trials) if t not in errors]
@@ -316,11 +320,11 @@ def estimate_dim(
     s: SubalgebraSpec, repeats: int, rng: SeededRng, tol: Tolerances = DEFAULT_TOL
 ) -> int:
     """Generic rank of the saturation: max tangent rank over Gaussian samples,
-    sample t drawn from rng.derive(t).
+    sample t being trial t of the loop on rng.
 
     Rank is lower semicontinuous, so the generic value is the max, attained
     with probability one; degenerate samples only ever undershoot.
     """
     _check_arg("repeats", repeats, 0)
-    xs = _sample_in_stack(s, [rng.derive(t) for t in range(repeats)])
+    xs = _sample_in_stack(s, rng, repeats)
     return int(_tangent_ranks(s, xs, tol).max(initial=0))

@@ -234,9 +234,90 @@ def numpy_newton_to_charpoly(power_sums) -> np.ndarray:
     return e * (-1.0) ** np.arange(k + 1)
 
 
-# The serial trial loops gzcut ran before its loops were stacked, kept as the
-# reference the stacked loops must reproduce exactly: one trial at a time,
-# each through the one-trial functions.
+# The serial trial loops, kept as the reference the stacked loops must
+# reproduce exactly: one trial at a time, each through the one-trial kernels.
+# They build the stream layout themselves from numpy.  Stage s of redraw
+# round r of the loop on handle (seed, stream) is one block drawn by
+# Generator(PCG64(SeedSequence(seed, spawn_key=(stream, s, r)))), and trial t
+# takes row t of it; a complex normal is an adjacent (real, imaginary) pair of
+# standard normals over sqrt(2).  A rejected draw is redone from the next
+# round's block.
+
+K_BLOCK, K_SCALAR, COEFFS, XI_NORMALS, XI_UNIFORMS = range(5)
+
+
+def stage_row(rng, stage, rnd, t, shape, normal):
+    """Row t of the stage's round-rnd block of the loop on rng: complex
+    normals when normal is true, else uniforms on [0, 1)."""
+    seq = np.random.SeedSequence(rng.seed, spawn_key=(rng.stream, stage, rnd))
+    gen = np.random.Generator(np.random.PCG64(seq))
+    if not normal:
+        return gen.random((t + 1, *shape))[t]
+    pairs = gen.standard_normal((t + 1, *shape, 2))[t]
+    return (pairs[..., 0] + 1j * pairs[..., 1]) / np.sqrt(2.0)
+
+
+def serial_sample_K(rng, n, t):
+    """Trial t's sample_K: its first block, round by round, whose smallest
+    singular value clears the conditioning floor."""
+    from gzcut import EigensolverError, KElement
+    from gzcut.orbits import _MIN_BLOCK_SV, _RESAMPLE_LIMIT
+
+    for rnd in range(_RESAMPLE_LIMIT):
+        block = stage_row(rng, K_BLOCK, rnd, t, (n - 1, n - 1), True)
+        if np.linalg.svd(block, compute_uv=False)[-1] > _MIN_BLOCK_SV:
+            break
+    else:
+        raise EigensolverError("conditioning resample limit exceeded")
+    u = stage_row(rng, K_SCALAR, 0, t, (2,), False)
+    return KElement(block, np.exp(2j * np.pi * u[0]) * (1.0 + u[1]), n)
+
+
+def serial_sample_in(s, rng, t):
+    """Trial t's sample_in: its coefficients against the basis."""
+    coeffs = stage_row(rng, COEFFS, 0, t, (s.dim,), True)
+    return np.tensordot(coeffs, np.array(s.basis), axes=1)
+
+
+def serial_conjugated_sample(s, n, rng, t):
+    """Trial t's sample of s conjugated by trial t's sample_K."""
+    from gzcut import ad
+
+    return ad(serial_sample_K(rng, n, t), serial_sample_in(s, rng, t))
+
+
+def serial_planted(rng, n, l, t, tol):
+    """Trial t's random_xi: its first candidate, round by round, whose
+    diagonal keeps a pairwise gap of 0.5 and which xi_build accepts."""
+    from gzcut import XiElement, XiInvariantError, xi_build
+    from gzcut.orbits import _RESAMPLE_LIMIT
+
+    k = n - 1
+    for rnd in range(_RESAMPLE_LIMIT):
+        normals = stage_row(rng, XI_NORMALS, rnd, t, (n,), True)
+        h = 2.0 * normals[:k]
+        if any(abs(h[i] - h[j]) < 0.5 for i in range(k) for j in range(i)):
+            continue
+        u = stage_row(rng, XI_UNIFORMS, rnd, t, (k, 5), False)
+        y = np.zeros(k, dtype=complex)
+        z = np.zeros(k, dtype=complex)
+        for i in range(k):
+            border = (0.5 + u[i, 0]) * np.exp(2j * np.pi * u[i, 1])
+            other = (0.5 + u[i, 2]) * np.exp(2j * np.pi * u[i, 3])
+            if i < l:
+                if u[i, 4] < 0.5:
+                    y[i] = border  # z stays 0: mark U
+                else:
+                    z[i] = border  # y stays 0: mark L
+            else:
+                y[i], z[i] = border, other
+        e = XiElement(n=n, l=l, h=tuple(h), y=tuple(y), z=tuple(z), w=normals[k])
+        try:
+            xi_build(e, tol)
+        except XiInvariantError:
+            continue
+        return e
+    raise XiInvariantError("resample limit")
 
 
 def _xi_matrix(e):
@@ -249,17 +330,16 @@ def _xi_matrix(e):
     return m
 
 
-def serial_containment_trial(p, n, rng, tol):
-    from gzcut import ad, coincidence_count, sample_K, sample_in
+def serial_round_trip_point(n, l, rng, t, tol):
+    """Trial t's planted point conjugated by trial t's sample_K."""
+    from gzcut import ad
 
-    k = sample_K(rng, n)
-    x = sample_in(p, rng)
-    rep = coincidence_count(ad(k, x), tol)
-    return rep.l, max(rep.residuals, default=0.0)
+    # serial_planted has validated e with xi_build already
+    return ad(serial_sample_K(rng, n, t), _xi_matrix(serial_planted(rng, n, l, t, tol)))
 
 
 def serial_verify_containment(idx, n, trials, rng, tol):
-    from gzcut import ContainmentReport, EigensolverError, parabolic_p
+    from gzcut import ContainmentReport, EigensolverError, coincidence_count, parabolic_p
 
     p = parabolic_p(idx, n)
     bound = n - 1 - idx.length
@@ -268,10 +348,11 @@ def serial_verify_containment(idx, n, trials, rng, tol):
     worst = 0.0
     for t in range(trials):
         try:
-            l, res = serial_containment_trial(p, n, rng.derive(t), tol)
+            rep = coincidence_count(serial_conjugated_sample(p, n, rng, t), tol)
         except EigensolverError:
             failures += 1
             continue
+        l, res = rep.l, max(rep.residuals, default=0.0)
         min_l = l if min_l is None else min(min_l, l)
         worst = max(worst, res)
         if l < bound:
@@ -290,10 +371,7 @@ def serial_verify_roundtrips(n, l, trials, rng, tol):
         CutoffNotRegularSemisimple,
         EigensolverError,
         RoundTripReport,
-        ad,
         canonical_form,
-        random_xi,
-        sample_K,
     )
     from gzcut.canonical import _ROUNDTRIP_RESIDUAL_CAP
 
@@ -301,12 +379,8 @@ def serial_verify_roundtrips(n, l, trials, rng, tol):
     worst = 0.0
     borels = set()
     for t in range(trials):
-        trial = rng.derive(t)
         try:
-            e = random_xi(trial, n, l, tol)
-            g = sample_K(trial, n)
-            # random_xi has validated e with xi_build already
-            res = canonical_form(ad(g, _xi_matrix(e)), tol)
+            res = canonical_form(serial_round_trip_point(n, l, rng, t, tol), tol)
         except (EigensolverError, CutoffNotRegularSemisimple):
             failures += 1
             continue
@@ -320,60 +394,15 @@ def serial_verify_roundtrips(n, l, trials, rng, tol):
     )
 
 
-def serial_random_xi(rng, n, l, tol):
-    """random_xi as it drew before its draws were vectorized: one scalar
-    draw per border entry and coin, in slot order."""
-    from gzcut import XiElement, XiInvariantError, xi_build
-    from gzcut.orbits import _RESAMPLE_LIMIT
-
-    for _ in range(_RESAMPLE_LIMIT):
-        h = 2.0 * rng.complex_normal(n - 1)
-        gaps = np.abs(h[:, None] - h[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if gaps.min() < 0.5:
-            continue
-        y = np.zeros(n - 1, dtype=complex)
-        z = np.zeros(n - 1, dtype=complex)
-        for i in range(n - 1):
-            border = (0.5 + rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            other = (0.5 + rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            if i < l:
-                if rng.uniform() < 0.5:
-                    y[i] = border  # z stays 0: mark U
-                else:
-                    z[i] = border  # y stays 0: mark L
-            else:
-                y[i], z[i] = border, other
-        e = XiElement(
-            n=n, l=l, h=tuple(h), y=tuple(y), z=tuple(z), w=complex(rng.complex_normal())
-        )
-        try:
-            xi_build(e, tol)
-        except XiInvariantError:
-            continue
-        return e
-    raise XiInvariantError("resample limit")
-
-
 def serial_verify_nilradical(i, n, trials, rng, tol):
     """The per-component loop of `gzcut sn` before it was stacked: one point
-    at a time through ad, sample_K, sample_in, sn_membership and
-    is_n_strongly_regular."""
-    from gzcut import (
-        MethodDisagreement,
-        ad,
-        is_n_strongly_regular,
-        nilradical_n,
-        sample_K,
-        sample_in,
-        sn_membership,
-    )
+    at a time through ad, sn_membership and is_n_strongly_regular."""
+    from gzcut import MethodDisagreement, is_n_strongly_regular, nilradical_n, sn_membership
 
     nil = nilradical_n(i, n)
     passed = strong = failures = 0
     for t in range(trials):
-        draw = rng.derive(t)
-        x = ad(sample_K(draw, n), sample_in(nil, draw))
+        x = serial_conjugated_sample(nil, n, rng, t)
         passed += bool(sn_membership(x, tol))
         try:
             strong += bool(is_n_strongly_regular(x, tol).ok)
@@ -384,10 +413,7 @@ def serial_verify_nilradical(i, n, trials, rng, tol):
 
 def serial_estimate_dim(s, repeats, rng, tol):
     """estimate_dim before it was stacked: one tangent_dim per sample."""
-    from gzcut import sample_in, tangent_dim
+    from gzcut import tangent_dim
 
-    best = 0
-    for t in range(repeats):
-        x = sample_in(s, rng.derive(t))
-        best = max(best, tangent_dim(s, x, tol))
-    return best
+    ranks = [tangent_dim(s, serial_sample_in(s, rng, t), tol) for t in range(repeats)]
+    return max(ranks, default=0)

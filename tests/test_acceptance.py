@@ -224,7 +224,7 @@ def test_criterion_6_strong_regularity():
     trials = 300
     for n in (3, 4, 5):
         for i in range(1, n + 1):
-            # trial t draws from stream + t, as the per-point loop did
+            # component i draws on its own stream, trial t on row t of its blocks
             _, hits, disagree = verify_nilradical(i, n, trials, SeededRng(SEED + 3, stream), tol)
             stream += trials
             disagreements += disagree

@@ -12,18 +12,16 @@ import gzcut
 from gzcut import (
     MethodDisagreement,
     SeededRng,
-    ad,
     all_orbit_indices,
     estimate_dim,
     is_n_strongly_regular,
     nilradical_n,
     parabolic_p,
-    sample_K,
-    sample_in,
     verify_containment,
     verify_roundtrips,
 )
 from gzcut.cli import main, read_matrix_file, write_matrix_file
+from oracles import serial_conjugated_sample
 
 BORDERED = {"n": 3, "entries": [[1, 0, 0], [0, 2, 1], [0, 1, 3]]}
 
@@ -287,7 +285,7 @@ def test_sn_command(tmp_path):
 
 
 def test_sn_draws_each_trial_on_the_stream_layout(tmp_path, monkeypatch):
-    # component i starts on stream (i-1)*T and trial t draws from derive(t)
+    # component i draws on stream (i-1)*T and trial t takes row t of its blocks
     n, trials, seed = 3, 4, 9
     loops, seen = [], []
     real_loop = gzcut.cli.verify_nilradical
@@ -308,9 +306,8 @@ def test_sn_draws_each_trial_on_the_stream_layout(tmp_path, monkeypatch):
     assert loops == [(i, seed, (i - 1) * trials) for i in range(1, n + 1)]
     want = []
     for i in range(1, n + 1):
-        for t in range(trials):
-            rng = SeededRng(seed, (i - 1) * trials + t)
-            want.append(ad(sample_K(rng, n), sample_in(nilradical_n(i, n), rng)))
+        rng = SeededRng(seed, (i - 1) * trials)
+        want += [serial_conjugated_sample(nilradical_n(i, n), n, rng, t) for t in range(trials)]
     assert len(seen) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(seen, want))
     fractions = [c["strongly_regular_fraction"] for c in report["results"]["components"]]

@@ -1,11 +1,12 @@
 """The stacked trial loops against the serial loops they replaced.
 
 verify_containment, verify_roundtrips, verify_nilradical and estimate_dim run
-every trial of a loop on one (T, n, n) stack per kernel.  Each trial still
-draws from its own stream in the order a lone trial would, so the reports must
-equal, float for float, those of the serial loops in tests/oracles.py, which
-run the one-trial functions one trial at a time.  A trial whose solve fails
-must cost only itself.
+every trial of a loop on one (T, n, n) stack per kernel, and draw each
+stage's randomness as one block per redraw round, trial t on row t.  Their
+reports must equal, float for float, those of the serial loops in
+tests/oracles.py, which build the same stream layout from numpy and run the
+one-trial functions one trial at a time.  A trial's draws must not depend on
+the loop's trial count, and a trial whose solve fails must cost only itself.
 """
 
 import warnings
@@ -24,6 +25,7 @@ from gzcut import (
     OrbitIndex,
     SeededRng,
     Tolerances,
+    XiInvariantError,
     ad,
     coincidence_count,
     eigenvalues,
@@ -43,9 +45,10 @@ from gzcut import (
 from oracles import (
     cgauss,
     lsa_assignment,
+    serial_conjugated_sample,
     serial_containment_loops,
     serial_estimate_dim,
-    serial_random_xi,
+    serial_round_trip_point,
     serial_verify_containment,
     serial_verify_nilradical,
     serial_verify_roundtrips,
@@ -118,42 +121,80 @@ def test_stacked_tangent_ranks_equal_the_serial_estimate(n):
 
 
 def test_stacked_random_xi_redraws_only_the_rejected_trials(monkeypatch):
-    draws, validated = [], []
+    # round r draws, in trial order, exactly the trials whose round r - 1
+    # candidate missed the diagonal gap or failed validation
+    rounds = []
     real_draw, real_check = gzcut.canonical._draw_xi, gzcut.canonical._xi_stack
-    monkeypatch.setattr(gzcut.canonical, "_draw_xi", lambda *a: draws.append(1) or real_draw(*a))
-    monkeypatch.setattr(
-        gzcut.canonical,
-        "_xi_stack",
-        lambda h, *rest: validated.append(len(h)) or real_check(h, *rest),
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        # at 1e-3 some draws miss the diagonal gap and draw again at once;
-        # every candidate then passes validation in one stacked round
-        verify_roundtrips(7, 0, 14, SeededRng(3, 100), Tolerances(eig_match=1e-3))
-        assert len(draws) > 14 and validated == [14]
-        # at 0.1 validation rejects some candidates, which alone draw again
-        draws.clear(), validated.clear()
-        verify_roundtrips(5, 0, 14, SeededRng(3, 100), Tolerances(eig_match=0.1))
-    assert validated[0] == 14 and len(validated) > 1
-    assert all(later < earlier for earlier, later in zip(validated, validated[1:]))
-    assert len(draws) >= sum(validated)
+
+    def draw(rng, rnd, rows, n, l):
+        *parts, wide = real_draw(rng, rnd, rows, n, l)
+        rows = np.asarray(rows)
+        rounds.append((rnd, rows.tolist(), rows[~wide].tolist(), rows[wide].tolist(), []))
+        return *parts, wide
+
+    def check(h, *rest):
+        mats, rejected = real_check(h, *rest)
+        _, _, _, validated, invalid = rounds[-1]
+        invalid += [validated[i] for i, e in rejected.items() if isinstance(e, XiInvariantError)]
+        return mats, rejected
+
+    monkeypatch.setattr(gzcut.canonical, "_draw_xi", draw)
+    monkeypatch.setattr(gzcut.canonical, "_xi_stack", check)
+    # at 1e-3 only the gap rejects; at 0.1 validation rejects some candidates too
+    for n, eig_match, gap_misses, invalid in ((7, 1e-3, True, False), (5, 0.1, True, True)):
+        rounds.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            verify_roundtrips(n, 0, 14, SeededRng(3, 100), Tolerances(eig_match=eig_match))
+        assert [r[0] for r in rounds] == list(range(len(rounds)))
+        assert rounds[0][1] == list(range(14))
+        for prev, cur in zip(rounds, rounds[1:]):
+            assert cur[1] == sorted(prev[2] + prev[4])
+        assert not rounds[-1][2] and not rounds[-1][4]
+        assert any(r[2] for r in rounds) == gap_misses and any(r[4] for r in rounds) == invalid
 
 
-@pytest.mark.parametrize("eig_match", (1e-7, 0.1))
-def test_random_xi_draws_as_one_scalar_draw_at_a_time(eig_match):
-    # the stream layout of a planted point: vectorizing the border draws
-    # must leave every value and the number of draws consumed unchanged
-    tol = Tolerances(eig_match=eig_match)
-    for n in range(2, 9):
-        for l in range(n):
-            a, b = SeededRng(5, 10 * n + l), SeededRng(5, 10 * n + l)
-            for _ in range(3):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    got, want = random_xi(a, n, l, tol), serial_random_xi(b, n, l, tol)
-                assert (got.h, got.y, got.z, got.w) == (want.h, want.y, want.z, want.w)
-            assert a.uniform() == b.uniform()
+def _stage_draws(stage, rng, trials, errors):
+    """The per-trial outputs of one sampling stage run on a loop of trials."""
+    if stage == "sample_in":
+        return (gzcut.orbits._sample_in_stack(parabolic_p(OrbitIndex(2, 4), 5), rng, trials),)
+    if stage == "random_xi":
+        return (gzcut.canonical._random_xi_stack(rng, trials, 8, 3, Tolerances(), errors),)
+    return gzcut.orbits._sample_K_stack([rng], trials, 4, errors)
+
+
+@pytest.mark.parametrize("stage", ("sample_K", "forced sample_K redraw", "sample_in", "random_xi"))
+def test_a_trial_draws_the_same_whatever_the_trial_count(monkeypatch, stage):
+    rng, short, long = SeededRng(12, 34), 9, 23
+    if stage == "forced sample_K redraw":
+        # about a third of the round-0 blocks miss this floor
+        monkeypatch.setattr(gzcut.orbits, "_MIN_BLOCK_SV", 0.3)
+        first = rng.complex_normal(gzcut.orbits._K_BLOCK, 0, range(short), (3, 3))
+        assert (np.linalg.svd(first, compute_uv=False)[:, -1] <= 0.3).any()
+    if stage == "random_xi":
+        # about half the round-0 candidates at n = 8 miss the diagonal gap
+        assert not gzcut.canonical._draw_xi(rng, 0, range(short), 8, 3)[-1].all()
+    errors_short, errors_long = {}, {}
+    got_short = _stage_draws(stage, rng, short, errors_short)
+    got_long = _stage_draws(stage, rng, long, errors_long)
+    for a, b in zip(got_short, got_long):
+        assert np.array_equal(a, b[:short])
+    assert not errors_short and not errors_long
+
+
+def test_the_one_trial_functions_are_trial_0_of_a_loop():
+    rng, n, tol, errors = SeededRng(40, 2), 6, Tolerances(), {}
+    blocks, scalars = gzcut.orbits._sample_K_stack([rng], 9, n, errors)
+    g = sample_K(rng, n)
+    assert np.array_equal(g.block, blocks[0]) and g.scalar == scalars[0]
+    p = parabolic_p(OrbitIndex(2, 4), n)
+    assert np.array_equal(sample_in(p, rng), gzcut.orbits._sample_in_stack(p, rng, 9)[0])
+    for l in range(n):
+        planted = gzcut.canonical._random_xi_stack(rng, 9, n, l, tol, errors)
+        assert np.array_equal(xi_build(random_xi(rng, n, l, tol)), planted[0])
+    l, worst = gzcut.orbits._containment_stack([p], n, [rng], 9, tol, errors)
+    assert gzcut.orbits.containment_trial(p, n, rng, tol) == (l[0], worst[0])
+    assert not errors
 
 
 def test_the_trace_check_fails_only_the_drifting_matrix(monkeypatch):
@@ -248,8 +289,7 @@ def test_a_failed_stacked_solve_costs_only_its_own_trial(monkeypatch):
     n, idx, trials, rng = 4, all_orbit_indices(4)[3], 6, SeededRng(21, 5)
     clean = verify_containment(idx, n, trials, rng)
     # the conjugated sample of trial 2, whose eigenvalues are made to fail
-    r = rng.derive(2)
-    poison = ad(sample_K(r, n), sample_in(parabolic_p(idx, n), r))
+    poison = serial_conjugated_sample(parabolic_p(idx, n), n, rng, 2)
     real = np.linalg.eigvals
     stacks = []
 
@@ -286,8 +326,7 @@ def test_a_failed_trial_in_the_containment_stack_lands_on_its_own_index(monkeypa
     rngs = [SeededRng(21, k * trials) for k in range(len(idxs))]
     clean = gzcut.orbits._containment_loops(idxs, n, trials, rngs, tol)
     # the conjugated sample of trial 2 of index `bad`, whose eigenvalues are made to fail
-    r = rngs[bad].derive(2)
-    poison = ad(sample_K(r, n), sample_in(parabolic_p(idxs[bad], n), r))
+    poison = serial_conjugated_sample(parabolic_p(idxs[bad], n), n, rngs[bad], 2)
     real = np.linalg.eigvals
     stacks = []
 
@@ -310,9 +349,7 @@ def test_a_failed_trial_in_the_containment_stack_lands_on_its_own_index(monkeypa
 def test_a_failed_eig_in_one_round_trip_costs_only_that_trial(monkeypatch):
     n, l, trials, rng, tol = 5, 2, 8, SeededRng(13, 40), Tolerances()
     # the cutoff of trial 3's conjugated planted point, whose eigendecomposition fails
-    r = rng.derive(3)
-    planted = xi_build(random_xi(r, n, l))
-    poison = ad(sample_K(r, n), planted)[:-1, :-1]
+    poison = serial_round_trip_point(n, l, rng, 3, tol)[:-1, :-1]
     real = np.linalg.eig
 
     def eig(a):

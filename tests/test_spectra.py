@@ -82,7 +82,7 @@ def test_phi_n_conjugation_invariance():
     rng = SeededRng(99)
     for n in (2, 3, 5):
         m = cgauss(gen, (n, n))
-        k = sample_K(rng, n)
+        k = sample_K(rng.derive(n), n)
         a = np.concatenate([phi_n(m).c_prev, phi_n(m).c_full])
         b_img = phi_n(ad(k, m))
         b = np.concatenate([b_img.c_prev, b_img.c_full])
