@@ -70,8 +70,10 @@ __all__ = [
     "verify_nilradical",
 ]
 
-# a cutoff counts as regular semisimple when its eigenvalue gaps clear
-# this many matching radii; below 10x the bound we warn about conditioning
+# a cutoff is regular semisimple when its eigenvalue gaps clear this many
+# matching radii, in validation and reduction alike (the reduction warns up to
+# 10x that floor); a border entry vanishes when it is at most one matching
+# radius.  So scaling x and eig_match together leaves each verdict unchanged.
 _RS_GAP_FACTOR = 1e3
 
 # a planted round trip must land in its parabolic with a residual below this
@@ -154,12 +156,17 @@ class CanonicalFormResult:
     pattern: ULPattern
 
 
-def _scales(h, y, z, w) -> np.ndarray:
-    """Largest entry size of each bordered form; h, y, z are (T, n-1), w is (T,)."""
-    return np.maximum(
-        np.maximum(np.abs(h).max(axis=1), np.abs(y).max(axis=1)),
-        np.maximum(np.abs(z).max(axis=1), np.abs(w)),
-    )
+def _min_gap(values: np.ndarray) -> np.ndarray:
+    """Smallest pairwise distance within each row of a (T, k) stack; inf for k = 1."""
+    k = values.shape[1]
+    gaps = np.abs(values[:, :, None] - values[:, None, :])
+    gaps[:, range(k), range(k)] = np.inf
+    return gaps.min(axis=(1, 2))
+
+
+def _vanishes(v: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Whether each border entry counts as zero."""
+    return np.abs(v) <= tol.eig_match
 
 
 def _rows(e: XiElement):
@@ -196,18 +203,13 @@ def _xi_stack(h, y, z, w, l: int, tol: Tolerances):
     mats[:, k, :k] = z
     mats[:, k, k] = w
 
-    gap_tol = tol.eig_match * (1.0 + _scales(h, y, z, w))
-    diffs = np.abs(h[:, :, None] - h[:, None, :])
-    diffs[:, slots, slots] = np.inf
-    gap = diffs.min(axis=(1, 2))
-    products = z * y
-    prod_tol = tol.eig_match * (1.0 + np.abs(y).max(axis=1)) * (1.0 + np.abs(z).max(axis=1))
-    # shared slots need a vanishing z_i y_i, the others a nonvanishing one
-    misplaced = (np.abs(products) <= prod_tol[:, None]) != (slots < l)
+    gap, floor = _min_gap(h), _RS_GAP_FACTOR * tol.eig_match
+    # shared slots need a vanishing border entry, the others none
+    misplaced = (_vanishes(y, tol) | _vanishes(z, tol)) != (slots < l)
     errors = {}
-    for t in (gap <= gap_tol).nonzero()[0]:
+    for t in (gap <= floor).nonzero()[0]:
         errors[t] = XiInvariantError(
-            f"diagonal values are not pairwise distinct (gap {gap[t]:.3e})"
+            f"diagonal values are not pairwise distinct (gap {gap[t]:.3e}, floor {floor:.3e})"
         )
     for t in misplaced.any(axis=1).nonzero()[0]:
         if t in errors:
@@ -215,11 +217,11 @@ def _xi_stack(h, y, z, w, l: int, tol: Tolerances):
         i = int(misplaced[t].argmax())
         if i < l:
             errors[t] = XiInvariantError(
-                f"slot {i + 1} lies in the shared range but z*y = {products[t, i]:.3e}"
+                f"slot {i + 1} lies in the shared range but neither border entry vanishes"
             )
         else:
             errors[t] = XiInvariantError(
-                f"slot {i + 1} lies outside the shared range but z*y vanishes"
+                f"slot {i + 1} lies outside the shared range but a border entry vanishes"
             )
 
     cut, matched, _ = _coincidence_stack(mats, tol, errors)
@@ -235,7 +237,7 @@ def _xi_stack(h, y, z, w, l: int, tol: Tolerances):
         exact = (counts == l).nonzero()[0]
         shared = cut[exact][matched[exact].any(axis=2)].reshape(-1, l)
         planted = sort_complex(h[exact, :l])
-        off = np.abs(shared - planted).max(axis=1) > 10.0 * gap_tol[exact]
+        off = np.abs(shared - planted).max(axis=1) > 10.0 * tol.eig_match
         for t in exact[off]:
             errors.setdefault(
                 t, XiInvariantError("shared eigenvalues differ from the leading diagonal values")
@@ -246,9 +248,10 @@ def _xi_stack(h, y, z, w, l: int, tol: Tolerances):
 def xi_build(e: XiElement, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Assemble the bordered matrix and validate the planted structure.
 
-    Checks, at matching tolerance: pairwise distinct diagonal, vanishing
-    z_i y_i on the first l slots and nonvanishing afterwards, and that the
-    assembled matrix really shares exactly {h_1, ..., h_l} with its cutoff.
+    Checks that the diagonal gaps clear reduce_to_xi's floor of 1e3 matching
+    radii, that each of the first l slots and no later one has a vanishing
+    border entry (|y_i| or |z_i| <= eig_match), and that the assembled matrix
+    shares exactly {h_1, ..., h_l} with its cutoff, within 10 matching radii.
     """
     mats, errors = _xi_stack(*_rows(e), e.l, tol)
     if errors:
@@ -256,30 +259,30 @@ def xi_build(e: XiElement, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return mats[0]
 
 
-def _upper_marks(h, y, z, w, counts, tol: Tolerances) -> np.ndarray:
+def _upper_marks(y, z, counts, tol: Tolerances, errors: dict) -> np.ndarray:
     """U marks of stacked forms: True where slot i of form t is shared
     (i < counts[t]) and its z_i vanishes.
 
     A slot where both border entries vanish resolves to U so the output is
-    deterministic; a shared slot where neither vanishes raises
+    deterministic; a shared slot where neither vanishes fails its form with
     XiInvariantError.
     """
-    thresh = (tol.eig_match * (1.0 + _scales(h, y, z, w)))[:, None]
-    shared = np.arange(h.shape[1]) < counts[:, None]
-    upper = (np.abs(z) <= thresh) & shared
-    stray = ~upper & (np.abs(y) > thresh) & shared
-    if stray.any():
-        _, i = np.argwhere(stray)[0]
-        raise XiInvariantError(
-            f"slot {i + 1} is marked shared but neither border entry vanishes"
-        )
+    shared = np.arange(y.shape[1]) < counts[:, None]
+    upper = _vanishes(z, tol) & shared
+    stray = ~upper & ~_vanishes(y, tol) & shared
+    msg = "slot {} is marked shared but neither border entry vanishes"
+    for t in stray.any(axis=1).nonzero()[0].tolist():
+        errors.setdefault(t, XiInvariantError(msg.format(stray[t].argmax() + 1)))
     return upper
 
 
 def xi_pattern(e: XiElement, tol: Tolerances = DEFAULT_TOL) -> ULPattern:
     """U/L marks over the shared slots; a slot where both border entries
     vanish resolves to U so the output is deterministic."""
-    upper = _upper_marks(*_rows(e), np.array([e.l]), tol)
+    errors = {}
+    upper = _upper_marks(*_rows(e)[1:3], np.array([e.l]), tol, errors)
+    if errors:
+        raise errors[0]
     return ULPattern(tuple("U" if u else "L" for u in upper[0, : e.l]))
 
 
@@ -313,26 +316,22 @@ def _reduce_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
 
     Returns the conjugating blocks, the bordered forms and the shared counts
     of every trial.  One conditioning warning covers all the trials near the
-    gap policy; a failed trial counts 0 shared values and is left out of it.
+    gap floor; a failed trial counts 0 shared values and is left out of it.
     """
-    n = mats.shape[-1]
     evals, evecs = _lapack_stack(
         np.linalg.eig, mats[:, :-1, :-1], errors, "eigendecomposition of the cutoff failed"
     )
-    diag = np.arange(n - 1)
-    gaps = np.abs(evals[:, :, None] - evals[:, None, :])
-    gaps[:, diag, diag] = np.inf
-    gap = gaps.min(axis=(1, 2))
-    policy = _RS_GAP_FACTOR * tol.eig_match * (1.0 + np.abs(evals).max(axis=1))
-    for t in (gap <= policy).nonzero()[0].tolist():
+    gap = _min_gap(evals)
+    floor = _RS_GAP_FACTOR * tol.eig_match
+    for t in (gap <= floor).nonzero()[0].tolist():
         errors.setdefault(
             t,
             CutoffNotRegularSemisimple(
-                f"cutoff eigenvalue gap {gap[t]:.3e} is below the policy {policy[t]:.3e}; "
+                f"cutoff eigenvalue gap {gap[t]:.3e} is at or below the floor {floor:.3e}; "
                 "the reduction is undefined here"
             ),
         )
-    near = (gap > policy) & (gap <= 10.0 * policy)
+    near = (gap > floor) & (gap <= 10.0 * floor)
     near[list(errors)] = False
     if near.any():
         # one warning per call, not per trial, so the registry stays bounded
@@ -360,10 +359,10 @@ def reduce_to_xi(x, tol: Tolerances = DEFAULT_TOL):
     """Conjugate x into bordered-diagonal form with shared eigenvalues first.
 
     Returns (k, e) with ad(k, x) equal to the assembled form of e up to
-    roundoff.  Defined only when the cutoff is regular semisimple: the gap
-    policy is 1e3 matching radii (scaled by the spectral size), and gaps
-    within 10x of the policy trigger a conditioning warning.  The shared
-    values are sorted lexicographically, then the unshared ones.
+    roundoff.  Defined only when the cutoff is regular semisimple: every
+    eigenvalue gap must clear a floor of 1e3 matching radii, and gaps within
+    10x of the floor trigger a conditioning warning.  The shared values are
+    sorted lexicographically, then the unshared ones.
     """
     m = as_cmatrix(x)
     n = m.shape[0]
@@ -386,8 +385,7 @@ def _canonical_stack(mats: np.ndarray, tol: Tolerances, errors: dict) -> list:
     n = mats.shape[-1]
     k = n - 1
     k1, forms, counts = _reduce_stack(mats, tol, errors)
-    h, y, z, w = forms.diagonal(0, 1, 2)[:, :k], forms[:, :k, k], forms[:, k, :k], forms[:, k, k]
-    upper = _upper_marks(h, y, z, w, counts, tol)
+    upper = _upper_marks(forms[:, :k, k], forms[:, k, :k], counts, tol, errors)
     order = _frame_order(upper, np.arange(k) < counts[:, None])
     blocks = np.take_along_axis(k1, order[..., None], axis=1)
     images = _conjugate(_block_diagonal(blocks, 1.0), mats, errors)
@@ -448,9 +446,7 @@ def _draw_xi(rng: SeededRng, rnd: int, rows, n: int, l: int):
     upper = shared & (u[..., 4] < 0.5)
     y = np.where(shared & ~upper, 0.0, border)
     z = np.where(shared, np.where(upper, 0.0, border), other)
-    gaps = np.abs(h[:, :, None] - h[:, None, :])
-    gaps[:, range(k), range(k)] = np.inf
-    return h, y, z, normals[:, k], gaps.min(axis=(1, 2)) >= 0.5
+    return h, y, z, normals[:, k], _min_gap(h) >= 0.5
 
 
 def _random_xi_stack(rng: SeededRng, trials: int, n: int, l: int, tol: Tolerances, errors: dict):
@@ -491,9 +487,10 @@ def random_xi(rng: SeededRng, n: int, l: int, tol: Tolerances = DEFAULT_TOL) -> 
 
     Diagonal values keep a pairwise gap of at least 0.5 and border magnitudes
     stay in [0.5, 1.5], so the planted structure is numerically unambiguous.
-    A draw is redone when its diagonal gap is too small or xi_build rejects
-    it at the given tolerance; after _RESAMPLE_LIMIT draws, which a loose
-    eig_match can force, XiInvariantError is raised.
+    A draw is redone when its diagonal gap is below 0.5 or xi_build, whose
+    gap floor is the reduction's, rejects it; after _RESAMPLE_LIMIT draws,
+    which an eig_match of 1e-2 or more forces at n >= 3, XiInvariantError is
+    raised.
     """
     _check_arg("n", n, 2)
     _check_arg("l", l, 0, n - 1)
@@ -508,7 +505,8 @@ def random_xi(rng: SeededRng, n: int, l: int, tol: Tolerances = DEFAULT_TOL) -> 
 class RoundTripReport:
     """Planted round trips for one count l.  mismatches counts a wrong count or
     orbit length, residual_violations a residual >= residual_cap, failures a
-    solver breakdown or degenerate cutoff; borel_indices is None unless l = n - 1."""
+    solver breakdown, a degenerate cutoff or a shared slot with no vanishing
+    border entry; borel_indices is None unless l = n - 1."""
 
     l: int
     trials: int

@@ -49,7 +49,10 @@ class Tolerances:
     membership  residual cap for subspace and subalgebra membership
 
     All radii are absolute and finite; callers working with large-norm
-    matrices should rescale eig_match themselves.
+    matrices should rescale eig_match themselves.  Every threshold of the
+    canonical reduction (its gap floor, its vanishing border entries) is a
+    fixed multiple of eig_match, so scaling x by c and eig_match by |c|
+    together leaves each of its verdicts unchanged.
     """
 
     eig_match: float = 1e-7

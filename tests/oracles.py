@@ -371,6 +371,8 @@ def serial_verify_roundtrips(n, l, trials, rng, tol):
         CutoffNotRegularSemisimple,
         EigensolverError,
         RoundTripReport,
+        XiInvariantError,
+        ad,
         canonical_form,
     )
     from gzcut.canonical import _ROUNDTRIP_RESIDUAL_CAP
@@ -379,9 +381,11 @@ def serial_verify_roundtrips(n, l, trials, rng, tol):
     worst = 0.0
     borels = set()
     for t in range(trials):
+        # a planting that gives up raises; anything later fails only trial t
+        planted = _xi_matrix(serial_planted(rng, n, l, t, tol))
         try:
-            res = canonical_form(serial_round_trip_point(n, l, rng, t, tol), tol)
-        except (EigensolverError, CutoffNotRegularSemisimple):
+            res = canonical_form(ad(serial_sample_K(rng, n, t), planted), tol)
+        except (EigensolverError, CutoffNotRegularSemisimple, XiInvariantError):
             failures += 1
             continue
         mismatches += res.l != l or res.idx.length != n - 1 - l

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -169,6 +170,23 @@ def test_verify_with_a_loose_match_tolerance_exits_as_a_numerical_failure():
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 3 and proc.stdout == ""
     assert "XiInvariantError" in proc.stderr and "eig_match=1" in proc.stderr
+
+
+def test_verify_at_loose_match_tolerances_round_trips_or_gives_up(tmp_path, capsys):
+    # planting and reduction share one gap floor of 1e3 matching radii: at
+    # 1e-3 every planted point round-trips; at 1e-2 no planted diagonal at
+    # n = 4 clears the floor of 10
+    argv = ["verify", "--n", "4", "--trials", "40", "--seed", "9", "--tol-eig"]
+    with warnings.catch_warnings():
+        # most planted gaps lie in the conditioning band (1, 10]
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, report = run(tmp_path, *argv, "1e-3")
+    assert code == 0 and report["status"] == "pass"
+    assert all(r["failures"] == 0 for r in report["results"]["roundtrips"])
+    (tmp_path / "report.json").unlink()
+    code, report = run(tmp_path, *argv, "1e-2")
+    assert code == 3 and report is None
+    assert "XiInvariantError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n, trials, seed", ((4, 40, 9), (6, 30, 4)))

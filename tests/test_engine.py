@@ -27,6 +27,7 @@ from gzcut import (
     Tolerances,
     XiInvariantError,
     ad,
+    canonical_form,
     coincidence_count,
     eigenvalues,
     all_orbit_indices,
@@ -60,18 +61,20 @@ TRIAL_COUNTS = (1, 5, 14)
 
 def _compare_loops(n, seed, trials, tol):
     """Every loop of one `verify` report, stacked against serial, on the
-    streams the command line gives them."""
+    streams the command line gives them; returns the round-trip reports."""
     indices = all_orbit_indices(n)
     for k, idx in enumerate(indices):
         rng = SeededRng(seed, k * trials)
         assert verify_containment(idx, n, trials, rng, tol) == serial_verify_containment(
             idx, n, trials, rng, tol
         ), (n, seed, trials, idx)
+    reports = []
     for l in range(n):
         rng = SeededRng(seed, (len(indices) + l) * trials)
-        assert verify_roundtrips(n, l, trials, rng, tol) == serial_verify_roundtrips(
-            n, l, trials, rng, tol
-        ), (n, seed, trials, l)
+        rep = verify_roundtrips(n, l, trials, rng, tol)
+        assert rep == serial_verify_roundtrips(n, l, trials, rng, tol), (n, seed, trials, l)
+        reports.append(rep)
+    return reports
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -83,14 +86,21 @@ def test_stacked_loops_equal_the_serial_loops(n):
                 _compare_loops(n, seed, trials, Tolerances())
 
 
-# at 3e-4 some round trips of a loop fail and the others go on; at 1e-3 and
-# 0.1 every round trip fails
+# planting and reduction share one gap floor of 1e3 matching radii: at 3e-4
+# and 1e-3 every planted point round-trips; at 0.1 no diagonal clears the
+# floor of 100, so both routes give up on their first round-trip loop
 @pytest.mark.parametrize("eig_match", (3e-4, 1e-3, 0.1))
 def test_stacked_loops_equal_the_serial_loops_at_loose_tolerances(eig_match):
+    tol = Tolerances(eig_match=eig_match)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for n in (3, 5, 6):
-            _compare_loops(n, 3, 14, Tolerances(eig_match=eig_match))
+            if eig_match < 0.1:
+                assert not any(r.failures for r in _compare_loops(n, 3, 14, tol))
+                continue
+            for loop in (verify_roundtrips, serial_verify_roundtrips):
+                with pytest.raises(XiInvariantError):
+                    loop(n, 0, 14, SeededRng(3, len(all_orbit_indices(n)) * 14), tol)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -140,8 +150,9 @@ def test_stacked_random_xi_redraws_only_the_rejected_trials(monkeypatch):
 
     monkeypatch.setattr(gzcut.canonical, "_draw_xi", draw)
     monkeypatch.setattr(gzcut.canonical, "_xi_stack", check)
-    # at 1e-3 only the gap rejects; at 0.1 validation rejects some candidates too
-    for n, eig_match, gap_misses, invalid in ((7, 1e-3, True, False), (5, 0.1, True, True)):
+    # at 1e-7 only the 0.5 gap rejects; at 1e-3 validation also rejects the
+    # candidates whose gap lies in (0.5, 1], at or below xi_build's floor
+    for n, eig_match, gap_misses, invalid in ((7, 1e-7, True, False), (7, 1e-3, True, True)):
         rounds.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -365,6 +376,28 @@ def test_a_failed_eig_in_one_round_trip_costs_only_that_trial(monkeypatch):
         rep = verify_roundtrips(n, l, trials, rng, tol)
     assert rep.failures == 1
     assert rep == serial_verify_roundtrips(n, l, trials, rng, tol)
+
+
+def test_a_stray_shared_slot_fails_only_its_own_trial():
+    # at this radius slot 1 of the middle matrix is shared, but neither of its
+    # border entries (0.02) vanishes
+    tol = Tolerances(eig_match=5e-4)
+    good = ([[0, 0, 0], [0, 10, 1], [1, 1, 5]], [[0, 0, 1], [0, 10, 1], [1, 1, 5]])
+    bad = [[0, 0, 0.02], [0, 3, 1], [0.02, 1, 5]]
+    errors = {}
+    with warnings.catch_warnings():
+        # the middle cutoff's gap of 3 lies in the conditioning band (0.5, 5]
+        warnings.simplefilter("ignore", RuntimeWarning)
+        stack = np.array([good[0], bad, good[1]], dtype=complex)
+        results = gzcut.canonical._canonical_stack(stack, tol, errors)
+        with pytest.raises(XiInvariantError, match="slot 1 is marked shared"):
+            canonical_form(bad, tol)
+    assert list(errors) == [1] and isinstance(errors[1], XiInvariantError)
+    assert len(results) == 2
+    for res, x in zip(results, good):
+        one = canonical_form(x, tol)
+        assert (res.idx, res.pattern, res.l) == (one.idx, one.pattern, one.l)
+        assert np.array_equal(res.image, one.image)
 
 
 def test_sample_K_past_its_resample_limit_fails_only_that_round_trip(monkeypatch):

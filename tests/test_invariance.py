@@ -5,10 +5,12 @@ exactly l coincidences and k a random block-diagonal element.  Its count must
 come back as l, and must not move under a second conjugation, under the
 involution theta, or under scaling x -> c x once the matching radius is
 scaled by |c|.  The canonical reduction must land a second conjugate and the
-theta image of x in x's catalog parabolic, with x's U/L pattern.
+theta image of x in x's catalog parabolic, with x's U/L pattern, and must
+land c x, at the scaled radius, in the same parabolic without a warning.
 """
 
 import cmath
+import warnings
 from dataclasses import replace
 
 from hypothesis import given, settings
@@ -76,3 +78,25 @@ def test_canonical_form_is_invariant_under_conjugation_and_theta(point):
     for res in results:
         assert (res.idx, res.pattern, res.l) == (first.idx, first.pattern, l)
         assert res.residual < 1e-7
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    planted(),
+    st.floats(-6.0, 6.0),
+    st.one_of(st.just(0.0), st.floats(0.0, 2 * cmath.pi, exclude_max=True)),
+)
+def test_canonical_form_is_invariant_under_scaling(point, log_mag, phase):
+    x, l, _ = point
+    c = 10.0**log_mag * cmath.exp(1j * phase)
+    tol = replace(DEFAULT_TOL, eig_match=abs(c) * DEFAULT_TOL.eig_match)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first, res = canonical_form(x), canonical_form(c * x, tol)
+    assert (res.idx, res.l) == (first.idx, l)
+    assert res.residual < 1e-7
+    # the shared slots are sorted by (real, imag), which a phase reorders
+    if phase == 0.0:
+        assert res.pattern == first.pattern
+    else:
+        assert sorted(res.pattern.marks) == sorted(first.pattern.marks)
