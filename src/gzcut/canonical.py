@@ -164,6 +164,12 @@ def _min_gap(values: np.ndarray) -> np.ndarray:
     return gaps.min(axis=(1, 2))
 
 
+def _below_floor(values: np.ndarray, tol: Tolerances):
+    """Each row's smallest gap, the gap floor, and whether the gap is at or below it."""
+    gap, floor = _min_gap(values), _RS_GAP_FACTOR * tol.eig_match
+    return gap, floor, gap <= floor
+
+
 def _vanishes(v: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Whether each border entry counts as zero."""
     return np.abs(v) <= tol.eig_match
@@ -203,26 +209,18 @@ def _xi_stack(h, y, z, w, l: int, tol: Tolerances):
     mats[:, k, :k] = z
     mats[:, k, k] = w
 
-    gap, floor = _min_gap(h), _RS_GAP_FACTOR * tol.eig_match
+    gap, floor, low = _below_floor(h, tol)
     # shared slots need a vanishing border entry, the others none
-    misplaced = (_vanishes(y, tol) | _vanishes(z, tol)) != (slots < l)
+    misplaced = _vanishes(np.minimum(abs(y), abs(z)), tol) != (slots < l)
     errors = {}
-    for t in (gap <= floor).nonzero()[0]:
+    for t in low.nonzero()[0]:
         errors[t] = XiInvariantError(
             f"diagonal values are not pairwise distinct (gap {gap[t]:.3e}, floor {floor:.3e})"
         )
     for t in misplaced.any(axis=1).nonzero()[0]:
-        if t in errors:
-            continue
         i = int(misplaced[t].argmax())
-        if i < l:
-            errors[t] = XiInvariantError(
-                f"slot {i + 1} lies in the shared range but neither border entry vanishes"
-            )
-        else:
-            errors[t] = XiInvariantError(
-                f"slot {i + 1} lies outside the shared range but a border entry vanishes"
-            )
+        where = "in the shared range but neither" if i < l else "outside the shared range but a"
+        errors.setdefault(t, XiInvariantError(f"slot {i + 1} lies {where} border entry vanishes"))
 
     cut, matched, _ = _coincidence_stack(mats, tol, errors)
     counts = matched.sum(axis=(1, 2))
@@ -261,15 +259,13 @@ def xi_build(e: XiElement, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def _upper_marks(y, z, counts, tol: Tolerances, errors: dict) -> np.ndarray:
     """U marks of stacked forms: True where slot i of form t is shared
-    (i < counts[t]) and its z_i vanishes.
-
-    A slot where both border entries vanish resolves to U so the output is
-    deterministic; a shared slot where neither vanishes fails its form with
-    XiInvariantError.
+    (i < counts[t]) and |z_i| <= |y_i|, which a block-diagonal rescaling
+    leaves unchanged.  A shared slot where neither entry vanishes fails its
+    form with XiInvariantError.
     """
     shared = np.arange(y.shape[1]) < counts[:, None]
-    upper = _vanishes(z, tol) & shared
-    stray = ~upper & ~_vanishes(y, tol) & shared
+    upper = (np.abs(z) <= np.abs(y)) & shared
+    stray = ~_vanishes(np.minimum(abs(y), abs(z)), tol) & shared
     msg = "slot {} is marked shared but neither border entry vanishes"
     for t in stray.any(axis=1).nonzero()[0].tolist():
         errors.setdefault(t, XiInvariantError(msg.format(stray[t].argmax() + 1)))
@@ -277,8 +273,8 @@ def _upper_marks(y, z, counts, tol: Tolerances, errors: dict) -> np.ndarray:
 
 
 def xi_pattern(e: XiElement, tol: Tolerances = DEFAULT_TOL) -> ULPattern:
-    """U/L marks over the shared slots; a slot where both border entries
-    vanish resolves to U so the output is deterministic."""
+    """U/L marks over the shared slots: U where |z_i| <= |y_i|, so a slot
+    where both border entries vanish equally resolves to U."""
     errors = {}
     upper = _upper_marks(*_rows(e)[1:3], np.array([e.l]), tol, errors)
     if errors:
@@ -321,9 +317,8 @@ def _reduce_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
     evals, evecs = _lapack_stack(
         np.linalg.eig, mats[:, :-1, :-1], errors, "eigendecomposition of the cutoff failed"
     )
-    gap = _min_gap(evals)
-    floor = _RS_GAP_FACTOR * tol.eig_match
-    for t in (gap <= floor).nonzero()[0].tolist():
+    gap, floor, low = _below_floor(evals, tol)
+    for t in low.nonzero()[0].tolist():
         errors.setdefault(
             t,
             CutoffNotRegularSemisimple(
@@ -331,7 +326,7 @@ def _reduce_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
                 "the reduction is undefined here"
             ),
         )
-    near = (gap > floor) & (gap <= 10.0 * floor)
+    near = ~low & (gap <= 10.0 * floor)
     near[list(errors)] = False
     if near.any():
         # one warning per call, not per trial, so the registry stays bounded

@@ -189,6 +189,15 @@ def test_verify_at_loose_match_tolerances_round_trips_or_gives_up(tmp_path, caps
     assert "XiInvariantError" in capsys.readouterr().err
 
 
+def test_verify_at_n_2_keeps_its_marks_when_the_radius_nears_the_border_moduli(tmp_path):
+    # n = 2 has no diagonal gap to floor; a round trip rescales the border
+    # entries, and a U/L mark read by comparing them stays right where a
+    # nonzero entry shrinks to the matching radius
+    for tol in ("0.5", "1"):
+        code, report = run(tmp_path, "verify", "--n", "2", "--trials", "14", "--tol-eig", tol)
+        assert code == 0 and report["status"] == "pass", tol
+
+
 @pytest.mark.parametrize("n, trials, seed", ((4, 40, 9), (6, 30, 4)))
 def test_near_degenerate_cutoffs_warn_at_most_once_per_round_trip_loop(tmp_path, n, trials, seed):
     # one reduction per planted count l, each warning once for all its trials
