@@ -46,7 +46,7 @@ from .orbits import (
     _conjugated_samples,
     _sample_K_stack,
 )
-from .spectra import _coincidence_stack, _match_stack
+from .spectra import _match_stack
 
 __all__ = [
     "CutoffNotRegularSemisimple",
@@ -193,13 +193,25 @@ def _xi_element(form: np.ndarray, l: int) -> XiElement:
     )
 
 
+def _shared_slots(values: np.ndarray, mats: np.ndarray, tol: Tolerances, errors: dict):
+    """Whether the full matrices of a (T, n, n) stack share each slot of their
+    (T, n-1) cutoff spectra values: one stacked solve, matched slot by slot.
+
+    Past the gap floor no two values lie within two matching radii, so each
+    full eigenvalue has at most one partner and a slot is shared exactly when
+    some full eigenvalue lies within one radius of it.
+    """
+    full = _eigvals_stack(mats, tol, errors)
+    return _match_stack(values, sort_complex(full), tol.eig_match)[0].any(axis=2)
+
+
 def _xi_stack(h, y, z, w, l: int, tol: Tolerances):
     """xi_build over stacks: h, y, z of shape (T, n-1) and w of shape (T,).
 
     Returns the (T, n, n) bordered matrices and, for each position that fails
     a check, its first XiInvariantError or the EigensolverError of the
-    spectral check.  The coincidences of every position are counted by one
-    stacked solve.
+    spectral check.  The cutoff of each matrix is diag(h), so its spectrum is
+    h itself: one stacked solve of the full matrices finds the shared slots.
     """
     count, k = h.shape
     slots = np.arange(k)
@@ -222,24 +234,13 @@ def _xi_stack(h, y, z, w, l: int, tol: Tolerances):
         where = "in the shared range but neither" if i < l else "outside the shared range but a"
         errors.setdefault(t, XiInvariantError(f"slot {i + 1} lies {where} border entry vanishes"))
 
-    cut, matched, _ = _coincidence_stack(mats, tol, errors)
-    counts = matched.sum(axis=(1, 2))
-    for t in (counts != l).nonzero()[0]:
-        errors.setdefault(
-            t,
-            XiInvariantError(
-                f"assembled matrix shares {counts[t]} eigenvalues with its cutoff, expected {l}"
-            ),
-        )
-    if l:
-        exact = (counts == l).nonzero()[0]
-        shared = cut[exact][matched[exact].any(axis=2)].reshape(-1, l)
-        planted = sort_complex(h[exact, :l])
-        off = np.abs(shared - planted).max(axis=1) > 10.0 * tol.eig_match
-        for t in exact[off]:
-            errors.setdefault(
-                t, XiInvariantError("shared eigenvalues differ from the leading diagonal values")
-            )
+    shared = _shared_slots(h, mats, tol, errors)
+    counts = shared.sum(axis=1)
+    for t in (shared != (slots < l)).any(axis=1).nonzero()[0]:
+        msg = f"assembled matrix shares {counts[t]} eigenvalues with its cutoff, expected {l}"
+        if counts[t] == l:
+            msg = "shared eigenvalues differ from the leading diagonal values"
+        errors.setdefault(t, XiInvariantError(msg))
     return mats, errors
 
 
@@ -248,8 +249,9 @@ def xi_build(e: XiElement, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     Checks that the diagonal gaps clear reduce_to_xi's floor of 1e3 matching
     radii, that each of the first l slots and no later one has a vanishing
-    border entry (|y_i| or |z_i| <= eig_match), and that the assembled matrix
-    shares exactly {h_1, ..., h_l} with its cutoff, within 10 matching radii.
+    border entry (|y_i| or |z_i| <= eig_match), and that the slots the
+    assembled matrix shares with its cutoff diag(h), each within one matching
+    radius of a full eigenvalue, are exactly the first l.
     """
     mats, errors = _xi_stack(*_rows(e), e.l, tol)
     if errors:
@@ -312,7 +314,8 @@ def _reduce_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
 
     Returns the conjugating blocks, the bordered forms and the shared counts
     of every trial.  One conditioning warning covers all the trials near the
-    gap floor; a failed trial counts 0 shared values and is left out of it.
+    gap floor; a failed trial, its full solve included, counts 0 shared
+    values and is left out of it.
     """
     evals, evecs = _lapack_stack(
         np.linalg.eig, mats[:, :-1, :-1], errors, "eigendecomposition of the cutoff failed"
@@ -326,6 +329,7 @@ def _reduce_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
                 "the reduction is undefined here"
             ),
         )
+    shared = _shared_slots(evals, mats, tol, errors)
     near = ~low & (gap <= 10.0 * floor)
     near[list(errors)] = False
     if near.any():
@@ -337,10 +341,7 @@ def _reduce_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
             RuntimeWarning,
             stacklevel=3,
         )
-    full = _eigvals_stack(mats, tol, errors)
-
     # shared values first, each group sorted by (real, imag)
-    shared = _match_stack(evals, sort_complex(full), tol.eig_match)[0].any(axis=2)
     order = np.lexsort((evals.imag, evals.real, ~shared), axis=-1)
     inverses = _lapack_stack(np.linalg.inv, evecs, errors, "cutoff eigenvectors are singular")
     blocks = np.take_along_axis(inverses, order[..., None], axis=1)

@@ -339,11 +339,7 @@ def column_span_equal(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 def span_equal(basis_a, basis_b, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether two lists of matrices span the same subspace of gl(n)."""
-    a = _stack(basis_a)
-    b = _stack(basis_b)
-    ra = numerical_rank(a, tol)
-    rb = numerical_rank(b, tol)
-    return ra == rb == numerical_rank(np.vstack([a, b]), tol)
+    return column_span_equal(_stack(basis_a).T, _stack(basis_b).T, tol)
 
 
 def span_contains(basis_big, basis_small, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -50,9 +50,10 @@ class Tolerances:
 
     All radii are absolute and finite; callers working with large-norm
     matrices should rescale eig_match themselves.  Every threshold of the
-    canonical reduction (its gap floor, its vanishing border entries) is a
-    fixed multiple of eig_match or, for the U/L marks, a comparison, so scaling x by c and eig_match by |c|
-    together leaves each of its verdicts unchanged.
+    canonical reduction (its gap floor, its vanishing border entries, its
+    shared slots) is a fixed multiple of eig_match or, for the U/L marks, a
+    comparison, so scaling x by c and eig_match by |c| together leaves each
+    of its verdicts unchanged.
     """
 
     eig_match: float = 1e-7

@@ -238,7 +238,7 @@ def _containment_stack(specs: list, n: int, rngs: list, trials: int, tol: Tolera
     """containment_trial on every trial of the loop on rngs[k] in specs[k],
     trials each, loop after loop: (l, worst pair residual) of every trial."""
     ys = _conjugated_samples(specs, n, rngs, trials, errors)
-    _, matched, cost = _coincidence_stack(ys, tol, errors)
+    matched, cost = _coincidence_stack(ys, tol, errors)
     return matched.sum(axis=(1, 2)), np.where(matched, cost, 0.0).max(axis=(1, 2))
 
 

@@ -163,16 +163,14 @@ def _coincidence_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
     """coincidence_count over a (T, n, n) stack, with one eigenvalue call for
     the cutoffs and one for the full matrices.
 
-    Returns (cut, matched, cost): the sorted cutoff spectra (T, n-1) and the
-    (T, n-1, n) matching against the sorted full spectra with its distances.
-    A failed position keeps its slot with stand-in values and its
-    EigensolverError goes to errors, the cutoff's first, as
-    coincidence_count raises it.
+    Returns (matched, cost): the (T, n-1, n) matching of the sorted cutoff
+    spectra against the sorted full spectra, and its distances.  A failed
+    position keeps its slot with stand-in values and its EigensolverError
+    goes to errors, the cutoff's first, as coincidence_count raises it.
     """
     cut = sort_complex(_eigvals_stack(mats[:, :-1, :-1], tol, errors))
     full = _eigvals_stack(mats, tol, errors)
-    matched, cost = _match_stack(cut, sort_complex(full), tol.eig_match)
-    return cut, matched, cost
+    return _match_stack(cut, sort_complex(full), tol.eig_match)
 
 
 def newton_to_charpoly(power_sums) -> np.ndarray:

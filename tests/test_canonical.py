@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from gzcut import (
     CutoffNotRegularSemisimple,
+    EigensolverError,
     OrbitIndex,
     SeededRng,
     Tolerances,
@@ -67,6 +69,13 @@ def test_xi_build_invariant_violations():
         xi_build(xi(3, 1, (1, 2), (1, 1), (1, 1), 0))  # product nonzero in slot 1
     with pytest.raises(XiInvariantError, match="vanishes"):
         xi_build(xi(3, 0, (1, 2), (0, 1), (0, 1), 0))  # slot 1 should be unshared
+    # no border entry vanishes, but slot 1's product of 1e-10 still shares h_1
+    with pytest.raises(XiInvariantError, match="shares 1 eigenvalues with its cutoff, expected 0"):
+        xi_build(xi(3, 0, (1, 2), (1e-5, 1), (1e-5, 1), 0))
+    # y_1 vanishes, but z_1 = 1e4 moves h_1 off the spectrum; slot 2's
+    # product of 1e-10 keeps h_2 on it
+    with pytest.raises(XiInvariantError, match="differ from the leading diagonal values"):
+        xi_build(xi(3, 1, (1, 2), (5e-8, 1e-5), (1e4, 1e-5), 0))
 
 
 @pytest.mark.parametrize("field", ("h", "y", "z", "w"))
@@ -152,6 +161,24 @@ def test_reduce_to_xi_warns_near_the_gap_policy():
     m[0, 0], m[1, 1], m[2, 2] = 0.0, 5e-4, 1.0
     with pytest.warns(RuntimeWarning, match="nearly degenerate"):
         reduce_to_xi(m)
+
+
+def test_a_failed_full_solve_is_left_out_of_the_conditioning_warning(monkeypatch):
+    # the cutoff gap of 0.5 lies in the warning band (0.1, 1] at eig_match
+    # 1e-4, but x's own eigenvalue solve fails, so x fails instead of warning
+    x = np.array([[0, 0, 1], [0, 0.5, 1], [1, 1, 3]], dtype=complex)
+    real = np.linalg.eigvals
+
+    def eigvals(a):
+        if any(np.array_equal(m, x) for m in a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EigensolverError, match="eigenvalue iteration failed"):
+            reduce_to_xi(x, Tolerances(eig_match=1e-4))
 
 
 def test_canonical_form_worked_example():

@@ -145,9 +145,15 @@ def test_stacked_tangent_ranks_equal_the_serial_estimate(n):
 
 def test_stacked_random_xi_redraws_only_the_rejected_trials(monkeypatch):
     # round r draws, in trial order, exactly the trials whose round r - 1
-    # candidate missed the diagonal gap or failed validation
-    rounds = []
+    # candidate missed the diagonal gap or failed validation; each validation
+    # makes one stacked eigenvalue solve, as the cutoffs diag(h) need none
+    rounds, solves = [], [0]
     real_draw, real_check = gzcut.canonical._draw_xi, gzcut.canonical._xi_stack
+    real_eigvals = np.linalg.eigvals
+
+    def eigvals(a):
+        solves[0] += 1
+        return real_eigvals(a)
 
     def draw(rng, rnd, rows, n, l):
         *parts, wide = real_draw(rng, rnd, rows, n, l)
@@ -156,13 +162,16 @@ def test_stacked_random_xi_redraws_only_the_rejected_trials(monkeypatch):
         return *parts, wide
 
     def check(h, *rest):
+        before = solves[0]
         mats, rejected = real_check(h, *rest)
+        assert solves[0] - before == 1
         _, _, _, validated, invalid = rounds[-1]
         invalid += [validated[i] for i, e in rejected.items() if isinstance(e, XiInvariantError)]
         return mats, rejected
 
     monkeypatch.setattr(gzcut.canonical, "_draw_xi", draw)
     monkeypatch.setattr(gzcut.canonical, "_xi_stack", check)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     # at 1e-7 only the 0.5 gap rejects; at 1e-3 validation also rejects the
     # candidates whose gap lies in (0.5, 1], at or below xi_build's floor
     for n, eig_match, gap_misses, invalid in ((7, 1e-7, True, False), (7, 1e-3, True, True)):
