@@ -205,8 +205,9 @@ def _shared_slots(values: np.ndarray, mats: np.ndarray, tol: Tolerances, errors:
     return _match_stack(values, sort_complex(full), tol.eig_match)[0].any(axis=2)
 
 
-def _xi_stack(h, y, z, w, l: int, tol: Tolerances):
-    """xi_build over stacks: h, y, z of shape (T, n-1) and w of shape (T,).
+def _xi_stack(h, y, z, w, l: np.ndarray, tol: Tolerances):
+    """xi_build over stacks: h, y, z of shape (T, n-1), and w and the planted
+    counts l of shape (T,).
 
     Returns the (T, n, n) bordered matrices and, for each position that fails
     a check, its first XiInvariantError or the EigensolverError of the
@@ -222,8 +223,9 @@ def _xi_stack(h, y, z, w, l: int, tol: Tolerances):
     mats[:, k, k] = w
 
     gap, floor, low = _below_floor(h, tol)
+    planted = slots < l[:, None]
     # shared slots need a vanishing border entry, the others none
-    misplaced = _vanishes(np.minimum(abs(y), abs(z)), tol) != (slots < l)
+    misplaced = _vanishes(np.minimum(abs(y), abs(z)), tol) != planted
     errors = {}
     for t in low.nonzero()[0]:
         errors[t] = XiInvariantError(
@@ -231,14 +233,14 @@ def _xi_stack(h, y, z, w, l: int, tol: Tolerances):
         )
     for t in misplaced.any(axis=1).nonzero()[0]:
         i = int(misplaced[t].argmax())
-        where = "in the shared range but neither" if i < l else "outside the shared range but a"
+        where = "in the shared range but neither" if i < l[t] else "outside the shared range but a"
         errors.setdefault(t, XiInvariantError(f"slot {i + 1} lies {where} border entry vanishes"))
 
     shared = _shared_slots(h, mats, tol, errors)
     counts = shared.sum(axis=1)
-    for t in (shared != (slots < l)).any(axis=1).nonzero()[0]:
-        msg = f"assembled matrix shares {counts[t]} eigenvalues with its cutoff, expected {l}"
-        if counts[t] == l:
+    for t in (shared != planted).any(axis=1).nonzero()[0]:
+        msg = f"assembled matrix shares {counts[t]} eigenvalues with its cutoff, expected {l[t]}"
+        if counts[t] == l[t]:
             msg = "shared eigenvalues differ from the leading diagonal values"
         errors.setdefault(t, XiInvariantError(msg))
     return mats, errors
@@ -253,7 +255,7 @@ def xi_build(e: XiElement, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     assembled matrix shares with its cutoff diag(h), each within one matching
     radius of a full eigenvalue, are exactly the first l.
     """
-    mats, errors = _xi_stack(*_rows(e), e.l, tol)
+    mats, errors = _xi_stack(*_rows(e), np.array([e.l]), tol)
     if errors:
         raise errors[0]
     return mats[0]
@@ -372,8 +374,8 @@ def reduce_to_xi(x, tol: Tolerances = DEFAULT_TOL):
 
 
 def _canonical_stack(mats: np.ndarray, tol: Tolerances, errors: dict) -> list:
-    """canonical_form over a (T, n, n) stack: the results of the trials that
-    did not fail, in trial order.
+    """canonical_form over a (T, n, n) stack: (trial, result) for each trial
+    that did not fail, in trial order.
 
     The conjugating block gathers the reduced eigenbasis in _frame_order, so
     the reduced form's flag lands on the catalog parabolic's frame.
@@ -391,16 +393,15 @@ def _canonical_stack(mats: np.ndarray, tol: Tolerances, errors: dict) -> list:
             continue
         u = int(marks.sum())
         idx = OrbitIndex(u + 1, u + n - c)
-        results.append(
-            CanonicalFormResult(
-                k=KElement(block, 1.0, n),
-                idx=idx,
-                image=image,
-                residual=contains(parabolic_p(idx, n), image, tol).residual,
-                l=c,
-                pattern=ULPattern(tuple("U" if m else "L" for m in marks[:c])),
-            )
+        result = CanonicalFormResult(
+            k=KElement(block, 1.0, n),
+            idx=idx,
+            image=image,
+            residual=contains(parabolic_p(idx, n), image, tol).residual,
+            l=c,
+            pattern=ULPattern(tuple("U" if m else "L" for m in marks[:c])),
         )
+        results.append((t, result))
     return results
 
 
@@ -420,7 +421,7 @@ def canonical_form(x, tol: Tolerances = DEFAULT_TOL) -> CanonicalFormResult:
     results = _canonical_stack(m[None], tol, errors)
     if errors:
         raise errors[0]
-    return results[0]
+    return results[0][1]
 
 
 def _draw_xi(rng: SeededRng, rnd: int, rows, n: int, l: int):
@@ -445,22 +446,29 @@ def _draw_xi(rng: SeededRng, rnd: int, rows, n: int, l: int):
     return h, y, z, normals[:, k], _min_gap(h) >= 0.5
 
 
-def _random_xi_stack(rng: SeededRng, trials: int, n: int, l: int, tol: Tolerances, errors: dict):
-    """random_xi on every trial of the loop on rng: their bordered matrices.
+def _random_xi_stack(rngs: list, trials: int, n: int, ls: list, tol: Tolerances, errors: dict):
+    """random_xi on every trial of the loops on rngs, planting ls[k] on the
+    loop on rngs[k], trials each, loop after loop: their bordered matrices.
 
-    Each round draws one candidate per pending trial and validates the ones
+    The loops' rounds run in lockstep.  Each round draws one candidate per
+    pending trial, each loop from its own blocks, and validates the ones
     with a wide enough diagonal gap by one stacked xi_build; a trial whose
     candidate is rejected, by the gap or by validation, is pending in the
     next round.  A candidate whose spectral check fails keeps its slot and
     fails its trial.
     """
-    accepted = np.empty((trials, n, n), dtype=complex)
-    pending = np.arange(trials)
+    accepted = np.empty((len(rngs) * trials, n, n), dtype=complex)
+    pending = np.arange(len(accepted))
     for rnd in range(_RESAMPLE_LIMIT):
-        h, y, z, w, wide = _draw_xi(rng, rnd, pending, n, l)
+        if not pending.size:
+            break
+        loop, row = np.divmod(pending, trials)
+        draws = [_draw_xi(rngs[k], rnd, row[loop == k], n, ls[k]) for k in np.unique(loop)]
+        h, y, z, w, wide = (np.concatenate(part) for part in zip(*draws))
         redraw = pending[~wide].tolist()
         if wide.any():
-            mats, rejected = _xi_stack(h[wide], y[wide], z[wide], w[wide], l, tol)
+            planted = np.asarray(ls)[loop[wide]]
+            mats, rejected = _xi_stack(h[wide], y[wide], z[wide], w[wide], planted, tol)
             for i, t in enumerate(pending[wide].tolist()):
                 exc = rejected.get(i)
                 if isinstance(exc, XiInvariantError):
@@ -470,12 +478,12 @@ def _random_xi_stack(rng: SeededRng, trials: int, n: int, l: int, tol: Tolerance
                 if exc is not None:
                     errors.setdefault(t, exc)
         pending = np.array(sorted(redraw), dtype=int)
-        if not pending.size:
-            return accepted
-    raise XiInvariantError(
-        f"no draw out of {_RESAMPLE_LIMIT} planted exactly l={l} coincidences "
-        f"at n={n} with eig_match={tol.eig_match:g}"
-    )
+    if pending.size:
+        raise XiInvariantError(
+            f"no draw out of {_RESAMPLE_LIMIT} planted exactly l={ls[pending[0] // trials]} "
+            f"coincidences at n={n} with eig_match={tol.eig_match:g}"
+        )
+    return accepted
 
 
 def random_xi(rng: SeededRng, n: int, l: int, tol: Tolerances = DEFAULT_TOL) -> XiElement:
@@ -491,7 +499,7 @@ def random_xi(rng: SeededRng, n: int, l: int, tol: Tolerances = DEFAULT_TOL) -> 
     _check_arg("n", n, 2)
     _check_arg("l", l, 0, n - 1)
     errors = {}
-    mats = _random_xi_stack(rng, 1, n, l, tol, errors)
+    mats = _random_xi_stack([rng], 1, n, [l], tol, errors)
     if errors:
         raise errors[0]
     return _xi_element(mats[0], l)
@@ -514,32 +522,49 @@ class RoundTripReport:
     borel_indices: tuple | None
 
 
+def _roundtrip_loops(n: int, ls: list, trials: int, rngs: list, tol: Tolerances) -> list:
+    """verify_roundtrips for every count ls[k] on its loop handle rngs[k], as
+    one stack: the trials of all the loops share each random_xi and sample_K
+    round, the conjugation and the canonical reduction."""
+    _check_arg("n", n, 2)
+    for l in ls:
+        _check_arg("l", l, 0, n - 1)
+    _check_arg("trials", trials, 0)
+    errors = {}
+    planted = _random_xi_stack(rngs, trials, n, ls, tol, errors)
+    blocks, scalars = _sample_K_stack(rngs, trials, n, errors)
+    xs = _conjugate(_block_diagonal(blocks, scalars), planted, errors)
+    by_loop = [[] for _ in ls]
+    for t, res in _canonical_stack(xs, tol, errors):
+        by_loop[t // trials].append(res)
+    failed = [0] * len(ls)
+    for t in errors:
+        failed[t // trials] += 1
+    reports = []
+    for l, results, failures in zip(ls, by_loop, failed):
+        borel_indices = tuple(sorted({res.idx.i for res in results})) if l == n - 1 else None
+        reports.append(
+            RoundTripReport(
+                l,
+                trials,
+                failures,
+                sum(res.l != l or res.idx.length != n - 1 - l for res in results),
+                max((res.residual for res in results), default=0.0),
+                _ROUNDTRIP_RESIDUAL_CAP,
+                sum(res.residual >= _ROUNDTRIP_RESIDUAL_CAP for res in results),
+                borel_indices,
+            )
+        )
+    return reports
+
+
 def verify_roundtrips(
     n: int, l: int, trials: int, rng: SeededRng, tol: Tolerances = DEFAULT_TOL
 ) -> RoundTripReport:
     """Monte Carlo check that canonical_form recovers a planted count l; trial
     t conjugates trial t of random_xi by trial t of sample_K, both drawn on
     rng, each from its own stages."""
-    _check_arg("n", n, 2)
-    _check_arg("l", l, 0, n - 1)
-    _check_arg("trials", trials, 0)
-    errors = {}
-    planted = _random_xi_stack(rng, trials, n, l, tol, errors)
-    blocks, scalars = _sample_K_stack([rng], trials, n, errors)
-    xs = _conjugate(_block_diagonal(blocks, scalars), planted, errors)
-    results = _canonical_stack(xs, tol, errors)
-    worst = max((res.residual for res in results), default=0.0)
-    borel_indices = tuple(sorted({res.idx.i for res in results})) if l == n - 1 else None
-    return RoundTripReport(
-        l,
-        trials,
-        len(errors),
-        sum(res.l != l or res.idx.length != n - 1 - l for res in results),
-        worst,
-        _ROUNDTRIP_RESIDUAL_CAP,
-        sum(res.residual >= _ROUNDTRIP_RESIDUAL_CAP for res in results),
-        borel_indices,
-    )
+    return _roundtrip_loops(n, [l], trials, [rng], tol)[0]
 
 
 def _gradients(xs: np.ndarray) -> np.ndarray:

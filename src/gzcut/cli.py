@@ -12,7 +12,8 @@ commands share one stream layout: loop k of a report draws on the handle of
 stream k*T, T being its trial or repeat count, and trial t of the loop takes
 row t of each of the handle's stage blocks (see gzcut.orbits).  Each loop's
 trials run as one stack, and `verify` runs all its containment loops as one
-stack; `--workers` is accepted but has no effect.
+stack and all its round-trip loops as another; `--workers` is accepted but
+has no effect.
 
 A status is decided by the claim's own checks.  `sn` passes when every
 sampled pair is nilpotent and the strongly regular fraction is above 0.99 on
@@ -38,9 +39,9 @@ import numpy as np
 
 from .canonical import (
     CutoffNotRegularSemisimple,
+    _roundtrip_loops,
     canonical_form,
     verify_nilradical,
-    verify_roundtrips,
 )
 from .flags import (
     _levi_blocks,
@@ -269,7 +270,8 @@ def cmd_verify(args) -> int:
     )
     if trials == 0:
         return _exit(args, params, claim, {}, None)
-    # one loop per catalog index, all run as one stack, then one per count l
+    # one loop per catalog index, all run as one stack, then one per count l,
+    # all run as a second stack
     loops = _loops(args, trials)
     indices = all_orbit_indices(n)
     containment = [
@@ -277,9 +279,9 @@ def cmd_verify(args) -> int:
         for rep in _containment_loops(indices, n, trials, [next(loops) for _ in indices], tol)
     ]
     roundtrips = []
-    for l in range(n):
-        entry = asdict(verify_roundtrips(n, l, trials, next(loops), tol))
-        if l < n - 1:
+    for rep in _roundtrip_loops(n, range(n), trials, [next(loops) for _ in range(n)], tol):
+        entry = asdict(rep)
+        if rep.l < n - 1:
             del entry["borel_indices"]
         roundtrips.append(entry)
     bad = sum(c["violations"] for c in containment) + sum(

@@ -15,6 +15,7 @@ setdefault, so each position reports the first failure it met.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -172,6 +173,12 @@ def _shift_poly(coeffs: list, s: complex) -> list:
     return out[::-1]
 
 
+@functools.cache
+def _pairs(k: int) -> tuple:
+    """The index pairs i < j of k iterates."""
+    return tuple((i, j) for i in range(k) for j in range(i + 1, k))
+
+
 def aberth_roots(coeffs, max_iter: int = 200) -> np.ndarray:
     """All complex roots of a monic polynomial by the Aberth-Ehrlich iteration.
 
@@ -184,12 +191,15 @@ def aberth_roots(coeffs, max_iter: int = 200) -> np.ndarray:
     at the a priori bound on Horner's rounding error (Bini, Numer. Algorithms
     13, 1996), or a step below _ABERTH_STEP_TOL relative to the iterates.
     Reaching `max_iter` with neither emits a RuntimeWarning; the roots are
-    still returned.  Raises EigensolverError when the iterates leave the
-    finite numbers or two of them coincide exactly.
+    still returned.  Raises ValueError on a non-finite coefficient, and
+    EigensolverError when the iterates leave the finite numbers or two of
+    them coincide exactly.
     """
     c = np.asarray(coeffs, dtype=complex).ravel().tolist()
     if not c or c[0] == 0:
         raise ValueError("expected monic coefficients, highest degree first")
+    if not all(map(cmath.isfinite, c)):
+        raise ValueError("polynomial coefficients must be finite")
     lead = c[0]
     c = [v / lead for v in c]
     k = len(c) - 1
@@ -204,14 +214,18 @@ def aberth_roots(coeffs, max_iter: int = 200) -> np.ndarray:
     # the iterates have left the finite numbers.
     try:
         centroid = -c[1] / k
-        mags = [abs(v) for v in _shift_poly(c, centroid)[1:]]
-        if not any(mags):
-            # p(z) = (z - centroid)^k exactly
-            return np.full(k, centroid)
-        if mags[-1]:
+        # p(centroid) by Horner's rule: the constant term of p(z + centroid)
+        at_centroid = c[0]
+        for a in c[1:]:
+            at_centroid = at_centroid * centroid + a
+        if at_centroid:
             # |p(centroid)|^(1/k): the geometric mean of |z_i - centroid|
-            radius = mags[-1] ** (1.0 / k)
+            radius = abs(at_centroid) ** (1.0 / k)
         else:
+            mags = [abs(v) for v in _shift_poly(c, centroid)[1:]]
+            if not any(mags):
+                # p(z) = (z - centroid)^k exactly
+                return np.full(k, centroid)
             radius = 2.0 * max(m ** (1.0 / d) for d, m in enumerate(mags, 1))
         # offset breaks symmetry
         z = [centroid + cmath.rect(radius, 2.0 * math.pi * i / k + 0.39) for i in range(k)]
@@ -221,8 +235,10 @@ def aberth_roots(coeffs, max_iter: int = 200) -> np.ndarray:
         floor = k * 2.0**-53
         abs_rest = [abs(v) for v in c_rest]
         dc = [v * (k - i) for i, v in enumerate(c[:-1])]
-        dc0, dc_rest = dc[0], dc[1:]
-        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        dc0 = dc[0]
+        # p and p' by Horner's rule in one loop over their common degrees
+        both, c_last = list(zip(c_rest, dc[1:])), c_rest[-1]
+        pairs = _pairs(k)
         converged = False
         for _ in range(max_iter):
             # 1/(z_j - z_i) = -1/(z_i - z_j) exactly, so each pair divides once
@@ -235,9 +251,11 @@ def aberth_roots(coeffs, max_iter: int = 200) -> np.ndarray:
             at_floor = True
             for zi, r in zip(z, repulsion):
                 # Horner's rule, as np.polyval
-                p = c0
-                for a in c_rest:
+                p, dp = c0, dc0
+                for a, da in both:
                     p = p * zi + a
+                    dp = dp * zi + da
+                p = p * zi + c_last
                 if at_floor:
                     # once one root is off the floor this pass cannot stop
                     azi = abs(zi)
@@ -245,9 +263,6 @@ def aberth_roots(coeffs, max_iter: int = 200) -> np.ndarray:
                     for a in abs_rest:
                         s = s * azi + a
                     at_floor = abs(p) <= floor * s
-                dp = dc0
-                for a in dc_rest:
-                    dp = dp * zi + a
                 newton = p / (dp if dp != 0 else 1e-300)
                 denom = 1.0 - newton * r
                 w.append(newton / (denom if denom != 0 else 1e-300))

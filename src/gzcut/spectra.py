@@ -9,7 +9,7 @@ boundaries greedy counting gets the answer wrong.
 
 from __future__ import annotations
 
-from collections import Counter
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,8 +22,6 @@ from .linalg import (
     _eigvals_stack,
     aberth_roots,
     as_cmatrix,
-    cutoff,
-    eigenvalues,
     sort_complex,
 )
 
@@ -40,7 +38,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GZImage:
-    """Power sums of the cutoff (degrees 1..n-1) and of the full matrix (1..n)."""
+    """Power sums of the cutoff (degrees 1..n-1) and of the full matrix (1..n),
+    all finite."""
 
     c_prev: tuple
     c_full: tuple
@@ -49,6 +48,15 @@ class GZImage:
     def __post_init__(self):
         if len(self.c_prev) != self.n - 1 or len(self.c_full) != self.n:
             raise ValueError("power-sum lists must have lengths n-1 and n")
+        bad = [
+            (j, level)
+            for level, sums in (("cutoff", self.c_prev), ("full matrix", self.c_full))
+            for j, v in enumerate(sums, 1)
+            if not cmath.isfinite(v)
+        ]
+        if bad:
+            # the lowest degree, the cutoff's on a tie
+            raise ValueError("power sum of degree {} of the {} is not finite".format(*min(bad)))
 
     @cached_property
     def _roots(self) -> tuple:
@@ -63,6 +71,12 @@ class GZImage:
             roots.flags.writeable = False
             out.append(roots)
         return tuple(out)
+
+    @cached_property
+    def _counts(self) -> dict:
+        """Matched counts of _roots by matching radius, filled by v_membership;
+        kept in the instance __dict__ as _roots is."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -80,21 +94,30 @@ class CoincidenceReport:
 
 
 def _power_traces(m: np.ndarray, count: int) -> tuple:
-    out = []
-    p = np.eye(m.shape[0], dtype=complex)
-    for _ in range(count):
-        p = p @ m
-        out.append(complex(p.trace()))
-    return tuple(out)
+    """tr(m^j) for j = 1..count: the powers eye @ m, then each times m, go
+    into one (count, n, n) stack and their traces are one reduction."""
+    powers = np.empty((count, *m.shape), dtype=complex)
+    # eye @ m, not a copy of m: the product can turn a -0.0 entry into +0.0,
+    # so a copy could flip the sign of a zero power sum
+    np.matmul(np.eye(m.shape[0], dtype=complex), m, out=powers[0])
+    for j in range(1, count):
+        np.matmul(powers[j - 1], m, out=powers[j])
+    return tuple(powers.trace(axis1=1, axis2=2).tolist())
 
 
 def phi_n(x) -> GZImage:
-    """Power sums of the cutoff and of the full matrix; K-conjugation invariant."""
+    """Power sums of the cutoff and of the full matrix; K-conjugation invariant.
+
+    A power sum past the float range raises a ValueError naming the lowest
+    such degree.
+    """
     m = as_cmatrix(x)
     n = m.shape[0]
     if n < 2:
         raise ValueError("the map needs n >= 2: a 1 x 1 matrix has no cutoff")
-    return GZImage(_power_traces(cutoff(m), n - 1), _power_traces(m, n), n)
+    # an overflowing power is caught by GZImage's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        return GZImage(_power_traces(m[:-1, :-1], n - 1), _power_traces(m, n), n)
 
 
 def _match_stack(a: np.ndarray, b: np.ndarray, radius: float):
@@ -111,15 +134,10 @@ def _match_stack(a: np.ndarray, b: np.ndarray, radius: float):
     """
     cost = abs(a[:, :, None] - b[:, None, :])
     matched = cost <= radius
-    # a value with two admissible partners shows up as a repeated
-    # (row pair, value) key among the admissible pairs
-    stack, rows, cols = (v.tolist() for v in matched.nonzero())
-    ambiguous = set()
-    for keys in (list(zip(stack, rows)), list(zip(stack, cols))):
-        if len(set(keys)) < len(keys):
-            ambiguous.update(key[0] for key, count in Counter(keys).items() if count > 1)
+    # a row pair is ambiguous when a value on either side has two admissible partners
+    ambiguous = (matched.sum(-1) > 1).any(-1) | (matched.sum(-2) > 1).any(-1)
     big = 1.0 + 2.0 * (radius + 1.0) * min(a.shape[1], b.shape[1])
-    for t in sorted(ambiguous):
+    for t in ambiguous.nonzero()[0].tolist():
         rows, cols = linear_sum_assignment(np.where(matched[t], cost[t], big))
         keep = matched[t, rows, cols]
         matched[t] = False
@@ -131,7 +149,7 @@ def _assignment(a: np.ndarray, b: np.ndarray, radius: float):
     """The matching of two value lists: (row indices, col indices, residuals)."""
     matched, cost = _match_stack(a[None], b[None], radius)
     rows, cols = matched[0].nonzero()
-    return list(rows), list(cols), cost[0][rows, cols].tolist()
+    return rows.tolist(), cols.tolist(), cost[0][rows, cols].tolist()
 
 
 def match_spectra(s1, s2, tol: Tolerances = DEFAULT_TOL) -> CoincidenceReport:
@@ -143,34 +161,44 @@ def match_spectra(s1, s2, tol: Tolerances = DEFAULT_TOL) -> CoincidenceReport:
     a = np.asarray(s1, dtype=complex).ravel()
     b = np.asarray(s2, dtype=complex).ravel()
     rows, cols, residuals = _assignment(a, b, tol.eig_match)
-    order = sorted(
-        range(len(rows)),
-        key=lambda t: (a[rows[t]].real, a[rows[t]].imag, residuals[t]),
+    a_vals, b_vals = a.tolist(), b.tolist()
+    found = sorted(
+        ((a_vals[r], b_vals[c], d) for r, c, d in zip(rows, cols, residuals)),
+        key=lambda pair: (pair[0].real, pair[0].imag, pair[2]),
     )
-    pairs = tuple((complex(a[rows[t]]), complex(b[cols[t]])) for t in order)
-    return CoincidenceReport(len(pairs), pairs, tuple(residuals[t] for t in order))
+    pairs = tuple((u, v) for u, v, _ in found)
+    return CoincidenceReport(len(pairs), pairs, tuple(d for _, _, d in found))
 
 
 def coincidence_count(x, tol: Tolerances = DEFAULT_TOL) -> CoincidenceReport:
-    """Coincidences between the spectra of the cutoff and of the full matrix."""
+    """Coincidences between the spectra of the cutoff and of the full matrix.
+
+    A failed solve raises its EigensolverError, the cutoff's first.
+    """
     m = as_cmatrix(x)
     if m.shape[0] < 2:
         raise ValueError("coincidence counting needs n >= 2")
-    return match_spectra(eigenvalues(m[:-1, :-1], tol), eigenvalues(m, tol), tol)
+    errors = {}
+    cut, full = _spectra_stack(m[None], tol, errors)
+    if errors:
+        raise errors[0]
+    return match_spectra(cut[0], full[0], tol)
+
+
+def _spectra_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
+    """The sorted cutoff and full spectra of a (T, n, n) stack, by one
+    eigenvalue call each.  A failed position keeps its slot with stand-in
+    values and its EigensolverError goes to errors, the cutoff's first."""
+    cut = sort_complex(_eigvals_stack(mats[:, :-1, :-1], tol, errors))
+    return cut, sort_complex(_eigvals_stack(mats, tol, errors))
 
 
 def _coincidence_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
-    """coincidence_count over a (T, n, n) stack, with one eigenvalue call for
-    the cutoffs and one for the full matrices.
-
-    Returns (matched, cost): the (T, n-1, n) matching of the sorted cutoff
-    spectra against the sorted full spectra, and its distances.  A failed
-    position keeps its slot with stand-in values and its EigensolverError
-    goes to errors, the cutoff's first, as coincidence_count raises it.
+    """coincidence_count over a (T, n, n) stack: (matched, cost), the
+    (T, n-1, n) matching of the sorted cutoff spectra against the sorted full
+    spectra, and its distances.  A failed position fails as in _spectra_stack.
     """
-    cut = sort_complex(_eigvals_stack(mats[:, :-1, :-1], tol, errors))
-    full = _eigvals_stack(mats, tol, errors)
-    return _match_stack(cut, sort_complex(full), tol.eig_match)
+    return _match_stack(*_spectra_stack(mats, tol, errors), tol.eig_match)
 
 
 def newton_to_charpoly(power_sums) -> np.ndarray:
@@ -203,12 +231,16 @@ def v_membership(img: GZImage, l: int, tol: Tolerances = DEFAULT_TOL) -> bool:
 
     Both spectra are recovered through Newton's identities and Aberth root
     finding once per image, on the first query, and reused by every later
-    query on that image whatever its l or tol.  Each query rematches them at
-    10x the coincidence radius: the round trip through coefficients loses
-    precision, so the radius is derated.  The derated radius may overflow to
-    inf, which admits every pair.
+    query on that image whatever its l or tol.  They are matched at 10x the
+    coincidence radius: the round trip through coefficients loses precision,
+    so the radius is derated.  The derated radius may overflow to inf, which
+    admits every pair.  The image keeps the matched count of each radius it
+    was queried at, so queries at one tol and any l match once.
     """
     if not 0 <= l <= img.n - 1:
         raise ValueError(f"l={l} out of range for n={img.n}")
-    rows, _, _ = _assignment(*img._roots, 10.0 * tol.eig_match)
-    return len(rows) >= l
+    radius = 10.0 * tol.eig_match
+    counts = img._counts
+    if radius not in counts:
+        counts[radius] = len(_assignment(*img._roots, radius)[0])
+    return counts[radius] >= l

@@ -129,6 +129,22 @@ def gz_function(x, i, j):
     return complex(np.trace(np.linalg.matrix_power(m[:i, :i], j)))
 
 
+def per_power_phi_n(x):
+    """phi_n's power sums one power at a time, as gzcut computed them before
+    it stacked the powers: eye, then p @ m per degree, then complex(p.trace()).
+    Returns (cutoff sums, full sums)."""
+    m = np.asarray(x, dtype=complex)
+    out = []
+    for a in (m[:-1, :-1], m):
+        p = np.eye(a.shape[0], dtype=complex)
+        sums = []
+        for _ in range(a.shape[0]):
+            p = p @ a
+            sums.append(complex(p.trace()))
+        out.append(tuple(sums))
+    return tuple(out)
+
+
 def lsa_assignment(a, b, radius):
     """Max-cardinality, then min-total-residual matching by a rectangular
     assignment with a prohibitive cost on inadmissible pairs, always.

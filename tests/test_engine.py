@@ -9,7 +9,9 @@ one-trial functions one trial at a time.  A trial's draws must not depend on
 the loop's trial count, and a trial whose solve fails must cost only itself.
 """
 
+import json
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -43,7 +45,9 @@ from gzcut import (
     verify_roundtrips,
     xi_build,
 )
+from gzcut.cli import main
 from oracles import (
+    brute_match,
     cgauss,
     lsa_assignment,
     serial_conjugated_sample,
@@ -192,7 +196,7 @@ def _stage_draws(stage, rng, trials, errors):
     if stage == "sample_in":
         return (gzcut.orbits._sample_in_stack(parabolic_p(OrbitIndex(2, 4), 5), rng, trials),)
     if stage == "random_xi":
-        return (gzcut.canonical._random_xi_stack(rng, trials, 8, 3, Tolerances(), errors),)
+        return (gzcut.canonical._random_xi_stack([rng], trials, 8, [3], Tolerances(), errors),)
     return gzcut.orbits._sample_K_stack([rng], trials, 4, errors)
 
 
@@ -223,7 +227,7 @@ def test_the_one_trial_functions_are_trial_0_of_a_loop():
     p = parabolic_p(OrbitIndex(2, 4), n)
     assert np.array_equal(sample_in(p, rng), gzcut.orbits._sample_in_stack(p, rng, 9)[0])
     for l in range(n):
-        planted = gzcut.canonical._random_xi_stack(rng, 9, n, l, tol, errors)
+        planted = gzcut.canonical._random_xi_stack([rng], 9, n, [l], tol, errors)
         assert np.array_equal(xi_build(random_xi(rng, n, l, tol)), planted[0])
     l, worst = gzcut.orbits._containment_stack([p], n, [rng], 9, tol, errors)
     assert gzcut.orbits.containment_trial(p, n, rng, tol) == (l[0], worst[0])
@@ -415,11 +419,44 @@ def test_a_stray_shared_slot_fails_only_its_own_trial():
         with pytest.raises(XiInvariantError, match="slot 1 is marked shared"):
             canonical_form(bad, tol)
     assert list(errors) == [1] and isinstance(errors[1], XiInvariantError)
-    assert len(results) == 2
-    for res, x in zip(results, good):
+    assert [t for t, _ in results] == [0, 2]
+    for (_, res), x in zip(results, good):
         one = canonical_form(x, tol)
         assert (res.idx, res.pattern, res.l) == (one.idx, one.pattern, one.l)
         assert np.array_equal(res.image, one.image)
+
+
+def test_verify_reduces_all_its_round_trips_in_one_stack(monkeypatch, capsys):
+    n, trials, seed, tol = 5, 6, 4, Tolerances()
+    # the cutoff of trial 3 of the l = 2 loop, whose eigendecomposition fails
+    poison = serial_round_trip_point(n, 2, _roundtrip_rng(n, seed, trials, 2), 3, tol)[:-1, :-1]
+    real_eig, real_stack = np.linalg.eig, gzcut.canonical._canonical_stack
+    stacks = []
+
+    def eig(a):
+        a = np.asarray(a)
+        if any(np.array_equal(m, poison) for m in a.reshape(-1, *a.shape[-2:])):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eig(a)
+
+    def canonical_stack(mats, *rest):
+        stacks.append(len(mats))
+        return real_stack(mats, *rest)
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    monkeypatch.setattr(gzcut.canonical, "_canonical_stack", canonical_stack)
+    argv = ["verify", "--n", str(n), "--trials", str(trials), "--seed", str(seed)]
+    assert main(argv) == 0
+    assert stacks == [n * trials]
+    got = json.loads(capsys.readouterr().out)["results"]["roundtrips"]
+    assert [entry["failures"] for entry in got] == [0, 0, 1, 0, 0]
+    for l, entry in enumerate(got):
+        want = asdict(serial_verify_roundtrips(n, l, trials, _roundtrip_rng(n, seed, trials, l), tol))
+        if l < n - 1:
+            del want["borel_indices"]
+        else:
+            want["borel_indices"] = list(want["borel_indices"])
+        assert entry == want, l
 
 
 def test_sample_K_past_its_resample_limit_fails_only_that_round_trip(monkeypatch):
@@ -500,3 +537,51 @@ def test_stacked_matching_equals_one_pair_at_a_time(m, picks, radius):
         rows, cols, residuals = lsa_assignment(a[t], b[t], radius)
         assert matched[t].sum() == len(rows)
         assert sorted(cost[t][matched[t]].tolist()) == sorted(residuals)
+
+
+def _match_rows(gen, radius):
+    """One (p, q) value pair per kind: no value with two admissible partners,
+    a value of a with two partners in b, a value of b with two partners in a,
+    one cluster inside the radius, and exactly repeated values."""
+    p = int(gen.integers(2, 6))
+    q = p + int(gen.integers(0, 2))
+    lattice = np.arange(q) * 10.0 + 0j
+
+    def near(v):
+        return v + radius * 0.4 * cgauss(gen, np.shape(v))
+
+    plain = (near(lattice[:p]), lattice)
+    a_side = lattice[:p].copy()
+    b_side = lattice.copy()
+    b_side[1] = near(b_side[0])  # a[0] has two partners, a[1] none
+    two_partners = (a_side, b_side)
+    a_side = near(lattice[:p])
+    a_side[1] = near(lattice[0])  # b[0] has two partners, b[1] none
+    two_in_a = (a_side, lattice)
+    cluster = (near(np.full(p, 3.0 + 0j)), near(np.full(q, 3.0 + 0j)))
+    ties = np.repeat(lattice[: (q + 1) // 2], 2)[:q]
+    tied = (ties[:p].copy(), ties)
+    return [plain, two_partners, two_in_a, cluster, tied]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_match_stack_rows_equal_brute_force(seed):
+    # each (T, p, q) stack mixes plain and ambiguous rows in random order, so
+    # a row's ambiguity test must look at that row alone
+    gen, radius = np.random.default_rng(seed), 1e-3
+    rows = []
+    for _ in range(3):
+        rows += _match_rows(gen, radius)
+    by_shape = {}
+    for pair in rows:
+        by_shape.setdefault((len(pair[0]), len(pair[1])), []).append(pair)
+    for pairs in by_shape.values():
+        order = gen.permutation(len(pairs))
+        a = np.array([pairs[i][0] for i in order])
+        b = np.array([pairs[i][1] for i in order])
+        matched, cost = gzcut.spectra._match_stack(a, b, radius)
+        for t in range(len(a)):
+            count, total = brute_match(a[t], b[t], radius)
+            assert matched[t].sum() == count
+            assert matched[t].sum(0).max(initial=0) <= 1 and matched[t].sum(1).max(initial=0) <= 1
+            assert cost[t][matched[t]].sum() == pytest.approx(total, abs=1e-12)

@@ -124,6 +124,14 @@ def test_aberth_rejects_nonmonic_garbage():
         aberth_roots([0, 1, 2])
 
 
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), complex(0, float("nan"))))
+def test_aberth_rejects_a_non_finite_coefficient_at_entry(bad):
+    # no iterations are spent on a polynomial that cannot converge
+    for coeffs in ([1, bad, 2], [1, 0, 0, bad], [bad, 1]):
+        with pytest.raises(ValueError, match="^polynomial coefficients must be finite"):
+            aberth_roots(coeffs, max_iter=1)
+
+
 @pytest.mark.parametrize(
     "coeffs, overflow",
     [

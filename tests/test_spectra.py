@@ -1,10 +1,11 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import gzcut.spectra
 
@@ -23,7 +24,7 @@ from gzcut import (
     v_membership,
     xi_build,
 )
-from oracles import brute_match, cgauss, exact_char_poly, gz_function
+from oracles import brute_match, cgauss, exact_char_poly, gz_function, per_power_phi_n
 
 # bordered matrix used across the suite: cutoff diag(1, 2), border (0,1)/(0,1), corner 3
 BORDERED = np.array([[1, 0, 0], [0, 2, 1], [0, 1, 3]], dtype=complex)
@@ -62,6 +63,36 @@ def test_phi_n_bordered_against_matrix_power_oracle():
     img = phi_n(BORDERED)
     assert_allclose(img.c_prev, expected_prev, atol=0)
     assert_allclose(img.c_full, expected_full, atol=0)
+
+
+def test_phi_n_equals_the_per_power_oracle_bit_for_bit():
+    gen = np.random.default_rng(19)
+    for n in range(2, 9):
+        mats = [cgauss(gen, (n, n)) for _ in range(8)]
+        mats += [gen.integers(-3, 4, size=(n, n)), np.zeros((n, n)), 1e30 * cgauss(gen, (n, n))]
+        for m in mats:
+            img = phi_n(m)
+            c_prev, c_full = per_power_phi_n(m)
+            assert_array_equal(img.c_prev, c_prev)
+            assert_array_equal(img.c_full, c_full)
+
+
+def test_phi_n_names_the_first_power_sum_past_the_float_range():
+    x = cgauss(np.random.default_rng(3), (8, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning leaks out of the powers
+        for scale, degree, level in ((1e40, 8, "full matrix"), (1e100, 4, "cutoff")):
+            with pytest.raises(ValueError, match=f"^power sum of degree {degree} of the {level} "):
+                phi_n(scale * x)
+        phi_n(1e30 * x)
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), complex(1, float("-inf"))))
+def test_gz_image_rejects_a_non_finite_power_sum(bad):
+    with pytest.raises(ValueError, match="^power sum of degree 2 of the full matrix is not finite"):
+        GZImage((1.0, 2.0), (3.0, bad, 4.0), 3)
+    with pytest.raises(ValueError, match="^power sum of degree 1 of the cutoff is not finite"):
+        GZImage((bad, 2.0), (bad, 3.0, 4.0), 3)
 
 
 def test_phi_n_needs_a_cutoff():
@@ -182,17 +213,34 @@ def test_v_membership_recovers_spectra_once_per_image(monkeypatch):
     fresh = [v_membership(phi_n(x), l) for l in range(5)]
     assert fresh == [True, True, True, False, False]
 
-    calls = []
-    original = gzcut.spectra.aberth_roots
+    calls, matches = [], []
+    original, original_match = gzcut.spectra.aberth_roots, gzcut.spectra._assignment
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
+    def counting_match(a, b, radius):
+        matches.append(radius)
+        return original_match(a, b, radius)
+
     monkeypatch.setattr(gzcut.spectra, "aberth_roots", counting)
+    monkeypatch.setattr(gzcut.spectra, "_assignment", counting_match)
     img = phi_n(x)
     assert [v_membership(img, l) for l in range(5)] == fresh
-    assert len(calls) == 2
+    assert len(calls) == 2 and matches == [1e-6]
+    # at a 0.5 radius the cutoff value 4 matches the full eigenvalue 3.65:
+    # the image is rematched once for the new radius, and each radius keeps
+    # its own answer
+    loose = Tolerances(eig_match=0.05)
+    assert [v_membership(img, l, loose) for l in range(5)] == [True] * 4 + [False]
+    assert [v_membership(img, l) for l in range(5)] == fresh
+    assert [v_membership(img, l, loose) for l in range(5)] == [True] * 4 + [False]
+    assert len(calls) == 2 and matches == [1e-6, 0.5]
+    # a second image of the same matrix recovers and matches on its own
+    other = phi_n(x)
+    assert [v_membership(other, l) for l in range(5)] == fresh
+    assert len(calls) == 4 and matches == [1e-6, 0.5, 1e-6]
     assert img == phi_n(x)
     assert hash(img) == hash(phi_n(x))
 
