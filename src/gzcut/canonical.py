@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flags import OrbitIndex, SubalgebraSpec, contains, nilradical_n, parabolic_p, stabilizer
+from .flags import OrbitIndex, SubalgebraSpec, nilradical_n, parabolic_p, stabilizer
+from .flags import _residual_stack
 from .linalg import (
     DEFAULT_TOL,
     EigensolverError,
@@ -312,7 +313,8 @@ def pattern_parabolic(pattern: ULPattern, n: int) -> SubalgebraSpec:
 
 def _reduce_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
     """reduce_to_xi over a (T, n, n) stack: one eig call for the cutoffs, one
-    eigvals call for the full matrices and one inv call for each inverse.
+    eigvals call for the full matrices and one inv call: each block is an
+    inverse eigenbasis with its rows reordered, so its inverse needs no call.
 
     Returns the conjugating blocks, the bordered forms and the shared counts
     of every trial.  One conditioning warning covers all the trials near the
@@ -347,7 +349,8 @@ def _reduce_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
     order = np.lexsort((evals.imag, evals.real, ~shared), axis=-1)
     inverses = _lapack_stack(np.linalg.inv, evecs, errors, "cutoff eigenvectors are singular")
     blocks = np.take_along_axis(inverses, order[..., None], axis=1)
-    forms = _conjugate(_block_diagonal(blocks, 1.0), mats, errors)
+    basis = np.take_along_axis(evecs, order[:, None], axis=2)
+    forms = _block_diagonal(blocks, 1.0) @ mats @ _block_diagonal(basis, 1.0)
     counts = shared.sum(axis=1)
     counts[list(errors)] = 0
     return blocks, forms, counts
@@ -373,36 +376,27 @@ def reduce_to_xi(x, tol: Tolerances = DEFAULT_TOL):
     return KElement(blocks[0], 1.0, n), _xi_element(forms[0], int(counts[0]))
 
 
-def _canonical_stack(mats: np.ndarray, tol: Tolerances, errors: dict) -> list:
-    """canonical_form over a (T, n, n) stack: (trial, result) for each trial
-    that did not fail, in trial order.
+def _canonical_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
+    """canonical_form over a (T, n, n) stack, as arrays over the trials: the
+    blocks, U marks, shared counts, catalog indices (i, j), images and their
+    membership residuals.
 
-    The conjugating block gathers the reduced eigenbasis in _frame_order, so
-    the reduced form's flag lands on the catalog parabolic's frame.
+    The block takes the reduced eigenbasis in _frame_order, so the reduced
+    form's flag lands on the catalog parabolic's frame: the image is the
+    reduced form with its first n - 1 slots in that order and e_n fixed.
     """
-    n = mats.shape[-1]
+    t, n, _ = mats.shape
     k = n - 1
-    k1, forms, counts = _reduce_stack(mats, tol, errors)
+    reduced, forms, counts = _reduce_stack(mats, tol, errors)
     upper = _upper_marks(forms[:, :k, k], forms[:, k, :k], counts, tol, errors)
     order = _frame_order(upper, np.arange(k) < counts[:, None])
-    blocks = np.take_along_axis(k1, order[..., None], axis=1)
-    images = _conjugate(_block_diagonal(blocks, 1.0), mats, errors)
-    results = []
-    for t, (marks, block, image, c) in enumerate(zip(upper, blocks, images, counts.tolist())):
-        if t in errors:
-            continue
-        u = int(marks.sum())
-        idx = OrbitIndex(u + 1, u + n - c)
-        result = CanonicalFormResult(
-            k=KElement(block, 1.0, n),
-            idx=idx,
-            image=image,
-            residual=contains(parabolic_p(idx, n), image, tol).residual,
-            l=c,
-            pattern=ULPattern(tuple("U" if m else "L" for m in marks[:c])),
-        )
-        results.append((t, result))
-    return results
+    blocks = np.take_along_axis(reduced, order[..., None], axis=1)
+    slots = np.concatenate([order, np.full((t, 1), k)], axis=1)
+    images = forms[np.arange(t)[:, None, None], slots[:, :, None], slots[:, None, :]]
+    u = upper.sum(axis=1)
+    idx = np.stack([u + 1, u + n - counts], axis=1)
+    specs = [parabolic_p(OrbitIndex(i, j), n) for i, j in idx.tolist()]
+    return blocks, upper, counts, idx, images, _residual_stack(specs, images)
 
 
 def canonical_form(x, tol: Tolerances = DEFAULT_TOL) -> CanonicalFormResult:
@@ -418,10 +412,13 @@ def canonical_form(x, tol: Tolerances = DEFAULT_TOL) -> CanonicalFormResult:
     if m.shape[0] < 2:
         raise ValueError("the reduction needs n >= 2")
     errors = {}
-    results = _canonical_stack(m[None], tol, errors)
+    blocks, upper, counts, idx, images, residuals = _canonical_stack(m[None], tol, errors)
     if errors:
         raise errors[0]
-    return results[0][1]
+    c, k = int(counts[0]), KElement(blocks[0], 1.0, len(m))
+    pattern = ULPattern(tuple("U" if u else "L" for u in upper[0, :c]))
+    index, residual = OrbitIndex(*idx[0].tolist()), float(residuals[0])
+    return CanonicalFormResult(k, index, images[0], residual, c, pattern)
 
 
 def _draw_xi(rng: SeededRng, rnd: int, rows, n: int, l: int):
@@ -507,10 +504,10 @@ def random_xi(rng: SeededRng, n: int, l: int, tol: Tolerances = DEFAULT_TOL) -> 
 
 @dataclass(frozen=True)
 class RoundTripReport:
-    """Planted round trips for one count l.  mismatches counts a wrong count or
-    orbit length, residual_violations a residual >= residual_cap, failures a
-    solver breakdown, a degenerate cutoff or a shared slot with no vanishing
-    border entry; borel_indices is None unless l = n - 1."""
+    """Planted round trips for one count l.  mismatches counts a wrong count,
+    residual_violations a residual >= residual_cap, failures a solver
+    breakdown, a degenerate cutoff or a shared slot with no vanishing border
+    entry; borel_indices is None unless l = n - 1."""
 
     l: int
     trials: int
@@ -534,26 +531,18 @@ def _roundtrip_loops(n: int, ls: list, trials: int, rngs: list, tol: Tolerances)
     planted = _random_xi_stack(rngs, trials, n, ls, tol, errors)
     blocks, scalars = _sample_K_stack(rngs, trials, n, errors)
     xs = _conjugate(_block_diagonal(blocks, scalars), planted, errors)
-    by_loop = [[] for _ in ls]
-    for t, res in _canonical_stack(xs, tol, errors):
-        by_loop[t // trials].append(res)
-    failed = [0] * len(ls)
-    for t in errors:
-        failed[t // trials] += 1
+    _, _, counts, idx, _, residuals = _canonical_stack(xs, tol, errors)
+    failed = np.isin(np.arange(len(xs)), list(errors))
+    residuals[failed] = 0.0
+    loops = (a.reshape(len(ls), trials) for a in (failed, counts, idx[:, 0], residuals))
+    cap = _ROUNDTRIP_RESIDUAL_CAP
     reports = []
-    for l, results, failures in zip(ls, by_loop, failed):
-        borel_indices = tuple(sorted({res.idx.i for res in results})) if l == n - 1 else None
+    for l, bad, count, borel, res in zip(ls, *loops):
+        failures, mismatches = int(bad.sum()), int((count[~bad] != l).sum())
+        worst, violations = float(res.max(initial=0.0)), int((res >= cap).sum())
+        borels = tuple(np.unique(borel[~bad]).tolist()) if l == n - 1 else None
         reports.append(
-            RoundTripReport(
-                l,
-                trials,
-                failures,
-                sum(res.l != l or res.idx.length != n - 1 - l for res in results),
-                max((res.residual for res in results), default=0.0),
-                _ROUNDTRIP_RESIDUAL_CAP,
-                sum(res.residual >= _ROUNDTRIP_RESIDUAL_CAP for res in results),
-                borel_indices,
-            )
+            RoundTripReport(l, trials, failures, mismatches, worst, cap, violations, borels)
         )
     return reports
 

@@ -19,7 +19,6 @@ changed independently of them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -304,6 +303,26 @@ def is_theta_stable(s: SubalgebraSpec, tol: Tolerances = DEFAULT_TOL) -> bool:
     return numerical_rank(np.vstack([stacked, mapped]), tol) == s.dim
 
 
+def _residual_stack(specs: list, xs: np.ndarray) -> np.ndarray:
+    """contains' residual of each xs[t] in specs[t], over a (T, n, n) stack;
+    each norm is summed as np.linalg.norm sums one matrix, by dot products."""
+    t, n, _ = xs.shape
+    frames = np.array([s.frame for s in specs]).reshape(xs.shape)
+    inverses = np.array([s.inverse for s in specs]).reshape(xs.shape)
+    masks = np.array([s.mask for s in specs]).reshape(xs.shape)
+    # both norms are taken of x / 2^e, 2^e a power of two near max|x| (capped,
+    # as |x| overflows past 2^1024), so they cannot overflow; the scaling is
+    # exact: the residual's bits are the unscaled formula's wherever it is finite
+    e = np.frexp(np.minimum(np.abs(xs).max(axis=(1, 2)), 2.0**1023))[1]
+    unit = np.ldexp(1.0, -np.maximum(e, 0))
+    ms = xs * unit[:, None, None]
+    off = inverses @ ms @ frames
+    off[masks] = 0.0
+    v = np.stack([frames @ off @ inverses, ms]).reshape(2, t, 1, n * n)
+    norms = np.sqrt(v.real @ v.real.swapaxes(2, 3) + v.imag @ v.imag.swapaxes(2, 3))[..., 0, 0]
+    return norms[0] / (unit + norms[1])
+
+
 def contains(s: SubalgebraSpec, x, tol: Tolerances = DEFAULT_TOL) -> SubspaceTest:
     """Membership of x in s, read off by masking B^-1 x B.
 
@@ -316,15 +335,7 @@ def contains(s: SubalgebraSpec, x, tol: Tolerances = DEFAULT_TOL) -> SubspaceTes
     m = as_cmatrix(x)
     if m.shape != (s.n, s.n):
         raise ValueError("dimension mismatch")
-    # both norms are taken of m / 2^e, 2^e a power of two near max|m| (capped,
-    # as |m| overflows past 2^1024), so they cannot overflow; the scaling is
-    # exact: the residual's bits are the unscaled formula's wherever it is finite
-    e = math.frexp(min(np.abs(m).max(), 2.0**1023))[1]
-    unit = math.ldexp(1.0, -max(e, 0))
-    m = m * unit
-    off = s.inverse @ m @ s.frame
-    off[s.mask] = 0.0
-    residual = float(np.linalg.norm(s.frame @ off @ s.inverse) / (unit + np.linalg.norm(m)))
+    residual = float(_residual_stack([s], m[None])[0])
     return SubspaceTest(residual <= tol.membership, residual)
 
 

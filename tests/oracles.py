@@ -354,6 +354,36 @@ def serial_round_trip_point(n, l, rng, t, tol):
     return ad(serial_sample_K(rng, n, t), _xi_matrix(serial_planted(rng, n, l, t, tol)))
 
 
+def serial_canonical_form(x, tol):
+    """canonical_form composed by hand, as it was before the image was read
+    off the reduced form: reduce_to_xi, its block's rows reordered into frame
+    order by the U/L pattern of the reduced form, an explicit k x k^-1 with
+    np.linalg.inv, and contains on the image."""
+    from gzcut import (
+        CanonicalFormResult,
+        KElement,
+        OrbitIndex,
+        contains,
+        parabolic_p,
+        reduce_to_xi,
+        xi_pattern,
+    )
+    from gzcut.canonical import _frame_order
+
+    x = np.asarray(x, dtype=complex)
+    n = len(x)
+    reduced, e = reduce_to_xi(x, tol)
+    pattern = xi_pattern(e, tol)
+    upper = np.array([m == "U" for m in pattern.marks] + [False] * (n - 1 - e.l))
+    k = KElement(reduced.block[_frame_order(upper, np.arange(n - 1) < e.l)], 1.0, n)
+    km = k.as_matrix()
+    image = km @ x @ np.linalg.inv(km)
+    u = pattern.marks.count("U")
+    idx = OrbitIndex(u + 1, u + n - e.l)
+    residual = contains(parabolic_p(idx, n), image, tol).residual
+    return CanonicalFormResult(k, idx, image, residual, e.l, pattern)
+
+
 def serial_verify_containment(idx, n, trials, rng, tol):
     from gzcut import ContainmentReport, EigensolverError, coincidence_count, parabolic_p
 

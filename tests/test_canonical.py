@@ -37,7 +37,7 @@ from gzcut import (
     xi_build,
     xi_pattern,
 )
-from oracles import cgauss, gz_function
+from oracles import cgauss, gz_function, serial_canonical_form
 
 BORDERED = np.array([[1, 0, 0], [0, 2, 1], [0, 1, 3]], dtype=complex)
 
@@ -199,25 +199,56 @@ def test_canonical_form_diagonal_hits_a_borel():
     assert res.residual < 1e-12
 
 
-def test_canonical_form_planted_patterns_reach_the_predicted_indices():
-    # every U/L pattern of every length c <= n - 1, n = 2..6: 119 exact inputs;
-    # k - 1 counts the U marks and the orbit length is n - 1 - c
-    cases = 0
+def _planted_patterns():
+    """Every U/L pattern of every length c <= n - 1, n = 2..6, planted
+    exactly: 119 (n, marks, bordered matrix) cases."""
     for n in range(2, 7):
         h = [1.0 + 1.25 * i for i in range(n - 1)]
         for c in range(n):
             for marks in itertools.product("UL", repeat=c):
                 y = [0.7 if m == "U" else 0.0 for m in marks] + [0.9] * (n - 1 - c)
                 z = [0.0 if m == "U" else 0.6 for m in marks] + [1.1] * (n - 1 - c)
-                m = xi_build(xi(n, c, h, y, z, -0.3))
-                res = canonical_form(m)
-                u = marks.count("U")
-                assert (res.idx.i, res.idx.j) == (u + 1, u + n - c), (n, marks)
-                assert res.pattern.marks == marks and res.l == c
-                assert res.residual < 1e-10
-                assert contains(pattern_parabolic(ULPattern(marks), n), m).ok
-                cases += 1
+                yield n, marks, xi_build(xi(n, c, h, y, z, -0.3))
+
+
+def test_canonical_form_planted_patterns_reach_the_predicted_indices():
+    # k - 1 counts the U marks and the orbit length is n - 1 - c
+    cases = 0
+    for n, marks, m in _planted_patterns():
+        c = len(marks)
+        res = canonical_form(m)
+        u = marks.count("U")
+        assert (res.idx.i, res.idx.j) == (u + 1, u + n - c), (n, marks)
+        assert res.pattern.marks == marks and res.l == c
+        assert res.residual < 1e-10
+        assert contains(pattern_parabolic(ULPattern(marks), n), m).ok
+        cases += 1
     assert cases == 119
+
+
+def _assert_matches_explicit_conjugation(x, tol=Tolerances()):
+    got, want = canonical_form(x, tol), serial_canonical_form(x, tol)
+    assert (got.l, got.idx, got.pattern) == (want.l, want.idx, want.pattern)
+    assert np.array_equal(got.k.block, want.k.block)
+    assert np.abs(got.image - want.image).max() <= 1e-12 * (1 + np.abs(x).max())
+    assert abs(got.residual - want.residual) <= 1e-12
+
+
+def test_canonical_form_equals_an_explicit_conjugation_on_planted_patterns():
+    # the image is read off the reduced form by permuting its slots; the
+    # oracle conjugates x again by the reordered block and its inverse
+    for _, _, m in _planted_patterns():
+        _assert_matches_explicit_conjugation(m)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_canonical_form_equals_an_explicit_conjugation_on_round_trips(n):
+    rng = SeededRng(26, n)
+    for l in range(n):
+        for t in range(20):
+            e = random_xi(rng.derive(2 * (20 * l + t)), n, l)
+            x = ad(sample_K(rng.derive(2 * (20 * l + t) + 1), n), xi_build(e))
+            _assert_matches_explicit_conjugation(x)
 
 
 def test_canonical_form_upper_triangular_sample():

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gzcut.canonical
+import gzcut.flags
 import gzcut.linalg
 import gzcut.orbits
 import gzcut.spectra
@@ -415,15 +416,43 @@ def test_a_stray_shared_slot_fails_only_its_own_trial():
         # the middle cutoff's gap of 3 lies in the conditioning band (0.5, 5]
         warnings.simplefilter("ignore", RuntimeWarning)
         stack = np.array([good[0], bad, good[1]], dtype=complex)
-        results = gzcut.canonical._canonical_stack(stack, tol, errors)
+        _, upper, counts, idx, images, _ = gzcut.canonical._canonical_stack(stack, tol, errors)
         with pytest.raises(XiInvariantError, match="slot 1 is marked shared"):
             canonical_form(bad, tol)
     assert list(errors) == [1] and isinstance(errors[1], XiInvariantError)
-    assert [t for t, _ in results] == [0, 2]
-    for (_, res), x in zip(results, good):
+    for t, x in zip((0, 2), good):
         one = canonical_form(x, tol)
-        assert (res.idx, res.pattern, res.l) == (one.idx, one.pattern, one.l)
-        assert np.array_equal(res.image, one.image)
+        marks = tuple("U" if u else "L" for u in upper[t, : counts[t]])
+        assert (OrbitIndex(*idx[t]), marks, counts[t]) == (one.idx, one.pattern.marks, one.l)
+        assert np.array_equal(images[t], one.image)
+
+
+def test_the_canonical_stage_inverts_once_and_tests_membership_by_one_stack(monkeypatch):
+    n, trials, tol = 5, 9, Tolerances()
+    rng = _roundtrip_rng(n, 3, trials, 2)
+    stack = np.array([serial_round_trip_point(n, 2, rng, t, tol) for t in range(trials)])
+    # a first call builds the catalog parabolics, each inverting its frame once
+    gzcut.canonical._canonical_stack(stack, tol, {})
+    calls = []
+    real_inv, real_contains = np.linalg.inv, gzcut.flags.contains
+
+    def inv(a):
+        calls.append("inv")
+        return real_inv(a)
+
+    def contains(*args, **kwargs):
+        calls.append("contains")
+        return real_contains(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    for module in (gzcut.flags, gzcut.canonical):
+        if hasattr(module, "contains"):
+            monkeypatch.setattr(module, "contains", contains)
+    errors = {}
+    stage = gzcut.canonical._canonical_stack(stack, tol, errors)
+    assert calls == ["inv"]
+    _, _, counts, _, _, residuals = stage
+    assert not errors and (counts == 2).all() and (residuals < 1e-10).all()
 
 
 def test_verify_reduces_all_its_round_trips_in_one_stack(monkeypatch, capsys):
