@@ -460,7 +460,9 @@ def _random_xi_stack(rngs: list, trials: int, n: int, ls: list, tol: Tolerances,
         if not pending.size:
             break
         loop, row = np.divmod(pending, trials)
-        draws = [_draw_xi(rngs[k], rnd, row[loop == k], n, ls[k]) for k in np.unique(loop)]
+        # not np.unique, which imports numpy.ma on its first call (numpy 2.4)
+        live = sorted(set(loop.tolist()))
+        draws = [_draw_xi(rngs[k], rnd, row[loop == k], n, ls[k]) for k in live]
         h, y, z, w, wide = (np.concatenate(part) for part in zip(*draws))
         redraw = pending[~wide].tolist()
         if wide.any():
@@ -540,7 +542,7 @@ def _roundtrip_loops(n: int, ls: list, trials: int, rngs: list, tol: Tolerances)
     for l, bad, count, borel, res in zip(ls, *loops):
         failures, mismatches = int(bad.sum()), int((count[~bad] != l).sum())
         worst, violations = float(res.max(initial=0.0)), int((res >= cap).sum())
-        borels = tuple(np.unique(borel[~bad]).tolist()) if l == n - 1 else None
+        borels = tuple(sorted(set(borel[~bad].tolist()))) if l == n - 1 else None
         reports.append(
             RoundTripReport(l, trials, failures, mismatches, worst, cap, violations, borels)
         )

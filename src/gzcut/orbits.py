@@ -149,8 +149,10 @@ def _sample_K_stack(rngs: list, trials: int, n: int, errors: dict):
         if not pending.size:
             break
         loop, row = np.divmod(pending, trials)
+        # not np.unique, which imports numpy.ma on its first call (numpy 2.4)
+        live = sorted(set(loop.tolist()))
         blocks[pending] = np.concatenate(
-            [rngs[j].complex_normal(_K_BLOCK, rnd, row[loop == j], (k, k)) for j in np.unique(loop)]
+            [rngs[j].complex_normal(_K_BLOCK, rnd, row[loop == j], (k, k)) for j in live]
         )
         lost = {}
         sv = _lapack_stack(_singular_values, blocks[pending], lost, "SVD failed to converge")

@@ -10,11 +10,12 @@ boundaries greedy counting gets the answer wrong.
 from __future__ import annotations
 
 import cmath
+import importlib.util
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .linalg import (
     DEFAULT_TOL,
@@ -34,6 +35,26 @@ __all__ = [
     "newton_to_charpoly",
     "v_membership",
 ]
+
+
+def _lazy_module(name: str):
+    """The module `name`, registered in sys.modules but executed only on its
+    first attribute access; an already imported module is returned as it is
+    (find_spec would hand back its live spec, which must not be rewritten)."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+# scipy.optimize costs most of a cold `import gzcut`, yet only an ambiguous
+# matching calls it (no `verify` report does), so it is loaded on first use.
+# The first load is not guarded against concurrent threads; gzcut runs none.
+_optimize = _lazy_module("scipy.optimize")
 
 
 @dataclass(frozen=True)
@@ -138,7 +159,7 @@ def _match_stack(a: np.ndarray, b: np.ndarray, radius: float):
     ambiguous = (matched.sum(-1) > 1).any(-1) | (matched.sum(-2) > 1).any(-1)
     big = 1.0 + 2.0 * (radius + 1.0) * min(a.shape[1], b.shape[1])
     for t in ambiguous.nonzero()[0].tolist():
-        rows, cols = linear_sum_assignment(np.where(matched[t], cost[t], big))
+        rows, cols = _optimize.linear_sum_assignment(np.where(matched[t], cost[t], big))
         keep = matched[t, rows, cols]
         matched[t] = False
         matched[t, rows[keep], cols[keep]] = True

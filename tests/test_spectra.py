@@ -1,5 +1,9 @@
 import cmath
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +28,10 @@ from gzcut import (
     v_membership,
     xi_build,
 )
+from gzcut.cli import read_matrix_file
 from oracles import brute_match, cgauss, exact_char_poly, gz_function, per_power_phi_n
+
+DATA = Path(__file__).resolve().parent / "data"
 
 # bordered matrix used across the suite: cutoff diag(1, 2), border (0,1)/(0,1), corner 3
 BORDERED = np.array([[1, 0, 0], [0, 2, 1], [0, 1, 3]], dtype=complex)
@@ -281,3 +288,53 @@ def test_both_routes_classify_planted_points_exactly():
                 img = phi_n(x)
                 assert v_membership(img, l)
                 assert l == n - 1 or not v_membership(img, l + 1)
+
+
+# planted twopath inputs whose power-sum route misses the count (ROADMAP item
+# 10), saved from bench/workloads.twopath_inputs(seed, batch)[item]
+ROUTE2_MISSES = (
+    pytest.param("route2_s3108_b188_i209.json", 3, id="seed3108-batch188-item209"),
+    pytest.param("route2_s3115_b25_i139.json", 7, id="seed3115-batch25-item139"),
+    pytest.param("route2_s518_b259_i203.json", 2, id="seed518-batch259-item203"),
+)
+
+
+@pytest.mark.parametrize("name, l", ROUTE2_MISSES)
+def test_eigvals_route_counts_the_planted_inputs_route_2_misses(name, l):
+    assert coincidence_count(read_matrix_file(str(DATA / name))).l == l
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 10: float power traces put the recovered roots past the rematch radius",
+)
+@pytest.mark.parametrize("name, l", ROUTE2_MISSES)
+def test_power_sum_route_confirms_the_planted_count(name, l):
+    x = read_matrix_file(str(DATA / name))
+    img = phi_n(x)
+    assert v_membership(img, l)
+    assert l == x.shape[0] - 1 or not v_membership(img, l + 1)
+
+
+LAZY_OPTIMIZE_PROBE = """
+import contextlib, io, sys
+import gzcut, gzcut.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert gzcut.cli.main(["verify", "--n", "4", "--trials", "3", "--seed", "0"]) == 0
+assert "scipy.optimize._lsap" not in sys.modules
+assert gzcut.match_spectra([0, 1e-9], [0, 2e-9, 5]).l == 2
+assert "scipy.optimize._lsap" in sys.modules
+import scipy.optimize as so
+rows, cols = so.linear_sum_assignment([[1.0, 0.0], [0.0, 1.0]])
+assert rows.tolist() == [0, 1] and cols.tolist() == [1, 0]
+"""
+
+
+def test_scipy_optimize_loads_on_the_first_ambiguous_matching():
+    # a fresh interpreter: a verify report never matches ambiguously, so it
+    # must not load the assignment solver
+    env = {**os.environ, "PYTHONPATH": str(Path(gzcut.spectra.__file__).parents[1])}
+    argv = [sys.executable, "-c", LAZY_OPTIMIZE_PROBE]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
