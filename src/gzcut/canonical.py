@@ -77,6 +77,10 @@ __all__ = [
 # radius.  So scaling x and eig_match together leaves each verdict unchanged.
 _RS_GAP_FACTOR = 1e3
 
+# planted diagonals in each row of a random_xi round: a trial keeps the first
+# that clears the 0.5 gap, so a round seldom leaves a trial to redraw
+_XI_CANDIDATES = 8
+
 # a planted round trip must land in its parabolic with a residual below this
 _ROUNDTRIP_RESIDUAL_CAP = 1e-7
 
@@ -425,14 +429,18 @@ def _draw_xi(rng: SeededRng, rnd: int, rows, n: int, l: int):
     """Round rnd's random_xi candidates of the trials in rows, as (h, y, z, w)
     stacks, and whether each one's diagonal keeps a pairwise gap of 0.5.
 
-    Trial t takes row t of two blocks: n complex normals, for h and then w,
+    Trial t takes row t of two blocks: _XI_CANDIDATES candidates of n
+    complex normals each, for h and then w, of which it keeps the first whose
+    diagonal keeps the gap (or the first, marked not wide, when none does);
     and five uniforms per slot: a border modulus and phase, a second pair
     for the other border entry, and a coin that marks a shared slot U
     (z_i = 0) below 0.5 and L (y_i = 0) otherwise.
     """
     k = n - 1
-    normals = rng.complex_normal(_XI_NORMALS, rnd, rows, (n,))
-    h = 2.0 * normals[:, :k]
+    normals = rng.complex_normal(_XI_NORMALS, rnd, rows, (_XI_CANDIDATES, n))
+    wide = _min_gap(2.0 * normals[..., :k].reshape(-1, k)).reshape(-1, _XI_CANDIDATES) >= 0.5
+    first = normals[np.arange(len(normals)), wide.argmax(axis=1)]
+    h = 2.0 * first[:, :k]
     u = rng.uniform(_XI_UNIFORMS, rnd, rows, (k, 5))
     border = (0.5 + u[..., 0]) * np.exp(2j * np.pi * u[..., 1])
     other = (0.5 + u[..., 2]) * np.exp(2j * np.pi * u[..., 3])
@@ -440,7 +448,7 @@ def _draw_xi(rng: SeededRng, rnd: int, rows, n: int, l: int):
     upper = shared & (u[..., 4] < 0.5)
     y = np.where(shared & ~upper, 0.0, border)
     z = np.where(shared, np.where(upper, 0.0, border), other)
-    return h, y, z, normals[:, k], _min_gap(h) >= 0.5
+    return h, y, z, first[:, k], wide.any(axis=1)
 
 
 def _random_xi_stack(rngs: list, trials: int, n: int, ls: list, tol: Tolerances, errors: dict):
@@ -450,9 +458,9 @@ def _random_xi_stack(rngs: list, trials: int, n: int, ls: list, tol: Tolerances,
     The loops' rounds run in lockstep.  Each round draws one candidate per
     pending trial, each loop from its own blocks, and validates the ones
     with a wide enough diagonal gap by one stacked xi_build; a trial whose
-    candidate is rejected, by the gap or by validation, is pending in the
-    next round.  A candidate whose spectral check fails keeps its slot and
-    fails its trial.
+    candidate is rejected, by the gap (none of its _XI_CANDIDATES diagonals
+    clears it) or by validation, is pending in the next round.  A candidate
+    whose spectral check fails keeps its slot and fails its trial.
     """
     accepted = np.empty((len(rngs) * trials, n, n), dtype=complex)
     pending = np.arange(len(accepted))
@@ -490,10 +498,12 @@ def random_xi(rng: SeededRng, n: int, l: int, tol: Tolerances = DEFAULT_TOL) -> 
 
     Diagonal values keep a pairwise gap of at least 0.5 and border magnitudes
     stay in [0.5, 1.5], so the planted structure is numerically unambiguous.
-    A draw is redone when its diagonal gap is below 0.5 or xi_build, whose
-    gap floor is the reduction's, rejects it; after _RESAMPLE_LIMIT draws,
-    which an eig_match of 1e-2 or more forces at n >= 3, XiInvariantError is
-    raised.
+    A draw takes the first of _XI_CANDIDATES diagonals whose gap is at least
+    0.5, which has the distribution of redrawing one diagonal until its gap
+    is; the draw is redone when none of them is wide enough or xi_build,
+    whose gap floor is the reduction's, rejects it.  After _RESAMPLE_LIMIT
+    draws, which an eig_match of 1e-2 or more forces at n >= 3,
+    XiInvariantError is raised.
     """
     _check_arg("n", n, 2)
     _check_arg("l", l, 0, n - 1)

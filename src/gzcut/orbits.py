@@ -132,16 +132,13 @@ def _block_diagonal(blocks: np.ndarray, scalars) -> np.ndarray:
     return m
 
 
-def _singular_values(mats: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(mats, compute_uv=False)
-
-
 def _sample_K_stack(rngs: list, trials: int, n: int, errors: dict):
     """sample_K on every trial of the loops on rngs, trials each, loop after
-    loop: (blocks, scalars).  Each round checks its blocks against the
-    conditioning floor by one stacked SVD; a trial whose block misses it,
-    unless it has failed already, draws again in the next round, up to
-    _RESAMPLE_LIMIT rounds."""
+    loop: (blocks, scalars).  A block B clears the conditioning floor exactly
+    when B^H B - floor^2 I is positive definite, so each round checks its
+    blocks by one stacked Cholesky factorization; a trial whose block misses
+    the floor, unless it has failed already, draws again in the next round,
+    up to _RESAMPLE_LIMIT rounds."""
     k = n - 1
     blocks = np.empty((len(rngs) * trials, k, k), dtype=complex)
     pending = np.arange(len(blocks))
@@ -151,14 +148,17 @@ def _sample_K_stack(rngs: list, trials: int, n: int, errors: dict):
         loop, row = np.divmod(pending, trials)
         # not np.unique, which imports numpy.ma on its first call (numpy 2.4)
         live = sorted(set(loop.tolist()))
-        blocks[pending] = np.concatenate(
+        drawn = np.concatenate(
             [rngs[j].complex_normal(_K_BLOCK, rnd, row[loop == j], (k, k)) for j in live]
         )
-        lost = {}
-        sv = _lapack_stack(_singular_values, blocks[pending], lost, "SVD failed to converge")
-        for i, exc in lost.items():
-            errors.setdefault(int(pending[i]), exc)
-        missed = pending[sv[:, -1] <= _MIN_BLOCK_SV].tolist()
+        blocks[pending] = drawn
+        gram = drawn.conj().transpose(0, 2, 1) @ drawn
+        # on the diagonal only: an infinite floor then fails every block
+        # without a 0 * inf NaN off the diagonal
+        gram[:, range(k), range(k)] -= _MIN_BLOCK_SV**2
+        below = {}
+        _lapack_stack(np.linalg.cholesky, gram, below, "block under the conditioning floor")
+        missed = pending[list(below)].tolist()
         pending = np.array([t for t in missed if t not in errors], dtype=int)
     for t in pending.tolist():
         errors[t] = EigensolverError("conditioning resample limit exceeded")
@@ -174,8 +174,10 @@ def _conjugate(kms: np.ndarray, xs: np.ndarray, errors: dict) -> np.ndarray:
 
 
 def sample_K(rng: SeededRng, n: int) -> KElement:
-    """Random block-diagonal element: Gaussian block with a smallest-singular-
-    value floor (for conditioning), scalar on an annulus around the circle."""
+    """Random block-diagonal element: Gaussian block whose smallest singular
+    value clears a floor (for conditioning), tested as the positive
+    definiteness of B^H B - floor^2 I, and a scalar on an annulus around the
+    circle."""
     if n < 2:
         raise ValueError("need n >= 2")
     errors = {}

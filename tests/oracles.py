@@ -303,16 +303,21 @@ def serial_conjugated_sample(s, n, rng, t):
 
 
 def serial_planted(rng, n, l, t, tol):
-    """Trial t's random_xi: its first candidate, round by round, whose
-    diagonal keeps a pairwise gap of 0.5 and which xi_build accepts."""
+    """Trial t's random_xi: round by round, the first of the round's
+    candidate diagonals that keeps a pairwise gap of 0.5, until xi_build
+    accepts one."""
     from gzcut import XiElement, XiInvariantError, xi_build
+    from gzcut.canonical import _XI_CANDIDATES
     from gzcut.orbits import _RESAMPLE_LIMIT
 
     k = n - 1
     for rnd in range(_RESAMPLE_LIMIT):
-        normals = stage_row(rng, XI_NORMALS, rnd, t, (n,), True)
-        h = 2.0 * normals[:k]
-        if any(abs(h[i] - h[j]) < 0.5 for i in range(k) for j in range(i)):
+        candidates = stage_row(rng, XI_NORMALS, rnd, t, (_XI_CANDIDATES, n), True)
+        for normals in candidates:
+            h = 2.0 * normals[:k]
+            if all(abs(h[i] - h[j]) >= 0.5 for i in range(k) for j in range(i)):
+                break
+        else:
             continue
         u = stage_row(rng, XI_UNIFORMS, rnd, t, (k, 5), False)
         y = np.zeros(k, dtype=complex)

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -218,8 +219,9 @@ def test_verify_serial_and_parallel_reports_are_byte_identical(tmp_path):
 
 
 def test_verify_report_does_not_depend_on_what_ran_before_it(tmp_path):
-    # the catalog specs are cached per process: a report must not see
-    # anything an earlier report in the same process left behind
+    # the catalog specs and the parser are cached per process: a report must
+    # not see anything an earlier report, a usage error or --help in the same
+    # process left behind
     argv = ["verify", "--n", "6", "--trials", "14", "--seed", "11"]
     env = {**os.environ, "PYTHONPATH": str(Path(gzcut.__file__).parents[1])}
     fresh = subprocess.run(
@@ -237,7 +239,45 @@ def test_verify_report_does_not_depend_on_what_ran_before_it(tmp_path):
         out = tmp_path / f"verify{k}.json"
         assert main(argv + ["--output", str(out)]) == 0
         reports.append(out.read_bytes())
+        assert main(["verify", "--n", "six", "--trials", "14"]) == 2
+        assert main(["verify", "--help"]) == 0
     assert reports == [fresh.stdout, fresh.stdout]
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    builds = []
+    real_build = gzcut.cli.build_parser
+
+    def build():
+        builds.append(1)
+        return real_build()
+
+    monkeypatch.setattr(gzcut.cli, "build_parser", build)
+    # an empty cache, as in a fresh process, whatever earlier tests built
+    monkeypatch.setattr(gzcut.cli, "_parser", functools.cache(gzcut.cli._parser.__wrapped__))
+    out = ["--output", str(tmp_path / "report.json")]
+    argvs = (["catalog", "--n", "2"], ["catalog"], ["catalog", "--help"], ["catalog", "--n", "3"])
+    codes = [main(argv + out) for argv in argvs]
+    assert codes == [0, 2, 0, 0] and builds == [1]
+
+
+@pytest.mark.parametrize("n", (6, 8))
+def test_verify_plants_in_one_round_and_tests_the_floor_without_an_svd(tmp_path, monkeypatch, n):
+    # the containment stack solves its matrices and their cutoffs, the
+    # planting validates its round and the reduction finds the shared slots:
+    # 4 stacked eigvals calls, and one more for a rare second planting round
+    calls = dict.fromkeys(("eigvals", "svd"), 0)
+    for name in calls:
+
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for seed in range(10):
+        calls.update(eigvals=0, svd=0)
+        code, _ = run(tmp_path, "verify", "--n", str(n), "--trials", "14", "--seed", str(seed))
+        assert code == 0 and calls["eigvals"] <= 5 and calls["svd"] == 0, (seed, calls)
 
 
 def test_verify_entries_are_the_library_reports(tmp_path):

@@ -55,6 +55,7 @@ from oracles import (
     serial_containment_loops,
     serial_estimate_dim,
     serial_round_trip_point,
+    serial_sample_K,
     serial_verify_containment,
     serial_verify_nilradical,
     serial_verify_roundtrips,
@@ -178,8 +179,13 @@ def test_stacked_random_xi_redraws_only_the_rejected_trials(monkeypatch):
     monkeypatch.setattr(gzcut.canonical, "_xi_stack", check)
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     # at 1e-7 only the 0.5 gap rejects; at 1e-3 validation also rejects the
-    # candidates whose gap lies in (0.5, 1], at or below xi_build's floor
-    for n, eig_match, gap_misses, invalid in ((7, 1e-7, True, False), (7, 1e-3, True, True)):
+    # candidates whose gap lies in (0.5, 1], at or below xi_build's floor.
+    # With one diagonal per row, about a third of the candidates at n = 7
+    # miss the gap; with all of them, none of these 14 trials does
+    every = gzcut.canonical._XI_CANDIDATES
+    cases = ((7, 1, 1e-7, True, False), (7, 1, 1e-3, True, True), (7, every, 1e-3, False, True))
+    for n, candidates, eig_match, gap_misses, invalid in cases:
+        monkeypatch.setattr(gzcut.canonical, "_XI_CANDIDATES", candidates)
         rounds.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -196,12 +202,16 @@ def _stage_draws(stage, rng, trials, errors):
     """The per-trial outputs of one sampling stage run on a loop of trials."""
     if stage == "sample_in":
         return (gzcut.orbits._sample_in_stack(parabolic_p(OrbitIndex(2, 4), 5), rng, trials),)
-    if stage == "random_xi":
-        return (gzcut.canonical._random_xi_stack([rng], trials, 8, [3], Tolerances(), errors),)
+    if stage.startswith("random_xi"):
+        tol = Tolerances(eig_match=1e-3 if stage == "random_xi validation redraw" else 1e-7)
+        return (gzcut.canonical._random_xi_stack([rng], trials, 8, [3], tol, errors),)
     return gzcut.orbits._sample_K_stack([rng], trials, 4, errors)
 
 
-@pytest.mark.parametrize("stage", ("sample_K", "forced sample_K redraw", "sample_in", "random_xi"))
+@pytest.mark.parametrize(
+    "stage",
+    ("sample_K", "forced sample_K redraw", "sample_in", "random_xi", "random_xi validation redraw"),
+)
 def test_a_trial_draws_the_same_whatever_the_trial_count(monkeypatch, stage):
     rng, short, long = SeededRng(12, 34), 9, 23
     if stage == "forced sample_K redraw":
@@ -210,8 +220,19 @@ def test_a_trial_draws_the_same_whatever_the_trial_count(monkeypatch, stage):
         first = rng.complex_normal(gzcut.orbits._K_BLOCK, 0, range(short), (3, 3))
         assert (np.linalg.svd(first, compute_uv=False)[:, -1] <= 0.3).any()
     if stage == "random_xi":
-        # about half the round-0 candidates at n = 8 miss the diagonal gap
+        # with one diagonal per row, about half the round-0 candidates at
+        # n = 8 miss the diagonal gap
+        monkeypatch.setattr(gzcut.canonical, "_XI_CANDIDATES", 1)
         assert not gzcut.canonical._draw_xi(rng, 0, range(short), 8, 3)[-1].all()
+    if stage == "random_xi validation redraw":
+        # at 1e-3 xi_build's gap floor is 1, so it rejects some round-0
+        # candidates that clear the 0.5 gap
+        h, y, z, w, wide = gzcut.canonical._draw_xi(rng, 0, range(short), 8, 3)
+        planted = np.full(wide.sum(), 3)
+        rejected = gzcut.canonical._xi_stack(
+            h[wide], y[wide], z[wide], w[wide], planted, Tolerances(eig_match=1e-3)
+        )[1]
+        assert any(isinstance(e, XiInvariantError) for e in rejected.values())
     errors_short, errors_long = {}, {}
     got_short = _stage_draws(stage, rng, short, errors_short)
     got_long = _stage_draws(stage, rng, long, errors_long)
@@ -486,6 +507,39 @@ def test_verify_reduces_all_its_round_trips_in_one_stack(monkeypatch, capsys):
         else:
             want["borel_indices"] = list(want["borel_indices"])
         assert entry == want, l
+
+
+@pytest.mark.parametrize("floor", (1e-3, 0.3, 0.6, 0.9))
+def test_the_cholesky_floor_test_keeps_the_singular_value_decisions(monkeypatch, floor):
+    # a block clears the floor exactly when B^H B - floor^2 I is positive
+    # definite; the serial oracle decides by the smallest singular value
+    monkeypatch.setattr(gzcut.orbits, "_MIN_BLOCK_SV", floor)
+    trials, redrawn = 8, 0
+    for n in range(2, 9):
+        rng, errors = SeededRng(n, 7), {}
+        blocks, scalars = gzcut.orbits._sample_K_stack([rng], trials, n, errors)
+        first = rng.complex_normal(gzcut.orbits._K_BLOCK, 0, range(trials), (n - 1, n - 1))
+        for t in range(trials):
+            try:
+                g = serial_sample_K(rng, n, t)
+            except EigensolverError as exc:
+                assert str(errors[t]) == str(exc), (n, t)
+                continue
+            assert t not in errors, (n, t)
+            assert np.array_equal(g.block, blocks[t]) and g.scalar == scalars[t], (n, t)
+            redrawn += not np.array_equal(blocks[t], first[t])
+    # every floor but the default one makes some trial draw again
+    assert (redrawn > 0) == (floor > 1e-3)
+
+
+def test_an_infinite_floor_fails_every_trial_without_a_warning(monkeypatch):
+    monkeypatch.setattr(gzcut.orbits, "_MIN_BLOCK_SV", np.inf)
+    errors = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gzcut.orbits._sample_K_stack([SeededRng(8), SeededRng(8, 3)], 3, 4, errors)
+    assert sorted(errors) == list(range(6))
+    assert {str(e) for e in errors.values()} == {"conditioning resample limit exceeded"}
 
 
 def test_sample_K_past_its_resample_limit_fails_only_that_round_trip(monkeypatch):
