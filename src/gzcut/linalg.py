@@ -99,27 +99,39 @@ def _failure(what: str, m: np.ndarray) -> EigensolverError:
     return EigensolverError(f"{what} on\n{np.array2string(m, precision=6)}")
 
 
-def _lapack_stack(kernel, mats, errors: dict, what: str):
-    """kernel applied to a (T, n, n) stack of matrices in one call.
+def _lapack_try(kernel, mats):
+    """kernel applied to a (T, n, n) stack of matrices in one call:
+    (output, failed positions).
 
     When LAPACK raises on the stack, each matrix is retried alone.  Each one
-    that fails records an EigensolverError, "<what> on <the matrix>", under
-    its position in errors unless that position failed already, and stands
-    in as the identity in a second stacked call, so the output still has one
-    entry per matrix and a failure costs only its own matrix.
+    that fails stands in as the identity in a second stacked call, so the
+    output still has one entry per matrix and a failure costs only its own
+    matrix.
     """
     try:
-        return kernel(mats)
+        return kernel(mats), []
     except np.linalg.LinAlgError:
         pass
     stand_in = mats.copy()
+    failed = []
     for t in range(len(mats)):
         try:
             kernel(mats[t : t + 1])
         except np.linalg.LinAlgError:
-            errors.setdefault(t, _failure(what, mats[t]))
+            failed.append(t)
             stand_in[t] = np.eye(mats.shape[-1])
-    return kernel(stand_in)
+    return kernel(stand_in), failed
+
+
+def _lapack_stack(kernel, mats, errors: dict, what: str):
+    """_lapack_try's output; each failed matrix records an EigensolverError,
+    "<what> on <the matrix>", under its position in errors unless that
+    position failed already."""
+    out, failed = _lapack_try(kernel, mats)
+    for t in failed:
+        if t not in errors:
+            errors[t] = _failure(what, mats[t])
+    return out
 
 
 def _eigvals_stack(mats: np.ndarray, tol: Tolerances, errors: dict) -> np.ndarray:

@@ -30,6 +30,7 @@ from .linalg import (
     EigensolverError,
     Tolerances,
     _lapack_stack,
+    _lapack_try,
     _rank_stack,
     as_cmatrix,
 )
@@ -156,9 +157,7 @@ def _sample_K_stack(rngs: list, trials: int, n: int, errors: dict):
         # on the diagonal only: an infinite floor then fails every block
         # without a 0 * inf NaN off the diagonal
         gram[:, range(k), range(k)] -= _MIN_BLOCK_SV**2
-        below = {}
-        _lapack_stack(np.linalg.cholesky, gram, below, "block under the conditioning floor")
-        missed = pending[list(below)].tolist()
+        missed = pending[_lapack_try(np.linalg.cholesky, gram)[1]].tolist()
         pending = np.array([t for t in missed if t not in errors], dtype=int)
     for t in pending.tolist():
         errors[t] = EigensolverError("conditioning resample limit exceeded")

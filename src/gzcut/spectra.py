@@ -2,9 +2,13 @@
 
 The central quantity is the number of eigenvalues a matrix shares with its
 cutoff, counted with multiplicity.  Counting "with multiplicity" means a
-one-to-one matching between the two spectra, so the matcher below solves an
-assignment problem rather than greedily pairing nearest values: near tolerance
-boundaries greedy counting gets the answer wrong.
+one-to-one matching between the two spectra.  Greedily pairing nearest values
+gets the count wrong near tolerance boundaries, so the matcher finds the
+matching with the most pairs, and among those the least total residual.  Where
+no value has two partners within the radius the admissible pairs are that
+matching; elsewhere a small exact program over the sets of used columns finds
+it.  That program solves the assignment problem of Kuhn (1955) and Munkres
+(1957) at the sizes n <= 8 gzcut works at, so no library solver is needed.
 """
 
 from __future__ import annotations
@@ -51,9 +55,7 @@ def _lazy_module(name: str):
     return module
 
 
-# scipy.optimize costs most of a cold `import gzcut`, yet only an ambiguous
-# matching calls it (no `verify` report does), so it is loaded on first use.
-# The first load is not guarded against concurrent threads; gzcut runs none.
+# unused by gzcut but read by bench/spans.py; ROADMAP item 1 removes both
 _optimize = _lazy_module("scipy.optimize")
 
 
@@ -145,25 +147,54 @@ def _match_stack(a: np.ndarray, b: np.ndarray, radius: float):
     """Max-cardinality, then min-total-residual matching of each row of a
     (T, p) value stack with the same row of a (T, q) one.
 
-    A pair is admissible when its values lie within `radius`.  When no value
-    of a row pair has two or more admissible partners, the admissible pairs
-    are the matching.  Otherwise the row pair is solved as a rectangular
-    assignment with a prohibitive cost on inadmissible pairs; with the
-    penalty dominating every admissible total, the assignment maximizes the
-    admissible count first and minimizes the residual sum second.  Returns
-    (matched, cost): the (T, p, q) mask of matched pairs and the distances.
+    A pair is admissible when its values lie within `radius`.  A pair whose
+    two values have no other admissible partner is in every best matching.
+    The admissible pairs of values with two or more partners are solved
+    exactly by _best_matching, one row pair at a time.  Returns (matched,
+    cost): the (T, p, q) mask of matched pairs and the distances.
     """
     cost = abs(a[:, :, None] - b[:, None, :])
     matched = cost <= radius
+    row_partners, col_partners = matched.sum(-1), matched.sum(-2)
     # a row pair is ambiguous when a value on either side has two admissible partners
-    ambiguous = (matched.sum(-1) > 1).any(-1) | (matched.sum(-2) > 1).any(-1)
-    big = 1.0 + 2.0 * (radius + 1.0) * min(a.shape[1], b.shape[1])
+    ambiguous = (row_partners > 1).any(-1) | (col_partners > 1).any(-1)
     for t in ambiguous.nonzero()[0].tolist():
-        rows, cols = _optimize.linear_sum_assignment(np.where(matched[t], cost[t], big))
-        keep = matched[t, rows, cols]
-        matched[t] = False
-        matched[t, rows[keep], cols[keep]] = True
+        contested = matched[t] & ((row_partners[t, :, None] > 1) | (col_partners[t] > 1))
+        rows, cols = contested.nonzero()
+        pairs = _best_matching(rows.tolist(), cols.tolist(), cost[t, rows, cols].tolist())
+        matched[t] &= ~contested
+        matched[t, [r for r, _ in pairs], [c for _, c in pairs]] = True
     return matched, cost
+
+
+def _best_matching(rows: list, cols: list, dists: list) -> list:
+    """Among the matchings of the admissible pairs (rows[k], cols[k]) at
+    distances dists[k], one with the most pairs, and among those the least
+    total distance: a list of (row, col) pairs.
+
+    A dynamic program over the sets of columns already used, one row at a
+    time, keeps the best (-count, total) for each set; a tuple comparison
+    puts the count first.  Of equal candidates the first one found is kept,
+    so ties are broken the same way in every run.  At most 2^8 column sets
+    exist at n <= 8.
+    """
+    bit = {c: 1 << k for k, c in enumerate(dict.fromkeys(cols))}
+    options = {}
+    for r, c, d in zip(rows, cols, dists):
+        options.setdefault(r, []).append((bit[c], r, c, d))
+    # used columns -> (-count, total, pairs)
+    states = {0: (0, 0.0, ())}
+    for row_options in options.values():
+        grown = dict(states)
+        for used, (neg_count, total, pairs) in states.items():
+            for b, r, c, d in row_options:
+                if not used & b:
+                    candidate = (neg_count - 1, total + d, pairs + ((r, c),))
+                    best = grown.get(used | b)
+                    if best is None or candidate[:2] < best[:2]:
+                        grown[used | b] = candidate
+        states = grown
+    return min(states.values(), key=lambda state: state[:2])[2]
 
 
 def _assignment(a: np.ndarray, b: np.ndarray, radius: float):
@@ -263,5 +294,6 @@ def v_membership(img: GZImage, l: int, tol: Tolerances = DEFAULT_TOL) -> bool:
     radius = 10.0 * tol.eig_match
     counts = img._counts
     if radius not in counts:
-        counts[radius] = len(_assignment(*img._roots, radius)[0])
+        cut, full = img._roots
+        counts[radius] = int(_match_stack(cut[None], full[None], radius)[0].sum())
     return counts[radius] >= l

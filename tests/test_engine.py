@@ -532,6 +532,27 @@ def test_the_cholesky_floor_test_keeps_the_singular_value_decisions(monkeypatch,
     assert (redrawn > 0) == (floor > 1e-3)
 
 
+def test_the_cholesky_floor_test_formats_no_message(monkeypatch):
+    # a block under the floor is drawn again; only its position is read, so
+    # no failure message may be formatted for it
+    formatted = []
+    array2string = np.array2string
+
+    def counting(*args, **kwargs):
+        formatted.append(1)
+        return array2string(*args, **kwargs)
+
+    monkeypatch.setattr(gzcut.orbits, "_MIN_BLOCK_SV", 0.9)
+    monkeypatch.setattr(np, "array2string", counting)
+    redrawn = 0
+    for n in range(2, 9):
+        rng, errors = SeededRng(n, 7), {}
+        blocks, _ = gzcut.orbits._sample_K_stack([rng], 8, n, errors)
+        first = rng.complex_normal(gzcut.orbits._K_BLOCK, 0, range(8), (n - 1, n - 1))
+        redrawn += sum(not np.array_equal(blocks[t], first[t]) for t in range(8) if t not in errors)
+    assert redrawn > 0 and not formatted
+
+
 def test_an_infinite_floor_fails_every_trial_without_a_warning(monkeypatch):
     monkeypatch.setattr(gzcut.orbits, "_MIN_BLOCK_SV", np.inf)
     errors = {}
@@ -580,7 +601,8 @@ def test_library_loops_name_a_bad_argument(call, name):
 
 
 def _spectra_pairs():
-    """Random, clustered and repeated-eigenvalue spectra of sizes (m - 1, m)."""
+    """Random, clustered and repeated-eigenvalue spectra of sizes (m - 1, m),
+    all-equal clusters and an empty side."""
     gen = np.random.default_rng(17)
     for m in range(2, 9):
         for _ in range(15):
@@ -593,15 +615,41 @@ def _spectra_pairs():
             yield c + 1e-8 * cgauss(gen, m - 1), c + 1e-8 * cgauss(gen, m)  # one tight cluster
             a = np.repeat(cgauss(gen, (m + 1) // 2), 2)[: m - 1]
             yield a, np.concatenate([a[:1], np.resize(a, m - 1)])  # exactly repeated values
+        yield np.full(m - 1, 0.5 - 1j), np.full(m, 0.5 - 1j)  # all equal: l = m - 1
+    yield np.zeros(0), cgauss(gen, 3)
+    yield cgauss(gen, 3), np.zeros(0)
 
 
-@pytest.mark.parametrize("radius", (1e-12, 1e-7, 1e-1))
+def _tied_pairs(radius):
+    """Spectra with two optimal matchings of equal total but different pairs,
+    at a distance d = 2^k <= 1 within the radius, so every residual is exact."""
+    d = 0.0 if radius == 0 else 2.0 ** min(0.0, np.floor(np.log2(radius)) - 1)
+    for c in (0.0, 1.0, 1j, 3.0 + 2.0j):
+        yield np.array([c - d, c + d]), np.array([c])  # one full value, two partners
+        yield np.array([c]), np.array([c - d, c + d, c + 8.0])  # one cutoff value, two partners
+        # 2 x 2, all four pairs tied
+        yield np.array([c - d, c + d]), np.array([c + 1j * d, c - 1j * d, c + 8.0])
+
+
+def _count_and_total(report):
+    return report.l, sum(report.residuals)
+
+
+# 1e308 is the largest radius Tolerances takes: like the infinite radius
+# v_membership can reach, it admits every pair
+@pytest.mark.parametrize("radius", (0.0, 1e-12, 1e-7, 1e-1, 1e308))
 def test_matching_fast_path_equals_the_assignment(monkeypatch, radius):
+    # off exact ties the optimum is unique, so the reports must be equal; on
+    # a tie the two solvers may pick different pairs of the same count and
+    # total, which the exhaustive search confirms
     tol = Tolerances(eig_match=radius)
-    pairs = list(_spectra_pairs())
+    pairs, tied = list(_spectra_pairs()), list(_tied_pairs(radius))
     fast = [match_spectra(a, b, tol) for a, b in pairs]
+    fast_tied = [_count_and_total(match_spectra(a, b, tol)) for a, b in tied]
     monkeypatch.setattr(gzcut.spectra, "_assignment", lsa_assignment)
     assert fast == [match_spectra(a, b, tol) for a, b in pairs]
+    assert fast_tied == [_count_and_total(match_spectra(a, b, tol)) for a, b in tied]
+    assert fast_tied == [brute_match(a, b, radius) for a, b in tied]
 
 
 @settings(max_examples=200, deadline=None)
@@ -650,21 +698,29 @@ def _match_rows(gen, radius):
 @pytest.mark.parametrize("seed", range(6))
 def test_match_stack_rows_equal_brute_force(seed):
     # each (T, p, q) stack mixes plain and ambiguous rows in random order, so
-    # a row's ambiguity test must look at that row alone
-    gen, radius = np.random.default_rng(seed), 1e-3
+    # a row's ambiguity test must look at that row alone.  Besides the rows
+    # at the radius they were drawn for: exact ties, an all-equal cluster (a
+    # zero 8 x 8 matrix shares 7 eigenvalues), an empty side, and the radii
+    # 0 and inf (v_membership's derated radius can overflow to inf)
+    gen, scale = np.random.default_rng(seed), 1e-3
     rows = []
     for _ in range(3):
-        rows += _match_rows(gen, radius)
-    by_shape = {}
-    for pair in rows:
-        by_shape.setdefault((len(pair[0]), len(pair[1])), []).append(pair)
-    for pairs in by_shape.values():
-        order = gen.permutation(len(pairs))
-        a = np.array([pairs[i][0] for i in order])
-        b = np.array([pairs[i][1] for i in order])
-        matched, cost = gzcut.spectra._match_stack(a, b, radius)
-        for t in range(len(a)):
-            count, total = brute_match(a[t], b[t], radius)
-            assert matched[t].sum() == count
-            assert matched[t].sum(0).max(initial=0) <= 1 and matched[t].sum(1).max(initial=0) <= 1
-            assert cost[t][matched[t]].sum() == pytest.approx(total, abs=1e-12)
+        rows += _match_rows(gen, scale)
+    rows += [(np.zeros(7), np.zeros(8)), (np.zeros(0), cgauss(gen, 4))]
+    for radius in (scale, 0.0, np.inf):
+        by_shape = {}
+        for pair in rows + list(_tied_pairs(radius)):
+            by_shape.setdefault((len(pair[0]), len(pair[1])), []).append(pair)
+        for pairs in by_shape.values():
+            order = gen.permutation(len(pairs))
+            a = np.array([pairs[i][0] for i in order], dtype=complex)
+            b = np.array([pairs[i][1] for i in order], dtype=complex)
+            matched, cost = gzcut.spectra._match_stack(a, b, radius)
+            for t in range(len(a)):
+                count, total = brute_match(a[t], b[t], radius)
+                lsa_rows, _, lsa_residuals = lsa_assignment(a[t], b[t], radius)
+                assert len(lsa_rows) == count
+                assert sum(lsa_residuals) == pytest.approx(total, abs=1e-12)
+                assert matched[t].sum() == count
+                assert matched[t].sum(0).max(initial=0) <= 1 and matched[t].sum(1).max(initial=0) <= 1
+                assert cost[t][matched[t]].sum() == pytest.approx(total, abs=1e-12)

@@ -221,7 +221,7 @@ def test_v_membership_recovers_spectra_once_per_image(monkeypatch):
     assert fresh == [True, True, True, False, False]
 
     calls, matches = [], []
-    original, original_match = gzcut.spectra.aberth_roots, gzcut.spectra._assignment
+    original, original_match = gzcut.spectra.aberth_roots, gzcut.spectra._match_stack
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -232,7 +232,7 @@ def test_v_membership_recovers_spectra_once_per_image(monkeypatch):
         return original_match(a, b, radius)
 
     monkeypatch.setattr(gzcut.spectra, "aberth_roots", counting)
-    monkeypatch.setattr(gzcut.spectra, "_assignment", counting_match)
+    monkeypatch.setattr(gzcut.spectra, "_match_stack", counting_match)
     img = phi_n(x)
     assert [v_membership(img, l) for l in range(5)] == fresh
     assert len(calls) == 2 and matches == [1e-6]
@@ -317,24 +317,42 @@ def test_power_sum_route_confirms_the_planted_count(name, l):
     assert l == x.shape[0] - 1 or not v_membership(img, l + 1)
 
 
-LAZY_OPTIMIZE_PROBE = """
+# an integer bordered matrix with diagonal (2, 2, -1, 3) whose first two
+# slots are both L slots, so 2 is a semisimple double eigenvalue of the matrix
+# and of its cutoff, conjugated by a unimodular integer block of K
+REPEATED = DATA / "repeated_eigenvalue_n5_l2.json"
+
+
+def test_a_semisimple_double_eigenvalue_counts_twice():
+    assert coincidence_count(read_matrix_file(str(REPEATED))).l == 2
+
+
+NO_ASSIGNMENT_SOLVER_PROBE = """
 import contextlib, io, sys
 import gzcut, gzcut.cli
+solve, solved = gzcut.spectra._best_matching, []
+def counting(*args):
+    solved.append(1)
+    return solve(*args)
+gzcut.spectra._best_matching = counting
 with contextlib.redirect_stdout(io.StringIO()):
     assert gzcut.cli.main(["verify", "--n", "4", "--trials", "3", "--seed", "0"]) == 0
-assert "scipy.optimize._lsap" not in sys.modules
+assert not solved
 assert gzcut.match_spectra([0, 1e-9], [0, 2e-9, 5]).l == 2
-assert "scipy.optimize._lsap" in sys.modules
-import scipy.optimize as so
-rows, cols = so.linear_sum_assignment([[1.0, 0.0], [0.0, 1.0]])
-assert rows.tolist() == [0, 1] and cols.tolist() == [1, 0]
+x = gzcut.cli.read_matrix_file(sys.argv[1])
+assert gzcut.coincidence_count(x).l == 2
+img = gzcut.phi_n(x)
+assert gzcut.v_membership(img, 2) and not gzcut.v_membership(img, 3)
+assert len(solved) == 3
+assert "scipy.optimize._lsap" not in sys.modules
+assert "scipy.optimize" in sys.modules
 """
 
 
-def test_scipy_optimize_loads_on_the_first_ambiguous_matching():
-    # a fresh interpreter: a verify report never matches ambiguously, so it
-    # must not load the assignment solver
+def test_no_matching_loads_the_scipy_assignment_solver():
+    # a fresh interpreter: every ambiguous matching is solved in gzcut, and
+    # scipy.optimize stays registered for bench/spans.py but never runs
     env = {**os.environ, "PYTHONPATH": str(Path(gzcut.spectra.__file__).parents[1])}
-    argv = [sys.executable, "-c", LAZY_OPTIMIZE_PROBE]
+    argv = [sys.executable, "-c", NO_ASSIGNMENT_SOLVER_PROBE, str(REPEATED)]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
