@@ -186,9 +186,14 @@ def _shift_poly(coeffs: list, s: complex) -> list:
 
 
 @functools.cache
-def _pairs(k: int) -> tuple:
-    """The index pairs i < j of k iterates."""
-    return tuple((i, j) for i in range(k) for j in range(i + 1, k))
+def _others(k: int) -> tuple:
+    """For each of k iterates, the indices of the other k - 1."""
+    return tuple(tuple(j for j in range(k) if j != i) for i in range(k))
+
+
+# an iterate whose last step was at most this, relative to 1 + |z_i|, takes
+# the rounding-floor test
+_ABERTH_NEAR = 1e-3
 
 
 def aberth_roots(coeffs, max_iter: int = 200) -> np.ndarray:
@@ -199,12 +204,17 @@ def aberth_roots(coeffs, max_iter: int = 200) -> np.ndarray:
     roots converge linearly and come back as a tight cluster, which is exactly
     what multiset matching downstream wants.  The iteration starts on the
     circle about the centroid whose radius is the geometric mean of the root
-    moduli about it, and stops at whichever comes first: every `|p(z_i)|` down
-    at the a priori bound on Horner's rounding error (Bini, Numer. Algorithms
-    13, 1996), or a step below _ABERTH_STEP_TOL relative to the iterates.
-    Reaching `max_iter` with neither emits a RuntimeWarning; the roots are
-    still returned.  Raises ValueError on a non-finite coefficient, and
-    EigensolverError when the iterates leave the finite numbers or two of
+    moduli about it.  It runs in Gauss-Seidel sweeps: each iterate is updated
+    in place, so the later ones in a sweep see its new value, and an iterate
+    leaves the sweeps for good once it passes either of two tests, as in
+    MPSolve (Bini and Fiorentino, Numer. Algorithms 23, 2000).  One is
+    `|p(z_i)|` down at the a priori bound on Horner's rounding error (Bini,
+    Numer. Algorithms 13, 1996), tried only once the iterate's last step was
+    below _ABERTH_NEAR relative to 1 + |z_i|; the other is a step below
+    _ABERTH_STEP_TOL on that scale.  The solve ends when no iterate is left.
+    Reaching `max_iter` sweeps with some left emits a RuntimeWarning; the
+    roots are still returned.  Raises ValueError on a non-finite coefficient,
+    and EigensolverError when the iterates leave the finite numbers or two of
     them coincide exactly.
     """
     c = np.asarray(coeffs, dtype=complex).ravel().tolist()
@@ -250,46 +260,48 @@ def aberth_roots(coeffs, max_iter: int = 200) -> np.ndarray:
         dc0 = dc[0]
         # p and p' by Horner's rule in one loop over their common degrees
         both, c_last = list(zip(c_rest, dc[1:])), c_rest[-1]
-        pairs = _pairs(k)
-        converged = False
+        others = _others(k)
+        # the iterates still moving, and whether each one's last step was near
+        live, near = range(k), [False] * k
         for _ in range(max_iter):
-            # 1/(z_j - z_i) = -1/(z_i - z_j) exactly, so each pair divides once
-            repulsion = [0j] * k
-            for i, j in pairs:
-                t = 1.0 / (z[i] - z[j])
-                repulsion[i] += t
-                repulsion[j] -= t
-            w = []
-            at_floor = True
-            for zi, r in zip(z, repulsion):
+            moving = []
+            for i in live:
+                zi = z[i]
+                # the repulsion comes before any test, so that coincident
+                # iterates raise instead of stopping together
+                r = 0j
+                for j in others[i]:
+                    r += 1.0 / (zi - z[j])
                 # Horner's rule, as np.polyval
                 p, dp = c0, dc0
                 for a, da in both:
                     p = p * zi + a
                     dp = dp * zi + da
                 p = p * zi + c_last
-                if at_floor:
-                    # once one root is off the floor this pass cannot stop
+                if near[i]:
                     azi = abs(zi)
                     s = 1.0
                     for a in abs_rest:
                         s = s * azi + a
-                    at_floor = abs(p) <= floor * s
+                    if abs(p) <= floor * s:
+                        continue
                 newton = p / (dp if dp != 0 else 1e-300)
                 denom = 1.0 - newton * r
-                w.append(newton / (denom if denom != 0 else 1e-300))
-            if at_floor:
-                converged = True
-                break
-            z = [zi - wi for zi, wi in zip(z, w)]
-            if max(map(abs, w)) <= _ABERTH_STEP_TOL * (1.0 + max(map(abs, z))):
-                converged = True
+                w = newton / (denom if denom != 0 else 1e-300)
+                zi -= w
+                z[i] = zi
+                step, scale = abs(w), 1.0 + abs(zi)
+                if step > _ABERTH_STEP_TOL * scale:
+                    moving.append(i)
+                    near[i] = step <= _ABERTH_NEAR * scale
+            live = moving
+            if not live:
                 break
     except (ZeroDivisionError, OverflowError) as exc:
         raise EigensolverError("Aberth iteration diverged") from exc
     if not all(map(cmath.isfinite, z)):
         raise EigensolverError("Aberth iteration diverged")
-    if not converged:
+    if live:
         # one text per degree and cap, so the warning registry stays bounded
         warnings.warn(
             f"Aberth iteration on a degree-{k} polynomial stopped at max_iter={max_iter} "

@@ -117,12 +117,13 @@ class CoincidenceReport:
 
 
 def _power_traces(m: np.ndarray, count: int) -> tuple:
-    """tr(m^j) for j = 1..count: the powers eye @ m, then each times m, go
+    """tr(m^j) for j = 1..count: the powers m + 0.0, then each times m, go
     into one (count, n, n) stack and their traces are one reduction."""
     powers = np.empty((count, *m.shape), dtype=complex)
-    # eye @ m, not a copy of m: the product can turn a -0.0 entry into +0.0,
-    # so a copy could flip the sign of a zero power sum
-    np.matmul(np.eye(m.shape[0], dtype=complex), m, out=powers[0])
+    # m + 0.0 turns every -0.0 part of m into +0.0, so no power starts from a
+    # negative zero; numpy's complex trace sums from +0.0, so a zero power
+    # sum is +0.0
+    np.add(m, 0.0, out=powers[0])
     for j in range(1, count):
         np.matmul(powers[j - 1], m, out=powers[j])
     return tuple(powers.trace(axis1=1, axis2=2).tolist())
@@ -204,15 +205,9 @@ def _assignment(a: np.ndarray, b: np.ndarray, radius: float):
     return rows.tolist(), cols.tolist(), cost[0][rows, cols].tolist()
 
 
-def match_spectra(s1, s2, tol: Tolerances = DEFAULT_TOL) -> CoincidenceReport:
-    """Maximum multiset matching between two spectra.
-
-    A pair is admissible when |lambda - mu| <= eig_match; each eigenvalue is
-    used at most once per side, so multiplicities are respected.
-    """
-    a = np.asarray(s1, dtype=complex).ravel()
-    b = np.asarray(s2, dtype=complex).ravel()
-    rows, cols, residuals = _assignment(a, b, tol.eig_match)
+def _report(a: np.ndarray, b: np.ndarray, rows: list, cols: list, residuals: list):
+    """The CoincidenceReport of the pairs (a[rows[k]], b[cols[k]]) at
+    distances residuals[k], sorted by (cutoff value, residual)."""
     a_vals, b_vals = a.tolist(), b.tolist()
     found = sorted(
         ((a_vals[r], b_vals[c], d) for r, c, d in zip(rows, cols, residuals)),
@@ -220,6 +215,23 @@ def match_spectra(s1, s2, tol: Tolerances = DEFAULT_TOL) -> CoincidenceReport:
     )
     pairs = tuple((u, v) for u, v, _ in found)
     return CoincidenceReport(len(pairs), pairs, tuple(d for _, _, d in found))
+
+
+def match_spectra(s1, s2, tol: Tolerances = DEFAULT_TOL) -> CoincidenceReport:
+    """Maximum multiset matching between two spectra.
+
+    A pair is admissible when |lambda - mu| <= eig_match; each eigenvalue is
+    used at most once per side, so multiplicities are respected.  A
+    non-finite value raises a ValueError naming its side.
+    """
+    sides = []
+    for side, values in (("first", s1), ("second", s2)):
+        v = np.asarray(values, dtype=complex).ravel()
+        if not np.isfinite(v).all():
+            raise ValueError(f"the {side} spectrum has a non-finite value")
+        sides.append(v)
+    a, b = sides
+    return _report(a, b, *_assignment(a, b, tol.eig_match))
 
 
 def coincidence_count(x, tol: Tolerances = DEFAULT_TOL) -> CoincidenceReport:
@@ -234,7 +246,9 @@ def coincidence_count(x, tol: Tolerances = DEFAULT_TOL) -> CoincidenceReport:
     cut, full = _spectra_stack(m[None], tol, errors)
     if errors:
         raise errors[0]
-    return match_spectra(cut[0], full[0], tol)
+    matched, cost = _match_stack(cut, full, tol.eig_match)
+    rows, cols = matched[0].nonzero()
+    return _report(cut[0], full[0], rows.tolist(), cols.tolist(), cost[0][rows, cols].tolist())
 
 
 def _spectra_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
@@ -257,12 +271,16 @@ def newton_to_charpoly(power_sums) -> np.ndarray:
     """Monic characteristic-polynomial coefficients from power sums.
 
     Newton's identities convert p_1..p_k into elementary symmetric functions;
-    the coefficient of lambda^(k-i) is (-1)^i e_i.
+    the coefficient of lambda^(k-i) is (-1)^i e_i.  A non-finite power sum
+    raises a ValueError naming the lowest such degree, as GZImage does.
     """
     p = np.asarray(power_sums, dtype=complex).ravel().tolist()
     k = len(p)
     if k < 1:
         raise ValueError("need at least one power sum")
+    if not all(map(cmath.isfinite, p)):
+        bad = next(j for j, v in enumerate(p, 1) if not cmath.isfinite(v))
+        raise ValueError(f"power sum of degree {bad} is not finite")
     e = [1.0 + 0.0j]
     for m in range(1, k + 1):
         acc = 0.0 + 0.0j

@@ -6,6 +6,9 @@ and least-squares subalgebra membership.  None of these share code paths with
 the implementations they check.
 """
 
+import cmath
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -232,6 +235,107 @@ def numpy_aberth_roots(coeffs, max_iter: int = 200, step_tol: float = 1e-14) -> 
     if not np.isfinite(z).all():
         raise EigensolverError("Aberth iteration diverged")
     return z
+
+
+def jacobi_aberth_roots(coeffs, max_iter: int = 200) -> np.ndarray:
+    """gzcut.aberth_roots as it was before its Gauss-Seidel sweeps: Jacobi
+    sweeps that update every iterate from the previous sweep's values, until
+    every |p(z_i)| is at Horner's rounding floor at once or the largest step
+    is below the step tolerance.  Same start circle, floor, guards, warning
+    and errors."""
+    from gzcut.linalg import _ABERTH_STEP_TOL, EigensolverError, _shift_poly
+
+    c = np.asarray(coeffs, dtype=complex).ravel().tolist()
+    if not c or c[0] == 0:
+        raise ValueError("expected monic coefficients, highest degree first")
+    if not all(map(cmath.isfinite, c)):
+        raise ValueError("polynomial coefficients must be finite")
+    lead = c[0]
+    c = [v / lead for v in c]
+    k = len(c) - 1
+    if k == 0:
+        return np.empty(0, dtype=complex)
+    if k == 1:
+        return np.array([-c[1]])
+
+    # Python complex scalars, not numpy arrays: at degree <= 8 numpy's
+    # per-call dispatch costs more than the arithmetic.  Scalars raise where
+    # numpy returns inf/nan (1/0j, abs() past the float range); either way
+    # the iterates have left the finite numbers.
+    try:
+        centroid = -c[1] / k
+        # p(centroid) by Horner's rule: the constant term of p(z + centroid)
+        at_centroid = c[0]
+        for a in c[1:]:
+            at_centroid = at_centroid * centroid + a
+        if at_centroid:
+            # |p(centroid)|^(1/k): the geometric mean of |z_i - centroid|
+            radius = abs(at_centroid) ** (1.0 / k)
+        else:
+            mags = [abs(v) for v in _shift_poly(c, centroid)[1:]]
+            if not any(mags):
+                # p(z) = (z - centroid)^k exactly
+                return np.full(k, centroid)
+            radius = 2.0 * max(m ** (1.0 / d) for d, m in enumerate(mags, 1))
+        # offset breaks symmetry
+        z = [centroid + cmath.rect(radius, 2.0 * math.pi * i / k + 0.39) for i in range(k)]
+        c0, c_rest = c[0], c[1:]
+        # |p(z)| <= floor * s(|z|) is within Horner's rounding error, where s
+        # is Horner's rule on the absolute coefficients
+        floor = k * 2.0**-53
+        abs_rest = [abs(v) for v in c_rest]
+        dc = [v * (k - i) for i, v in enumerate(c[:-1])]
+        dc0 = dc[0]
+        # p and p' by Horner's rule in one loop over their common degrees
+        both, c_last = list(zip(c_rest, dc[1:])), c_rest[-1]
+        pairs = tuple((i, j) for i in range(k) for j in range(i + 1, k))
+        converged = False
+        for _ in range(max_iter):
+            # 1/(z_j - z_i) = -1/(z_i - z_j) exactly, so each pair divides once
+            repulsion = [0j] * k
+            for i, j in pairs:
+                t = 1.0 / (z[i] - z[j])
+                repulsion[i] += t
+                repulsion[j] -= t
+            w = []
+            at_floor = True
+            for zi, r in zip(z, repulsion):
+                # Horner's rule, as np.polyval
+                p, dp = c0, dc0
+                for a, da in both:
+                    p = p * zi + a
+                    dp = dp * zi + da
+                p = p * zi + c_last
+                if at_floor:
+                    # once one root is off the floor this pass cannot stop
+                    azi = abs(zi)
+                    s = 1.0
+                    for a in abs_rest:
+                        s = s * azi + a
+                    at_floor = abs(p) <= floor * s
+                newton = p / (dp if dp != 0 else 1e-300)
+                denom = 1.0 - newton * r
+                w.append(newton / (denom if denom != 0 else 1e-300))
+            if at_floor:
+                converged = True
+                break
+            z = [zi - wi for zi, wi in zip(z, w)]
+            if max(map(abs, w)) <= _ABERTH_STEP_TOL * (1.0 + max(map(abs, z))):
+                converged = True
+                break
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise EigensolverError("Aberth iteration diverged") from exc
+    if not all(map(cmath.isfinite, z)):
+        raise EigensolverError("Aberth iteration diverged")
+    if not converged:
+        # one text per degree and cap, so the warning registry stays bounded
+        warnings.warn(
+            f"Aberth iteration on a degree-{k} polynomial stopped at max_iter={max_iter} "
+            "without converging; returning unconverged roots",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return np.array(z)
 
 
 def numpy_newton_to_charpoly(power_sums) -> np.ndarray:

@@ -24,6 +24,7 @@ from gzcut import (
 from oracles import (
     cgauss,
     exact_char_poly,
+    jacobi_aberth_roots,
     numpy_aberth_roots,
     numpy_newton_to_charpoly,
 )
@@ -216,6 +217,24 @@ def test_aberth_matches_the_numpy_loop():
             seen["loose"] += 1
             assert np.abs(got - want).max() <= 1e-6
     assert seen["converged"] > 200 and seen["loose"] > 10
+
+
+def test_aberth_sweeps_match_the_jacobi_loop():
+    # the Gauss-Seidel sweeps and the Jacobi loop they replaced share their
+    # fixed points and their exits: simple roots agree to rounding, double
+    # roots (fixed only to ~sqrt(eps) by any floating evaluation) to 1e-6
+    seen = {True: 0, False: 0}
+    for coeffs, simple in _power_sum_polys():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = sort_complex(jacobi_aberth_roots(coeffs))
+            got = sort_complex(aberth_roots(coeffs))
+        seen[simple] += 1
+        if simple:
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+        else:
+            assert np.abs(got - want).max() <= 1e-6
+    assert seen[True] > 200 and seen[False] > 10
 
 
 def test_aberth_converges_on_every_power_sum_polynomial():

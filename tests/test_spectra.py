@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 
 import gzcut.spectra
 
@@ -72,16 +72,36 @@ def test_phi_n_bordered_against_matrix_power_oracle():
     assert_allclose(img.c_full, expected_full, atol=0)
 
 
+def _parts(re, im, n):
+    """An n x n complex matrix with the given real and imaginary parts, which
+    may be -0.0: a sum re + 1j * im would round a -0.0 part to +0.0."""
+    m = np.empty((n, n), dtype=complex)
+    m.real, m.imag = re, im
+    return m
+
+
+def _bits(values):
+    """The bit patterns of complex values: -0.0 and +0.0 differ."""
+    return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+
 def test_phi_n_equals_the_per_power_oracle_bit_for_bit():
     gen = np.random.default_rng(19)
     for n in range(2, 9):
         mats = [cgauss(gen, (n, n)) for _ in range(8)]
         mats += [gen.integers(-3, 4, size=(n, n)), np.zeros((n, n)), 1e30 * cgauss(gen, (n, n))]
+        # signed zeros: a zero power sum must come out as +0.0, as the
+        # oracle's eye @ m makes it
+        mats += [
+            _parts(-0.0, gen.standard_normal((n, n)), n),
+            _parts(gen.integers(-3, 4, size=(n, n)), -0.0, n),
+            _parts(-0.0, -0.0, n),
+        ]
         for m in mats:
             img = phi_n(m)
             c_prev, c_full = per_power_phi_n(m)
-            assert_array_equal(img.c_prev, c_prev)
-            assert_array_equal(img.c_full, c_full)
+            assert _bits(img.c_prev) == _bits(c_prev)
+            assert _bits(img.c_full) == _bits(c_full)
 
 
 def test_phi_n_names_the_first_power_sum_past_the_float_range():
@@ -136,6 +156,17 @@ def test_match_spectra_examples():
     assert brute_match([1.0, 2.0], [1 + 1e-9, 5.0], 1e-7)[0] == 1
 
 
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), complex(0, float("-inf"))))
+def test_match_spectra_rejects_a_non_finite_value_naming_its_side(bad):
+    # a NaN would go unmatched and an inf would match nothing, both silently
+    with pytest.raises(ValueError, match="^the first spectrum has a non-finite value"):
+        match_spectra([bad, 1], [1, 2])
+    with pytest.raises(ValueError, match="^the second spectrum has a non-finite value"):
+        match_spectra([1, 2], [2, bad])
+    with pytest.raises(ValueError, match="^the first spectrum"):
+        match_spectra([bad], [bad])
+
+
 def test_match_spectra_prefers_small_residuals():
     tol = Tolerances(eig_match=1.0)
     rep = match_spectra([0.0, 0.1], [0.05, 0.12])
@@ -186,6 +217,14 @@ def test_newton_to_charpoly_examples():
     assert_allclose(newton_to_charpoly([6, 14, 36]).real, [1, -6, 11, -6], atol=1e-12)
     assert_allclose(newton_to_charpoly([0, 0]).real, [1, 0, 0], atol=0)
     assert_allclose(newton_to_charpoly([2]).real, [1, -2], atol=0)
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), complex(1, float("-inf"))))
+def test_newton_to_charpoly_rejects_a_non_finite_power_sum(bad):
+    with pytest.raises(ValueError, match="^power sum of degree 1 is not finite"):
+        newton_to_charpoly([bad, 1])
+    with pytest.raises(ValueError, match="^power sum of degree 3 is not finite"):
+        newton_to_charpoly([1, 2, bad, bad])
 
 
 def test_newton_round_trip_against_exact_oracle():
