@@ -81,10 +81,6 @@ _RS_GAP_FACTOR = 1e3
 # that clears the 0.5 gap, so a round seldom leaves a trial to redraw
 _XI_CANDIDATES = 8
 
-# a planted round trip must land in its parabolic with a residual below this
-_ROUNDTRIP_RESIDUAL_CAP = 1e-7
-
-
 class CutoffNotRegularSemisimple(ValueError):
     """The reduction is only defined for pairwise-separated cutoff spectra."""
 
@@ -206,7 +202,7 @@ def _shared_slots(values: np.ndarray, mats: np.ndarray, tol: Tolerances, errors:
     full eigenvalue has at most one partner and a slot is shared exactly when
     some full eigenvalue lies within one radius of it.
     """
-    full = _eigvals_stack(mats, tol, errors)
+    full = _eigvals_stack(mats, errors)
     return _match_stack(values, sort_complex(full), tol.eig_match)[0].any(axis=2)
 
 
@@ -517,9 +513,9 @@ def random_xi(rng: SeededRng, n: int, l: int, tol: Tolerances = DEFAULT_TOL) -> 
 @dataclass(frozen=True)
 class RoundTripReport:
     """Planted round trips for one count l.  mismatches counts a wrong count,
-    residual_violations a residual >= residual_cap, failures a solver
-    breakdown, a degenerate cutoff or a shared slot with no vanishing border
-    entry; borel_indices is None unless l = n - 1."""
+    residual_violations a residual above residual_cap (tol.membership),
+    failures a solver breakdown, a degenerate cutoff or a shared slot with no
+    vanishing border entry; borel_indices is None unless l = n - 1."""
 
     l: int
     trials: int
@@ -547,11 +543,11 @@ def _roundtrip_loops(n: int, ls: list, trials: int, rngs: list, tol: Tolerances)
     failed = np.isin(np.arange(len(xs)), list(errors))
     residuals[failed] = 0.0
     loops = (a.reshape(len(ls), trials) for a in (failed, counts, idx[:, 0], residuals))
-    cap = _ROUNDTRIP_RESIDUAL_CAP
+    cap = tol.membership
     reports = []
     for l, bad, count, borel, res in zip(ls, *loops):
         failures, mismatches = int(bad.sum()), int((count[~bad] != l).sum())
-        worst, violations = float(res.max(initial=0.0)), int((res >= cap).sum())
+        worst, violations = float(res.max(initial=0.0)), int((res > cap).sum())
         borels = tuple(sorted(set(borel[~bad].tolist()))) if l == n - 1 else None
         reports.append(
             RoundTripReport(l, trials, failures, mismatches, worst, cap, violations, borels)
@@ -638,8 +634,8 @@ def _strong_regularity_stack(xs: np.ndarray, tol: Tolerances):
     for df, dc in set(zip(d_full.tolist(), d_cut.tolist())):
         sel = ((d_full == df) & (d_cut == dc)).nonzero()[0]
         rows = np.zeros((len(sel), df + dc, n, n), dtype=complex)
-        rows[:, :df] = v_full[sel, n * n - df :].reshape(-1, df, n, n)
-        rows[:, df:, :k, :k] = v_cut[sel, k * k - dc :].reshape(-1, dc, k, k)
+        rows[:, :df] = v_full[sel, n * n - df :].reshape(len(sel), df, n, n)
+        rows[:, df:, :k, :k] = v_cut[sel, k * k - dc :].reshape(len(sel), dc, k, k)
         cent_rank[sel] = _rank_stack(rows.reshape(len(sel), df + dc, n * n), tol)
     grads = _gradients(xs).reshape(t, 2 * n - 1, n * n)
     norms = np.linalg.norm(grads, axis=-1)

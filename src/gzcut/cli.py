@@ -133,6 +133,7 @@ def write_matrix_file(path: str, m: np.ndarray) -> None:
 
 
 _PARAMS = ("input", "n", "trials", "repeats", "seed")
+_TOL_FLAGS = {"eig_match": "--tol-eig", "rank_rel": "--tol-rank", "membership": "--tol-membership"}
 
 
 def _inputs(args, low: int = 2):
@@ -407,16 +408,17 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _add_common(sub, *, seeded=False, sized=False, fileinput=False):
+def _add_common(sub, tols, *, seeded=False, sized=False, fileinput=False):
+    """The shared flags, and the --tol-* flag of each Tolerances field in
+    tols: the fields the subcommand's verdicts read, and no other."""
     if fileinput:
         sub.add_argument("--input", required=True, help="matrix file (JSON)")
     if sized:
         sub.add_argument("--n", type=int, required=True, help="matrix dimension")
     if seeded:
         sub.add_argument("--seed", type=_nonnegative_int, default=0, help="RNG seed (default 0)")
-    sub.add_argument("--tol-eig", type=float, default=None, dest="eig_match")
-    sub.add_argument("--tol-rank", type=float, default=None, dest="rank_rel")
-    sub.add_argument("--tol-membership", type=float, default=None, dest="membership")
+    for field in tols:
+        sub.add_argument(_TOL_FLAGS[field], type=float, dest=field)
     sub.add_argument("--output", default=None, help="write the report here")
     sub.add_argument("--format", choices=("json", "table"), default="json")
 
@@ -430,30 +432,30 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("coincidence", help="count shared eigenvalues of a matrix file")
-    _add_common(sub, fileinput=True)
+    _add_common(sub, ("eig_match",), fileinput=True)
     sub.set_defaults(func=cmd_coincidence)
 
     sub = subs.add_parser("canonical", help="reduce a matrix file to catalog form")
-    _add_common(sub, fileinput=True)
+    _add_common(sub, ("eig_match", "membership"), fileinput=True)
     sub.set_defaults(func=cmd_canonical)
 
     sub = subs.add_parser("verify", help="Monte Carlo containment and round trips")
-    _add_common(sub, seeded=True, sized=True)
+    _add_common(sub, ("eig_match", "membership"), seeded=True, sized=True)
     sub.add_argument("--trials", type=_nonnegative_int, default=200)
     sub.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("dims", help="tangent-rank dimension estimates")
-    _add_common(sub, seeded=True, sized=True)
+    _add_common(sub, ("rank_rel",), seeded=True, sized=True)
     sub.add_argument("--repeats", type=_nonnegative_int, default=5)
     sub.set_defaults(func=cmd_dims)
 
     sub = subs.add_parser("catalog", help="emit the flag and subalgebra catalog")
-    _add_common(sub, sized=True)
+    _add_common(sub, ("rank_rel",), sized=True)
     sub.set_defaults(func=cmd_catalog)
 
     sub = subs.add_parser("sn", help="nilpotent-pair sampling and the strong-regularity experiment")
-    _add_common(sub, seeded=True, sized=True)
+    _add_common(sub, ("eig_match", "rank_rel"), seeded=True, sized=True)
     sub.add_argument("--trials", type=_nonnegative_int, default=300)
     sub.set_defaults(func=cmd_sn)
 

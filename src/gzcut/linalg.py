@@ -49,12 +49,13 @@ class Tolerances:
     rank_rel    relative singular-value cutoff for numerical ranks
     membership  residual cap for subspace and subalgebra membership
 
-    All radii are absolute and finite; callers working with large-norm
-    matrices should rescale eig_match themselves.  Every threshold of the
-    canonical reduction (its gap floor, its vanishing border entries, its
-    shared slots) is a fixed multiple of eig_match or, for the U/L marks, a
-    comparison, so scaling x by c and eig_match by |c| together leaves each
-    of its verdicts unchanged.
+    Each field decides one kind of verdict and nothing else; planted round
+    trips are judged by membership, as canonical_form is.  All radii are
+    absolute and finite; callers working with large-norm matrices should
+    rescale eig_match themselves.  Every threshold of the canonical reduction
+    (its gap floor, its vanishing border entries, its shared slots) is a fixed
+    multiple of eig_match or, for the U/L marks, a comparison, so scaling x by
+    c and eig_match by |c| together leaves each of its verdicts unchanged.
     """
 
     eig_match: float = 1e-7
@@ -134,7 +135,11 @@ def _lapack_stack(kernel, mats, errors: dict, what: str):
     return out
 
 
-def _eigvals_stack(mats: np.ndarray, tol: Tolerances, errors: dict) -> np.ndarray:
+# an eigenvalue sum may drift from the trace by this times n (1 + ||x||_F)
+_TRACE_DRIFT_REL = 1e-10
+
+
+def _eigvals_stack(mats: np.ndarray, errors: dict) -> np.ndarray:
     """Unsorted eigenvalues of every matrix in a (T, n, n) stack, by one LAPACK call.
 
     Each eigenvalue sum is checked against its matrix's trace as a cheap
@@ -150,7 +155,7 @@ def _eigvals_stack(mats: np.ndarray, tol: Tolerances, errors: dict) -> np.ndarra
     # larger operand, so it neither overflows nor warns where squares would
     drift = abs(np.add.reduce(vals - mats.diagonal(0, -2, -1), -1))
     frobenius = np.hypot.reduce(mats.view(float), (-2, -1))
-    bound = (1.0 + frobenius) * (tol.rank_rel * mats.shape[-1])
+    bound = (1.0 + frobenius) * (_TRACE_DRIFT_REL * mats.shape[-1])
     for t in (drift > bound).nonzero()[0].tolist():
         errors.setdefault(
             t, _failure(f"eigenvalue sum drifted from the trace by {drift[t]:.3e}", mats[t])
@@ -158,14 +163,14 @@ def _eigvals_stack(mats: np.ndarray, tol: Tolerances, errors: dict) -> np.ndarra
     return vals
 
 
-def eigenvalues(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def eigenvalues(a) -> np.ndarray:
     """All eigenvalues with algebraic multiplicity, sorted by (real, imag).
 
     The one-matrix case of the stacked solve, with the same trace check.
     """
     m = as_cmatrix(a)
     errors = {}
-    vals = _eigvals_stack(m[None], tol, errors)
+    vals = _eigvals_stack(m[None], errors)
     if errors:
         raise errors[0]
     return sort_complex(vals[0])

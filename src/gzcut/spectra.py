@@ -243,7 +243,7 @@ def coincidence_count(x, tol: Tolerances = DEFAULT_TOL) -> CoincidenceReport:
     if m.shape[0] < 2:
         raise ValueError("coincidence counting needs n >= 2")
     errors = {}
-    cut, full = _spectra_stack(m[None], tol, errors)
+    cut, full = _spectra_stack(m[None], errors)
     if errors:
         raise errors[0]
     matched, cost = _match_stack(cut, full, tol.eig_match)
@@ -251,12 +251,12 @@ def coincidence_count(x, tol: Tolerances = DEFAULT_TOL) -> CoincidenceReport:
     return _report(cut[0], full[0], rows.tolist(), cols.tolist(), cost[0][rows, cols].tolist())
 
 
-def _spectra_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
+def _spectra_stack(mats: np.ndarray, errors: dict):
     """The sorted cutoff and full spectra of a (T, n, n) stack, by one
     eigenvalue call each.  A failed position keeps its slot with stand-in
     values and its EigensolverError goes to errors, the cutoff's first."""
-    cut = sort_complex(_eigvals_stack(mats[:, :-1, :-1], tol, errors))
-    return cut, sort_complex(_eigvals_stack(mats, tol, errors))
+    cut = sort_complex(_eigvals_stack(mats[:, :-1, :-1], errors))
+    return cut, sort_complex(_eigvals_stack(mats, errors))
 
 
 def _coincidence_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
@@ -264,7 +264,7 @@ def _coincidence_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
     (T, n-1, n) matching of the sorted cutoff spectra against the sorted full
     spectra, and its distances.  A failed position fails as in _spectra_stack.
     """
-    return _match_stack(*_spectra_stack(mats, tol, errors), tol.eig_match)
+    return _match_stack(*_spectra_stack(mats, errors), tol.eig_match)
 
 
 def newton_to_charpoly(power_sums) -> np.ndarray:

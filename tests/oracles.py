@@ -530,7 +530,6 @@ def serial_verify_roundtrips(n, l, trials, rng, tol):
         ad,
         canonical_form,
     )
-    from gzcut.canonical import _ROUNDTRIP_RESIDUAL_CAP
 
     failures = mismatches = violations = 0
     worst = 0.0
@@ -545,11 +544,11 @@ def serial_verify_roundtrips(n, l, trials, rng, tol):
             continue
         mismatches += res.l != l or res.idx.length != n - 1 - l
         worst = max(worst, res.residual)
-        violations += res.residual >= _ROUNDTRIP_RESIDUAL_CAP
+        violations += res.residual > tol.membership
         borels.add(res.idx.i)
     borel_indices = tuple(sorted(borels)) if l == n - 1 else None
     return RoundTripReport(
-        l, trials, failures, mismatches, worst, _ROUNDTRIP_RESIDUAL_CAP, violations, borel_indices
+        l, trials, failures, mismatches, worst, tol.membership, violations, borel_indices
     )
 
 

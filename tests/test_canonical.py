@@ -311,6 +311,15 @@ def test_strong_regularity_counterexamples():
     assert not is_n_strongly_regular(np.diag([1.0, 1.0, 2.0])).ok  # cutoff not regular
 
 
+def test_strong_regularity_with_a_zero_dimensional_centralizer_returns_a_report():
+    # at a rank cutoff of 0 rounding noise leaves this matrix's centralizer
+    # no dimension, and its gradients keep an exact zero singular value
+    x = np.array([[1, 0, 1], [0, 2, 0], [1, 0, 0]], dtype=complex)
+    rep = is_n_strongly_regular(x, Tolerances(rank_rel=0))
+    assert not rep.ok and not rep.regular_full and rep.regular_cutoff
+    assert rep.centralizer_rank == rep.centralizer_expected == 2 and rep.gradient_rank == 4
+
+
 def test_strong_regularity_methods_agree_on_random_samples():
     gen = np.random.default_rng(12)
     for n in (2, 3, 4):

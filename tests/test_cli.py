@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import os
 import subprocess
@@ -22,7 +23,7 @@ from gzcut import (
     verify_containment,
     verify_roundtrips,
 )
-from gzcut.cli import main, read_matrix_file, write_matrix_file
+from gzcut.cli import _TOL_FLAGS, build_parser, main, read_matrix_file, write_matrix_file
 from oracles import serial_conjugated_sample
 
 BORDERED = {"n": 3, "entries": [[1, 0, 0], [0, 2, 1], [0, 1, 3]]}
@@ -89,11 +90,54 @@ def test_malformed_file_is_an_input_error(tmp_path):
         code, _ = run(tmp_path, "coincidence", "--input", str(path))
         assert code == 2, payload
     path = matrix_file(tmp_path, BORDERED)
-    # an infinite rank cutoff makes every rank 0 and turns off the trace check
-    for flag in ("--tol-eig", "--tol-rank", "--tol-membership"):
+    # each flag on a subcommand that takes it; an infinite rank cutoff would
+    # make every rank 0
+    for argv in (
+        ("coincidence", "--input", path, "--tol-eig"),
+        ("catalog", "--n", "3", "--tol-rank"),
+        ("canonical", "--input", path, "--tol-membership"),
+    ):
         for bad in ("-1", "nan", "inf"):
-            code, report = run(tmp_path, "coincidence", "--input", path, flag, bad)
-            assert code == 2 and report is None, (flag, bad)
+            code, report = run(tmp_path, *argv, bad)
+            assert code == 2 and report is None, (argv, bad)
+
+
+def _readme_tolerance_flags():
+    """The README's table of the --tol-* flags each subcommand takes."""
+    readme = Path(__file__).parents[1] / "README.md"
+    lines = readme.read_text().splitlines()
+    start = lines.index("| subcommand | tolerance flags |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        commands, flags = (cell.strip() for cell in line.strip("|").split("|"))
+        for command in commands.split(", "):
+            table[command.strip("`")] = [flag.strip("`") for flag in flags.split(", ")]
+    return table
+
+
+def test_each_subcommand_takes_only_the_tolerance_flags_its_verdicts_read(tmp_path, capsys):
+    subs = build_parser()._subparsers._group_actions[0].choices
+    table = _readme_tolerance_flags()
+    assert sorted(table) == sorted(subs)
+    for command, sub in subs.items():
+        flags = [o for a in sub._actions for o in a.option_strings if o.startswith("--tol-")]
+        assert flags == table[command], command
+    assert sum(map(len, table.values())) == 9
+    # a flag the subcommand does not take is a usage error, and no report
+    path = matrix_file(tmp_path, BORDERED)
+    argvs = {
+        "coincidence": ["--input", path],
+        "canonical": ["--input", path],
+        "verify": ["--n", "3", "--trials", "2"],
+        "dims": ["--n", "3", "--repeats", "1"],
+        "catalog": ["--n", "3"],
+        "sn": ["--n", "3", "--trials", "2"],
+    }
+    for command, taken in table.items():
+        for flag in sorted(set(_TOL_FLAGS.values()) - set(taken)):
+            code, report = run(tmp_path, command, *argvs[command], flag, "1e-6")
+            assert code == 2 and report is None, (command, flag)
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_internal_invariant_failure_is_a_numerical_failure(tmp_path, capsys):
@@ -137,12 +181,32 @@ def test_verify_zero_trials_is_na(tmp_path):
     assert code == 4 and report["status"] == "n/a"
 
 
-def test_verify_that_completes_no_trial_of_a_loop_is_na(tmp_path):
-    # at --tol-rank 0 the trace-drift bound fails every eigenvalue solve
-    code, report = run(tmp_path, "verify", "--n", "4", "--trials", "3", "--tol-rank", "0")
+def test_verify_that_completes_no_trial_of_a_loop_is_na(tmp_path, monkeypatch):
+    # every eigenvalue solve fails; only the identities standing in for the
+    # failed matrices solve
+    real = np.linalg.eigvals
+
+    def eigvals(a):
+        if not (a == np.eye(a.shape[-1])).all():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    code, report = run(tmp_path, "verify", "--n", "4", "--trials", "3")
     loops = report["results"]["containment"] + report["results"]["roundtrips"]
     assert all(r["failures"] == r["trials"] == 3 for r in loops)
     assert code == 4 and report["status"] == "n/a"
+
+
+def test_verify_judges_round_trip_residuals_by_the_membership_cap(tmp_path):
+    # at a cap of 0 every round trip whose parabolic is not all of gl_n fails
+    code, report = run(tmp_path, "verify", "--n", "4", "--trials", "5", "--tol-membership", "0")
+    assert code == 1 and report["status"] == "fail"
+    for rt in report["results"]["roundtrips"]:
+        assert rt["residual_cap"] == 0.0 and rt["mismatches"] == rt["failures"] == 0
+        assert rt["residual_violations"] == (5 if rt["l"] >= 1 else 0), rt
+    code, report = run(tmp_path, "verify", "--n", "4", "--trials", "5")
+    assert code == 0 and {rt["residual_cap"] for rt in report["results"]["roundtrips"]} == {1e-8}
 
 
 def test_verify_range_check(tmp_path):
@@ -383,6 +447,23 @@ def test_sn_draws_each_trial_on_the_stream_layout(tmp_path, monkeypatch):
         for k in range(n)
     ]
     assert fractions == want_fractions
+
+
+def test_sn_with_zero_dimensional_centralizers_reports_method_disagreements(tmp_path):
+    # at a rank cutoff of 0 rounding noise leaves the centralizers no
+    # dimension, while the gradient route still finds full rank
+    code, report = run(tmp_path, "sn", "--n", "3", "--trials", "4", "--tol-rank", "0")
+    assert code == 1 and report["status"] == "fail"
+    got = [
+        (c["nilpotent_pairs"], c["strongly_regular_fraction"], c["method_disagreements"])
+        for c in report["results"]["components"]
+    ]
+    assert got == [(4, 0.0, 4)] * 3
+    # at n = 2 some centralizers keep their exact dimension, so the verdicts
+    # rest on rounding; the report must still come out
+    code, report = run(tmp_path, "sn", "--n", "2", "--trials", "4", "--tol-rank", "0")
+    assert code in (0, 1) and report is not None
+    assert all(c["nilpotent_pairs"] == 4 for c in report["results"]["components"])
 
 
 def _fake_strong_regularity(monkeypatch, verdict):

@@ -269,7 +269,7 @@ def test_the_trace_check_fails_only_the_drifting_matrix(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     errors = {}
-    gzcut.linalg._eigvals_stack(mats, Tolerances(), errors)
+    gzcut.linalg._eigvals_stack(mats, errors)
     assert list(errors) == [3] and "drifted from the trace" in str(errors[3])
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: real(a) + 1e-6)
     with pytest.raises(EigensolverError, match="drifted from the trace"):
@@ -290,7 +290,7 @@ def test_a_failed_eigvals_solve_is_reported_as_a_failure_not_as_drift(monkeypatc
 
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     errors = {}
-    gzcut.linalg._eigvals_stack(mats, Tolerances(), errors)
+    gzcut.linalg._eigvals_stack(mats, errors)
     assert list(errors) == [2] and "eigenvalue iteration failed on" in str(errors[2])
     with pytest.raises(EigensolverError, match="iteration failed"):
         eigenvalues(poison)

@@ -204,6 +204,14 @@ def test_coincidence_count_examples():
     assert rep.pairs[0] == (1 + 0j, 1 + 0j)
 
 
+def test_the_trace_check_does_not_read_the_rank_cutoff():
+    # the trace check's bound is fixed, so no rank cutoff fails a solve
+    for rank_rel in (0.0, 1e-10, 1e300):
+        assert coincidence_count(BORDERED, Tolerances(rank_rel=rank_rel)).l == 1
+    x = cgauss(np.random.default_rng(3), (5, 5))
+    assert coincidence_count(x, Tolerances(rank_rel=0)) == coincidence_count(x)
+
+
 def test_coincidence_partition():
     # every matrix lands in exactly one class 0 <= l <= n-1
     gen = np.random.default_rng(13)
