@@ -309,7 +309,7 @@ def _residual_stack(specs: list, xs: np.ndarray) -> np.ndarray:
     t, n, _ = xs.shape
     frames = np.array([s.frame for s in specs]).reshape(xs.shape)
     inverses = np.array([s.inverse for s in specs]).reshape(xs.shape)
-    masks = np.array([s.mask for s in specs]).reshape(xs.shape)
+    masks = np.array([s.mask for s in specs], dtype=bool).reshape(xs.shape)
     # both norms are taken of x / 2^e, 2^e a power of two near max|x| (capped,
     # as |x| overflows past 2^1024), so they cannot overflow; the scaling is
     # exact: the residual's bits are the unscaled formula's wherever it is finite

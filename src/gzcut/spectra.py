@@ -37,6 +37,7 @@ __all__ = [
     "match_spectra",
     "coincidence_count",
     "newton_to_charpoly",
+    "power_sum_count",
     "v_membership",
 ]
 
@@ -97,8 +98,8 @@ class GZImage:
 
     @cached_property
     def _counts(self) -> dict:
-        """Matched counts of _roots by matching radius, filled by v_membership;
-        kept in the instance __dict__ as _roots is."""
+        """Matched counts of _roots by matching radius, filled by
+        power_sum_count; kept in the instance __dict__ as _roots is."""
         return {}
 
 
@@ -246,9 +247,7 @@ def coincidence_count(x, tol: Tolerances = DEFAULT_TOL) -> CoincidenceReport:
     cut, full = _spectra_stack(m[None], errors)
     if errors:
         raise errors[0]
-    matched, cost = _match_stack(cut, full, tol.eig_match)
-    rows, cols = matched[0].nonzero()
-    return _report(cut[0], full[0], rows.tolist(), cols.tolist(), cost[0][rows, cols].tolist())
+    return _report(cut[0], full[0], *_assignment(cut[0], full[0], tol.eig_match))
 
 
 def _spectra_stack(mats: np.ndarray, errors: dict):
@@ -296,22 +295,27 @@ def newton_to_charpoly(power_sums) -> np.ndarray:
     return np.array([v * -1.0 if i % 2 else v for i, v in enumerate(e)])
 
 
-def v_membership(img: GZImage, l: int, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether a power-sum image lies in the locus of >= l shared eigenvalues.
+def power_sum_count(img: GZImage, tol: Tolerances = DEFAULT_TOL) -> int:
+    """The coincidence count of a power-sum image, at most n - 1.
 
     Both spectra are recovered through Newton's identities and Aberth root
-    finding once per image, on the first query, and reused by every later
-    query on that image whatever its l or tol.  They are matched at 10x the
+    finding once per image, on the first query, and matched at 10x the
     coincidence radius: the round trip through coefficients loses precision,
     so the radius is derated.  The derated radius may overflow to inf, which
-    admits every pair.  The image keeps the matched count of each radius it
-    was queried at, so queries at one tol and any l match once.
+    admits every pair.  The image keeps the count of each radius it was
+    queried at, so each radius is matched once.
     """
-    if not 0 <= l <= img.n - 1:
-        raise ValueError(f"l={l} out of range for n={img.n}")
     radius = 10.0 * tol.eig_match
     counts = img._counts
     if radius not in counts:
         cut, full = img._roots
         counts[radius] = int(_match_stack(cut[None], full[None], radius)[0].sum())
-    return counts[radius] >= l
+    return counts[radius]
+
+
+def v_membership(img: GZImage, l: int, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether a power-sum image lies in the locus of >= l shared eigenvalues:
+    power_sum_count(img, tol) >= l.  An l outside 0..n-1 raises a ValueError."""
+    if not 0 <= l <= img.n - 1:
+        raise ValueError(f"l={l} out of range for n={img.n}")
+    return power_sum_count(img, tol) >= l

@@ -10,6 +10,7 @@ from gzcut import (
     CutoffNotRegularSemisimple,
     EigensolverError,
     OrbitIndex,
+    RoundTripReport,
     SeededRng,
     Tolerances,
     ULPattern,
@@ -375,3 +376,12 @@ def test_verify_roundtrips_validates_each_planted_point_once(monkeypatch):
     rep = verify_roundtrips(4, 2, 6, SeededRng(3))
     assert rep.mismatches == rep.failures == 0
     assert built == [6]
+
+
+def test_verify_roundtrips_with_zero_trials_returns_an_empty_report():
+    # the membership test of an empty stack takes a boolean mask of no specs
+    for n in (2, 3, 5):
+        for l in range(n):
+            rep = verify_roundtrips(n, l, 0, SeededRng(0))
+            borel = () if l == n - 1 else None
+            assert rep == RoundTripReport(l, 0, 0, 0, 0.0, 1e-8, 0, borel)

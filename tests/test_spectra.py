@@ -23,6 +23,7 @@ from gzcut import (
     match_spectra,
     newton_to_charpoly,
     phi_n,
+    power_sum_count,
     random_xi,
     sample_K,
     v_membership,
@@ -255,6 +256,18 @@ def test_v_membership_examples():
     assert not v_membership(img, 2)
 
 
+def test_power_sum_count_examples():
+    assert power_sum_count(phi_n(np.zeros((3, 3)))) == 2
+    # disjoint spectra: cutoff power sums from diag(4, 5), full from diag(1, 2, 3)
+    img = GZImage(phi_n(np.diag([4.0, 5.0, 0.0])).c_prev, phi_n(np.diag([1, 2, 3])).c_full, 3)
+    assert power_sum_count(img) == 0
+    img = phi_n(BORDERED)
+    assert power_sum_count(img) == 1
+    # a radius that admits every pair still matches each cutoff value once
+    assert power_sum_count(img, Tolerances(eig_match=1e308)) == 2
+    assert [v_membership(img, l) for l in range(3)] == [True, True, False]
+
+
 def test_v_membership_recovers_spectra_once_per_image(monkeypatch):
     # bordered diagonal sharing exactly 2 eigenvalues (y[0] = y[1] = 0),
     # conjugated by a block-diagonal element of K
@@ -317,11 +330,7 @@ def test_two_path_classification_agreement():
     for n in range(2, 6):
         for _ in range(50):
             m = cgauss(gen, (n, n))
-            l = coincidence_count(m, tol).l
-            img = phi_n(m)
-            assert v_membership(img, l, tol)
-            if l < n - 1:
-                assert not v_membership(img, l + 1, tol)
+            assert power_sum_count(phi_n(m), tol) == coincidence_count(m, tol).l
 
 
 def test_both_routes_classify_planted_points_exactly():
@@ -332,9 +341,7 @@ def test_both_routes_classify_planted_points_exactly():
                 trial = rng.derive(2 * (100 * n + 10 * l + t))
                 x = ad(sample_K(trial.derive(1), n), xi_build(random_xi(trial, n, l)))
                 assert coincidence_count(x).l == l
-                img = phi_n(x)
-                assert v_membership(img, l)
-                assert l == n - 1 or not v_membership(img, l + 1)
+                assert power_sum_count(phi_n(x)) == l
 
 
 # planted twopath inputs whose power-sum route misses the count (ROADMAP item
@@ -358,10 +365,7 @@ def test_eigvals_route_counts_the_planted_inputs_route_2_misses(name, l):
 )
 @pytest.mark.parametrize("name, l", ROUTE2_MISSES)
 def test_power_sum_route_confirms_the_planted_count(name, l):
-    x = read_matrix_file(str(DATA / name))
-    img = phi_n(x)
-    assert v_membership(img, l)
-    assert l == x.shape[0] - 1 or not v_membership(img, l + 1)
+    assert power_sum_count(phi_n(read_matrix_file(str(DATA / name)))) == l
 
 
 # an integer bordered matrix with diagonal (2, 2, -1, 3) whose first two
@@ -388,8 +392,7 @@ assert not solved
 assert gzcut.match_spectra([0, 1e-9], [0, 2e-9, 5]).l == 2
 x = gzcut.cli.read_matrix_file(sys.argv[1])
 assert gzcut.coincidence_count(x).l == 2
-img = gzcut.phi_n(x)
-assert gzcut.v_membership(img, 2) and not gzcut.v_membership(img, 3)
+assert gzcut.power_sum_count(gzcut.phi_n(x)) == 2
 assert len(solved) == 3
 assert "scipy.optimize._lsap" not in sys.modules
 assert "scipy.optimize" in sys.modules
