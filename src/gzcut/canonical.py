@@ -31,8 +31,9 @@ from .linalg import (
     Tolerances,
     _eigvals_stack,
     _lapack_stack,
+    _one,
     _rank_stack,
-    as_cmatrix,
+    _with_cutoff,
     sort_complex,
 )
 from .orbits import (
@@ -110,6 +111,7 @@ class XiElement:
     w: complex
 
     def __post_init__(self):
+        _check_arg("n", self.n, 2)
         for name in ("h", "y", "z"):
             vec = tuple(complex(v) for v in getattr(self, name))
             object.__setattr__(self, name, vec)
@@ -206,14 +208,15 @@ def _shared_slots(values: np.ndarray, mats: np.ndarray, tol: Tolerances, errors:
     return _match_stack(values, sort_complex(full), tol.eig_match)[0].any(axis=2)
 
 
-def _xi_stack(h, y, z, w, l: np.ndarray, tol: Tolerances):
+def _xi_stack(h, y, z, w, l: np.ndarray, tol: Tolerances, errors: dict):
     """xi_build over stacks: h, y, z of shape (T, n-1), and w and the planted
     counts l of shape (T,).
 
-    Returns the (T, n, n) bordered matrices and, for each position that fails
-    a check, its first XiInvariantError or the EigensolverError of the
-    spectral check.  The cutoff of each matrix is diag(h), so its spectrum is
-    h itself: one stacked solve of the full matrices finds the shared slots.
+    Returns the (T, n, n) bordered matrices; each position that fails a check
+    records its first XiInvariantError, or the EigensolverError of the
+    spectral check, in errors.  The cutoff of each matrix is diag(h), so its
+    spectrum is h itself: one stacked solve of the full matrices finds the
+    shared slots.
     """
     count, k = h.shape
     slots = np.arange(k)
@@ -227,24 +230,22 @@ def _xi_stack(h, y, z, w, l: np.ndarray, tol: Tolerances):
     planted = slots < l[:, None]
     # shared slots need a vanishing border entry, the others none
     misplaced = _vanishes(np.minimum(abs(y), abs(z)), tol) != planted
-    errors = {}
-    for t in low.nonzero()[0]:
-        errors[t] = XiInvariantError(
-            f"diagonal values are not pairwise distinct (gap {gap[t]:.3e}, floor {floor:.3e})"
-        )
-    for t in misplaced.any(axis=1).nonzero()[0]:
+    msg = "diagonal values are not pairwise distinct (gap {:.3e}, floor {:.3e})"
+    for t in low.nonzero()[0].tolist():
+        errors.setdefault(t, XiInvariantError(msg.format(gap[t], floor)))
+    for t in misplaced.any(axis=1).nonzero()[0].tolist():
         i = int(misplaced[t].argmax())
         where = "in the shared range but neither" if i < l[t] else "outside the shared range but a"
         errors.setdefault(t, XiInvariantError(f"slot {i + 1} lies {where} border entry vanishes"))
 
     shared = _shared_slots(h, mats, tol, errors)
     counts = shared.sum(axis=1)
-    for t in (shared != planted).any(axis=1).nonzero()[0]:
+    for t in (shared != planted).any(axis=1).nonzero()[0].tolist():
         msg = f"assembled matrix shares {counts[t]} eigenvalues with its cutoff, expected {l[t]}"
         if counts[t] == l[t]:
             msg = "shared eigenvalues differ from the leading diagonal values"
         errors.setdefault(t, XiInvariantError(msg))
-    return mats, errors
+    return mats
 
 
 def xi_build(e: XiElement, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -256,10 +257,7 @@ def xi_build(e: XiElement, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     assembled matrix shares with its cutoff diag(h), each within one matching
     radius of a full eigenvalue, are exactly the first l.
     """
-    mats, errors = _xi_stack(*_rows(e), np.array([e.l]), tol)
-    if errors:
-        raise errors[0]
-    return mats[0]
+    return _one(_xi_stack, *_rows(e), np.array([e.l]), tol)[0]
 
 
 def _upper_marks(y, z, counts, tol: Tolerances, errors: dict) -> np.ndarray:
@@ -280,10 +278,7 @@ def _upper_marks(y, z, counts, tol: Tolerances, errors: dict) -> np.ndarray:
 def xi_pattern(e: XiElement, tol: Tolerances = DEFAULT_TOL) -> ULPattern:
     """U/L marks over the shared slots: U where |z_i| <= |y_i|, so a slot
     where both border entries vanish equally resolves to U."""
-    errors = {}
-    upper = _upper_marks(*_rows(e)[1:3], np.array([e.l]), tol, errors)
-    if errors:
-        raise errors[0]
+    upper = _one(_upper_marks, *_rows(e)[1:3], np.array([e.l]), tol)
     return ULPattern(tuple("U" if u else "L" for u in upper[0, : e.l]))
 
 
@@ -365,15 +360,9 @@ def reduce_to_xi(x, tol: Tolerances = DEFAULT_TOL):
     10x of the floor trigger a conditioning warning.  The shared values are
     sorted lexicographically, then the unshared ones.
     """
-    m = as_cmatrix(x)
-    n = m.shape[0]
-    if n < 2:
-        raise ValueError("the reduction needs n >= 2")
-    errors = {}
-    blocks, forms, counts = _reduce_stack(m[None], tol, errors)
-    if errors:
-        raise errors[0]
-    return KElement(blocks[0], 1.0, n), _xi_element(forms[0], int(counts[0]))
+    m = _with_cutoff(x)
+    blocks, forms, counts = _one(_reduce_stack, m[None], tol)
+    return KElement(blocks[0], 1.0, len(m)), _xi_element(forms[0], int(counts[0]))
 
 
 def _canonical_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
@@ -408,13 +397,8 @@ def canonical_form(x, tol: Tolerances = DEFAULT_TOL) -> CanonicalFormResult:
     k - 1 upper marks the target index is (k, k + n - 1 - l); the conjugator
     stays inside the block-diagonal group throughout.
     """
-    m = as_cmatrix(x)
-    if m.shape[0] < 2:
-        raise ValueError("the reduction needs n >= 2")
-    errors = {}
-    blocks, upper, counts, idx, images, residuals = _canonical_stack(m[None], tol, errors)
-    if errors:
-        raise errors[0]
+    m = _with_cutoff(x)
+    blocks, upper, counts, idx, images, residuals = _one(_canonical_stack, m[None], tol)
     c, k = int(counts[0]), KElement(blocks[0], 1.0, len(m))
     pattern = ULPattern(tuple("U" if u else "L" for u in upper[0, :c]))
     index, residual = OrbitIndex(*idx[0].tolist()), float(residuals[0])
@@ -470,8 +454,8 @@ def _random_xi_stack(rngs: list, trials: int, n: int, ls: list, tol: Tolerances,
         h, y, z, w, wide = (np.concatenate(part) for part in zip(*draws))
         redraw = pending[~wide].tolist()
         if wide.any():
-            planted = np.asarray(ls)[loop[wide]]
-            mats, rejected = _xi_stack(h[wide], y[wide], z[wide], w[wide], planted, tol)
+            planted, rejected = np.asarray(ls)[loop[wide]], {}
+            mats = _xi_stack(h[wide], y[wide], z[wide], w[wide], planted, tol, rejected)
             for i, t in enumerate(pending[wide].tolist()):
                 exc = rejected.get(i)
                 if isinstance(exc, XiInvariantError):
@@ -503,11 +487,7 @@ def random_xi(rng: SeededRng, n: int, l: int, tol: Tolerances = DEFAULT_TOL) -> 
     """
     _check_arg("n", n, 2)
     _check_arg("l", l, 0, n - 1)
-    errors = {}
-    mats = _random_xi_stack([rng], 1, n, [l], tol, errors)
-    if errors:
-        raise errors[0]
-    return _xi_element(mats[0], l)
+    return _xi_element(_one(_random_xi_stack, [rng], 1, n, [l], tol)[0], l)
 
 
 @dataclass(frozen=True)
@@ -584,10 +564,7 @@ def gz_gradients(x) -> list:
     full matrix (2n - 1 matrices).  Validated against finite differences in
     the test suite.
     """
-    m = as_cmatrix(x)
-    if m.shape[0] < 2:
-        raise ValueError("need n >= 2")
-    return list(_gradients(m[None])[0])
+    return list(_gradients(_with_cutoff(x)[None])[0])
 
 
 def _centralizers(mats: np.ndarray, tol: Tolerances):
@@ -620,10 +597,10 @@ class StrongRegularityReport(NamedTuple):
     gradient_rank: int
 
 
-def _strong_regularity_stack(xs: np.ndarray, tol: Tolerances):
+def _strong_regularity_stack(xs: np.ndarray, tol: Tolerances, errors: dict):
     """is_n_strongly_regular over a (T, n, n) stack: a report whose fields are
-    arrays over the stack, and the MethodDisagreement of each position where
-    the two routes disagree."""
+    arrays over the stack.  Each position where the two routes disagree
+    records its MethodDisagreement in errors."""
     t, n, _ = xs.shape
     k = n - 1
     v_full, d_full = _centralizers(xs, tol)
@@ -644,16 +621,14 @@ def _strong_regularity_stack(xs: np.ndarray, tol: Tolerances):
     a_ok = regular_full & regular_cut & (cent_rank == expected)
     grad_rank = _rank_stack(grads / norms[..., None], tol)
     b_ok = grad_rank == 2 * n - 1
-    errors = {
-        pos: MethodDisagreement(
+    for pos in (a_ok != b_ok).nonzero()[0].tolist():
+        msg = (
             f"centralizer route says {a_ok[pos]} (rank {cent_rank[pos]}/{expected[pos]}, "
             f"regular: {regular_full[pos]}/{regular_cut[pos]}) but gradient route says "
             f"{b_ok[pos]} (rank {grad_rank[pos]}/{2 * n - 1})"
         )
-        for pos in (a_ok != b_ok).nonzero()[0].tolist()
-    }
-    rep = StrongRegularityReport(a_ok, regular_full, regular_cut, cent_rank, expected, grad_rank)
-    return rep, errors
+        errors.setdefault(pos, MethodDisagreement(msg))
+    return StrongRegularityReport(a_ok, regular_full, regular_cut, cent_rank, expected, grad_rank)
 
 
 def is_n_strongly_regular(x, tol: Tolerances = DEFAULT_TOL) -> StrongRegularityReport:
@@ -667,35 +642,29 @@ def is_n_strongly_regular(x, tol: Tolerances = DEFAULT_TOL) -> StrongRegularityR
 
     A disagreement is a genuine tolerance pathology and is raised, not hidden.
     """
-    m = as_cmatrix(x)
-    if m.shape[0] < 2:
-        raise ValueError("need n >= 2")
-    rep, errors = _strong_regularity_stack(m[None], tol)
-    if errors:
-        raise errors[0]
+    rep = _one(_strong_regularity_stack, _with_cutoff(x)[None], tol)
     return StrongRegularityReport(*(v[0].item() for v in rep))
 
 
-def _nilpotent_pairs(xs: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Whether each matrix of a (T, n, n) stack is nilpotent together with its cutoff.
+def _nilpotent_pairs(xs: np.ndarray, tol: Tolerances, errors: dict) -> np.ndarray:
+    """Whether each matrix of a (T, n, n) stack is nilpotent together with its
+    cutoff, by _eigvals_stack on the cutoffs, then on the full matrices.
 
     An m x m matrix within backward error eps of nilpotent sheds eigenvalues
     of size ~eps^(1/m), so the threshold takes the m-th root of the radius.
     """
     ok = True
-    for mats in (xs, xs[:, :-1, :-1]):
+    for mats in (xs[:, :-1, :-1], xs):
         norms = np.linalg.norm(mats, 2, axis=(1, 2))
         thresh = (1.0 + norms) * tol.eig_match ** (1.0 / mats.shape[-1])
-        ok = ok & (abs(np.linalg.eigvals(mats)) <= thresh[:, None]).all(axis=1)
+        ok = ok & (abs(_eigvals_stack(mats, errors)) <= thresh[:, None]).all(axis=1)
     return ok
 
 
 def sn_membership(x, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether both the matrix and its cutoff are (numerically) nilpotent."""
-    m = as_cmatrix(x)
-    if m.shape[0] < 2:
-        raise ValueError("need n >= 2")
-    return bool(_nilpotent_pairs(m[None], tol)[0])
+    """Whether both the matrix and its cutoff are (numerically) nilpotent; a
+    failed or drifting solve raises, as in `eigenvalues`."""
+    return bool(_one(_nilpotent_pairs, _with_cutoff(x)[None], tol)[0])
 
 
 def verify_nilradical(
@@ -705,14 +674,15 @@ def verify_nilradical(
     t of sample_in of nilradical_n(i, n) by trial t of sample_K, both on rng.
     Returns (nilpotent pairs, strongly regular trials, method disagreements);
     a trial whose two strong-regularity routes disagree counts only as a
-    disagreement."""
+    disagreement.  A failed draw or nilpotency solve raises the first failed
+    trial's EigensolverError."""
     _check_arg("n", n, 2)
     _check_arg("i", i, 1, n)
     _check_arg("trials", trials, 0)
-    errors = {}
+    errors, disagreements = {}, {}
     xs = _conjugated_samples([nilradical_n(i, n)], n, [rng], trials, errors)
+    pairs = _nilpotent_pairs(xs, tol, errors)
     if errors:
         raise errors[min(errors)]
-    rep, disagreements = _strong_regularity_stack(xs, tol)
-    strong = int(np.delete(rep.ok, list(disagreements)).sum())
-    return int(_nilpotent_pairs(xs, tol).sum()), strong, len(disagreements)
+    ok = _strong_regularity_stack(xs, tol, disagreements).ok
+    return int(pairs.sum()), int(np.delete(ok, list(disagreements)).sum()), len(disagreements)

@@ -9,7 +9,8 @@ route (`spectra.phi_n`, then `spectra.newton_to_charpoly`, then
 
 The stacked kernels record failures where they happen: a failed matrix keeps
 its slot, and its EigensolverError goes into the caller's errors dict by
-setdefault, so each position reports the first failure it met.
+setdefault, so each position reports the first failure it met; a one-point
+function runs its stage through _one, which raises the first failure.
 """
 
 from __future__ import annotations
@@ -81,12 +82,17 @@ def as_cmatrix(a) -> np.ndarray:
     return m
 
 
-def cutoff(a) -> np.ndarray:
-    """Upper-left (n-1) x (n-1) corner of a square matrix, n >= 2."""
+def _with_cutoff(a) -> np.ndarray:
+    """as_cmatrix for the functions that need a cutoff: n >= 2."""
     m = as_cmatrix(a)
     if m.shape[0] < 2:
         raise ValueError("a 1 x 1 matrix has no cutoff")
-    return m[:-1, :-1]
+    return m
+
+
+def cutoff(a) -> np.ndarray:
+    """Upper-left (n-1) x (n-1) corner of a square matrix, n >= 2."""
+    return _with_cutoff(a)[:-1, :-1]
 
 
 def sort_complex(values) -> np.ndarray:
@@ -98,6 +104,16 @@ def sort_complex(values) -> np.ndarray:
 def _failure(what: str, m: np.ndarray) -> EigensolverError:
     """The failure "<what> on <the matrix>"."""
     return EigensolverError(f"{what} on\n{np.array2string(m, precision=6)}")
+
+
+def _one(stage, *args):
+    """stage(*args, errors) on a stack of one, args stacked by the caller:
+    the stage's output, or the first failure it records, raised."""
+    errors = {}
+    out = stage(*args, errors)
+    if errors:
+        raise errors[0]
+    return out
 
 
 def _lapack_try(kernel, mats):
@@ -168,12 +184,7 @@ def eigenvalues(a) -> np.ndarray:
 
     The one-matrix case of the stacked solve, with the same trace check.
     """
-    m = as_cmatrix(a)
-    errors = {}
-    vals = _eigvals_stack(m[None], errors)
-    if errors:
-        raise errors[0]
-    return sort_complex(vals[0])
+    return sort_complex(_one(_eigvals_stack, as_cmatrix(a)[None])[0])
 
 
 _ABERTH_STEP_TOL = 1e-14

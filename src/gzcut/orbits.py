@@ -14,8 +14,9 @@ Every stage takes and returns arrays with one entry per trial: a failed
 trial keeps its slot, with stand-in values, and each stage and kernel
 records its first exception in the loop's errors dict by setdefault, keyed
 by trial number; results skip the failed trials only at the end.  The
-one-trial functions (sample_K, sample_in, containment_trial, tangent_dim)
-are the engine on trial 0 of a loop on the same handle, or on one point.
+one-trial functions (sample_K, sample_in, ad, containment_trial, tangent_dim)
+are the engine on trial 0 of a loop on the same handle, or on one point, and
+raise the first failure their stage records.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .linalg import (
     Tolerances,
     _lapack_stack,
     _lapack_try,
+    _one,
     _rank_stack,
     as_cmatrix,
 )
@@ -177,12 +179,8 @@ def sample_K(rng: SeededRng, n: int) -> KElement:
     value clears a floor (for conditioning), tested as the positive
     definiteness of B^H B - floor^2 I, and a scalar on an annulus around the
     circle."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    errors = {}
-    blocks, scalars = _sample_K_stack([rng], 1, n, errors)
-    if errors:
-        raise errors[0]
+    _check_arg("n", n, 2)
+    blocks, scalars = _one(_sample_K_stack, [rng], 1, n)
     return KElement(blocks[0], complex(scalars[0]), n)
 
 
@@ -212,12 +210,12 @@ def sample_in(s: SubalgebraSpec, rng: SeededRng) -> np.ndarray:
 
 
 def ad(k: KElement, x) -> np.ndarray:
-    """Conjugation k x k^-1; preserves the cutoff and full spectra."""
+    """Conjugation k x k^-1; preserves the cutoff and full spectra.  A
+    singular k raises the stacked loops' EigensolverError."""
     m = as_cmatrix(x)
     if m.shape[0] != k.n:
         raise ValueError("dimension mismatch")
-    km = k.as_matrix()
-    return km @ m @ np.linalg.inv(km)
+    return _one(_conjugate, k.as_matrix()[None], m[None])[0]
 
 
 @dataclass(frozen=True)
@@ -248,10 +246,7 @@ def _containment_stack(specs: list, n: int, rngs: list, trials: int, tol: Tolera
 def containment_trial(p: SubalgebraSpec, n: int, rng: SeededRng, tol: Tolerances):
     """One trial: conjugate a random element of p by a random group element
     and count coincidences.  Returns (l, worst pair residual) or raises."""
-    errors = {}
-    l, worst = _containment_stack([p], n, [rng], 1, tol, errors)
-    if errors:
-        raise errors[0]
+    l, worst = _one(_containment_stack, [p], n, [rng], 1, tol)
     return int(l[0]), float(worst[0])
 
 

@@ -25,8 +25,9 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     _eigvals_stack,
+    _one,
+    _with_cutoff,
     aberth_roots,
-    as_cmatrix,
     sort_complex,
 )
 
@@ -136,10 +137,8 @@ def phi_n(x) -> GZImage:
     A power sum past the float range raises a ValueError naming the lowest
     such degree.
     """
-    m = as_cmatrix(x)
+    m = _with_cutoff(x)
     n = m.shape[0]
-    if n < 2:
-        raise ValueError("the map needs n >= 2: a 1 x 1 matrix has no cutoff")
     # an overflowing power is caught by GZImage's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         return GZImage(_power_traces(m[:-1, :-1], n - 1), _power_traces(m, n), n)
@@ -240,13 +239,7 @@ def coincidence_count(x, tol: Tolerances = DEFAULT_TOL) -> CoincidenceReport:
 
     A failed solve raises its EigensolverError, the cutoff's first.
     """
-    m = as_cmatrix(x)
-    if m.shape[0] < 2:
-        raise ValueError("coincidence counting needs n >= 2")
-    errors = {}
-    cut, full = _spectra_stack(m[None], errors)
-    if errors:
-        raise errors[0]
+    cut, full = _one(_spectra_stack, _with_cutoff(x)[None])
     return _report(cut[0], full[0], *_assignment(cut[0], full[0], tol.eig_match))
 
 

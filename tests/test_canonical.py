@@ -88,6 +88,12 @@ def test_xi_element_rejects_non_finite_entries(field, bad):
         XiElement(n=3, l=1, **data)
 
 
+def test_xi_element_needs_a_cutoff():
+    # a 1 x 1 form has no diagonal to gap-check, so xi_build could not validate it
+    with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
+        XiElement(1, 0, (), (), (), 0.5)
+
+
 def test_xi_pattern_examples():
     assert xi_pattern(xi(3, 1, (1, 2), (0, 1), (1, 1), 0)).marks == ("L",)
     assert xi_pattern(xi(3, 1, (1, 2), (1, 1), (0, 1), 0)).marks == ("U",)

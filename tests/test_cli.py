@@ -426,9 +426,9 @@ def test_sn_draws_each_trial_on_the_stream_layout(tmp_path, monkeypatch):
         loops.append((i, rng.seed, rng.stream))
         return real_loop(i, n, trials, rng, tol)
 
-    def stack(xs, tol):
+    def stack(xs, tol, errors):
         seen.extend(xs)
-        return real_stack(xs, tol)
+        return real_stack(xs, tol, errors)
 
     monkeypatch.setattr(gzcut.cli, "verify_nilradical", loop)
     monkeypatch.setattr(gzcut.canonical, "_strong_regularity_stack", stack)

@@ -35,12 +35,16 @@ from gzcut import (
     eigenvalues,
     all_orbit_indices,
     estimate_dim,
+    gz_gradients,
+    is_n_strongly_regular,
     match_spectra,
     nilradical_n,
     parabolic_p,
     random_xi,
+    reduce_to_xi,
     sample_K,
     sample_in,
+    sn_membership,
     verify_containment,
     verify_nilradical,
     verify_roundtrips,
@@ -169,11 +173,12 @@ def test_stacked_random_xi_redraws_only_the_rejected_trials(monkeypatch):
 
     def check(h, *rest):
         before = solves[0]
-        mats, rejected = real_check(h, *rest)
+        mats = real_check(h, *rest)
         assert solves[0] - before == 1
         _, _, _, validated, invalid = rounds[-1]
+        rejected = rest[-1]
         invalid += [validated[i] for i, e in rejected.items() if isinstance(e, XiInvariantError)]
-        return mats, rejected
+        return mats
 
     monkeypatch.setattr(gzcut.canonical, "_draw_xi", draw)
     monkeypatch.setattr(gzcut.canonical, "_xi_stack", check)
@@ -228,10 +233,10 @@ def test_a_trial_draws_the_same_whatever_the_trial_count(monkeypatch, stage):
         # at 1e-3 xi_build's gap floor is 1, so it rejects some round-0
         # candidates that clear the 0.5 gap
         h, y, z, w, wide = gzcut.canonical._draw_xi(rng, 0, range(short), 8, 3)
-        planted = np.full(wide.sum(), 3)
-        rejected = gzcut.canonical._xi_stack(
-            h[wide], y[wide], z[wide], w[wide], planted, Tolerances(eig_match=1e-3)
-        )[1]
+        planted, rejected = np.full(wide.sum(), 3), {}
+        gzcut.canonical._xi_stack(
+            h[wide], y[wide], z[wide], w[wide], planted, Tolerances(eig_match=1e-3), rejected
+        )
         assert any(isinstance(e, XiInvariantError) for e in rejected.values())
     errors_short, errors_long = {}, {}
     got_short = _stage_draws(stage, rng, short, errors_short)
@@ -253,7 +258,44 @@ def test_the_one_trial_functions_are_trial_0_of_a_loop():
         assert np.array_equal(xi_build(random_xi(rng, n, l, tol)), planted[0])
     l, worst = gzcut.orbits._containment_stack([p], n, [rng], 9, tol, errors)
     assert gzcut.orbits.containment_trial(p, n, rng, tol) == (l[0], worst[0])
-    assert not errors
+    # the one-point functions on row 0 of a stack of planted points with 2
+    # coincidences, and of nilradical samples
+    planted = gzcut.canonical._random_xi_stack([rng], 9, n, [2], tol, errors)
+    kms = gzcut.orbits._block_diagonal(blocks, scalars)
+    xs = gzcut.orbits._conjugate(kms, planted, errors)
+    assert np.array_equal(ad(g, planted[0]), xs[0])
+    x = xs[0]
+    vals = gzcut.linalg._eigvals_stack(xs, errors)
+    assert np.array_equal(eigenvalues(x), gzcut.linalg.sort_complex(vals[0]))
+    cut, full = gzcut.spectra._spectra_stack(xs, errors)
+    matched, cost = gzcut.spectra._coincidence_stack(xs, tol, errors)
+    rows, cols = matched[0].nonzero()
+    rep = coincidence_count(x, tol)
+    assert rep.l == 2
+    pairs = zip(cut[0][rows].tolist(), full[0][cols].tolist())
+    assert sorted(rep.pairs, key=repr) == sorted(pairs, key=repr)
+    assert sorted(rep.residuals) == sorted(cost[0][rows, cols])
+    blocks_r, forms, counts = gzcut.canonical._reduce_stack(xs, tol, errors)
+    k, e = reduce_to_xi(x, tol)
+    want = gzcut.canonical._xi_element(forms[0], int(counts[0]))
+    assert np.array_equal(k.block, blocks_r[0]) and k.scalar == 1.0
+    assert (e.n, e.l, e.h, e.y, e.z, e.w) == (want.n, want.l, want.h, want.y, want.z, want.w)
+    stage = gzcut.canonical._canonical_stack(xs, tol, errors)
+    result = canonical_form(x, tol)
+    blocks_c, upper, counts, idx, images, residuals = (v[0] for v in stage)
+    assert np.array_equal(result.k.block, blocks_c) and np.array_equal(result.image, images)
+    assert result.l == counts and result.idx == OrbitIndex(*idx.tolist())
+    assert result.residual == residuals
+    assert result.pattern.marks == tuple("U" if u else "L" for u in upper[: result.l])
+    strong = gzcut.canonical._strong_regularity_stack(xs, tol, errors)
+    assert is_n_strongly_regular(x, tol) == tuple(v[0].item() for v in strong)
+    grads = gzcut.canonical._gradients(xs)[0]
+    assert all(np.array_equal(a, b) for a, b in zip(gz_gradients(x), grads, strict=True))
+    nil = gzcut.orbits._conjugated_samples([nilradical_n(2, n)], n, [rng], 9, errors)
+    for stack in (xs, nil):
+        nilpotent = gzcut.canonical._nilpotent_pairs(stack, tol, errors)
+        assert sn_membership(stack[0], tol) == nilpotent[0]
+    assert nilpotent[0] and not errors
 
 
 def test_the_trace_check_fails_only_the_drifting_matrix(monkeypatch):
@@ -294,6 +336,32 @@ def test_a_failed_eigvals_solve_is_reported_as_a_failure_not_as_drift(monkeypatc
     assert list(errors) == [2] and "eigenvalue iteration failed on" in str(errors[2])
     with pytest.raises(EigensolverError, match="iteration failed"):
         eigenvalues(poison)
+
+
+@pytest.mark.parametrize("fault", ("failed", "drifting"))
+def test_the_nilpotency_solves_carry_the_trace_check(monkeypatch, fault):
+    # sn's nilpotency verdicts go through the guarded stacked solve: a failed
+    # or drifting solve raises its EigensolverError, naming the cutoff first
+    real = np.linalg.eigvals
+
+    def failing(a):
+        # only the identities that stand in for failed matrices still solve
+        if not all(np.array_equal(m, np.eye(len(m))) for m in a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    eigvals, message = {
+        "failed": (failing, "eigenvalue iteration failed on"),
+        "drifting": (lambda a: real(a) + 1e-6, "drifted from the trace"),
+    }[fault]
+    n, rng = 4, SeededRng(5)
+    x = gzcut.orbits._conjugated_samples([nilradical_n(2, n)], n, [rng], 1, {})[0]
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    with pytest.raises(EigensolverError, match=message) as info:
+        sn_membership(x)
+    assert str(info.value).endswith("\n" + np.array2string(x[:-1, :-1], precision=6))
+    with pytest.raises(EigensolverError, match=message):
+        verify_nilradical(2, n, 3, rng)
 
 
 def test_a_failed_containment_trial_reports_its_solve_failure(monkeypatch):

@@ -105,6 +105,14 @@ def test_ad_identity_and_inverse():
     assert_allclose(k.as_matrix() @ k_inv.as_matrix(), np.eye(3), atol=1e-12)
 
 
+def test_ad_by_a_singular_element_raises_the_stacked_failure():
+    from gzcut import EigensolverError, KElement
+
+    k = KElement(np.zeros((2, 2)), 1.0, 3)
+    with pytest.raises(EigensolverError, match="^conjugating element is singular on\n"):
+        ad(k, np.eye(3))
+
+
 def test_ad_preserves_coincidence_count():
     rng = SeededRng(33)
     for t in range(10):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import gzcut
 import gzcut.spectra
 
 from gzcut import (
@@ -124,8 +125,19 @@ def test_gz_image_rejects_a_non_finite_power_sum(bad):
 
 
 def test_phi_n_needs_a_cutoff():
-    with pytest.raises(ValueError):
-        phi_n(np.eye(1))
+    # every function that reads a matrix's cutoff makes the one size check
+    for f in (
+        gzcut.cutoff,
+        phi_n,
+        coincidence_count,
+        gzcut.reduce_to_xi,
+        gzcut.canonical_form,
+        gzcut.gz_gradients,
+        gzcut.is_n_strongly_regular,
+        gzcut.sn_membership,
+    ):
+        with pytest.raises(ValueError, match="^a 1 x 1 matrix has no cutoff$"):
+            f(np.eye(1))
 
 
 def test_phi_n_matches_gz_function():
