@@ -31,8 +31,10 @@ from .linalg import (
     Tolerances,
     _eigvals_stack,
     _lapack_stack,
+    _lapack_try,
     _one,
     _rank_stack,
+    _singular_values,
     _with_cutoff,
     sort_complex,
 )
@@ -336,7 +338,7 @@ def _reduce_stack(mats: np.ndarray, tol: Tolerances, errors: dict):
         warnings.warn(
             f"cutoff spectrum nearly degenerate at {near.sum()} of {len(mats)} points "
             f"(smallest gap {gap[near].min():.3e}; largest eigenvector condition number "
-            f"{np.linalg.cond(evecs[near]).max():.3e})",
+            f"{_lapack_try(np.linalg.cond, evecs[near])[0].max():.3e})",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -567,7 +569,7 @@ def gz_gradients(x) -> list:
     return list(_gradients(_with_cutoff(x)[None])[0])
 
 
-def _centralizers(mats: np.ndarray, tol: Tolerances):
+def _centralizers(mats: np.ndarray, tol: Tolerances, errors: dict):
     """Centralizers {z : az = za} of a (T, m, m) stack, as (vh, dims): the last
     dims[t] rows of vh[t], reshaped to m x m, are an orthonormal basis for matrix t.
 
@@ -580,10 +582,10 @@ def _centralizers(mats: np.ndarray, tol: Tolerances):
         mats[:, :, None, :, None] * eye[None, None, :, None, :]
         - eye[None, :, None, :, None] * mats.transpose(0, 2, 1)[:, None, :, None, :]
     ).reshape(t, m * m, m * m)
-    _, sv, vh = np.linalg.svd(ops)
+    _, sv, vh = _lapack_stack(np.linalg.svd, ops, errors, "SVD failed to converge")
     vh = vh.conj()
     vh[sv[:, 0] == 0] = np.eye(m * m)
-    return vh, m * m - _rank_stack(ops, tol, sv)
+    return vh, m * m - _rank_stack(ops, tol, errors, sv)
 
 
 class StrongRegularityReport(NamedTuple):
@@ -599,12 +601,12 @@ class StrongRegularityReport(NamedTuple):
 
 def _strong_regularity_stack(xs: np.ndarray, tol: Tolerances, errors: dict):
     """is_n_strongly_regular over a (T, n, n) stack: a report whose fields are
-    arrays over the stack.  Each position where the two routes disagree
-    records its MethodDisagreement in errors."""
+    arrays over the stack.  Each position records in errors its first failed
+    SVD, or else the MethodDisagreement of its two routes."""
     t, n, _ = xs.shape
     k = n - 1
-    v_full, d_full = _centralizers(xs, tol)
-    v_cut, d_cut = _centralizers(xs[:, :-1, :-1], tol)
+    v_full, d_full = _centralizers(xs, tol, errors)
+    v_cut, d_cut = _centralizers(xs[:, :-1, :-1], tol, errors)
     # both bases, the cutoff's embedded in the corner, ranked by one call per
     # pair of centralizer dimensions
     cent_rank = np.empty(t, dtype=int)
@@ -613,13 +615,15 @@ def _strong_regularity_stack(xs: np.ndarray, tol: Tolerances, errors: dict):
         rows = np.zeros((len(sel), df + dc, n, n), dtype=complex)
         rows[:, :df] = v_full[sel, n * n - df :].reshape(len(sel), df, n, n)
         rows[:, df:, :k, :k] = v_cut[sel, k * k - dc :].reshape(len(sel), dc, k, k)
-        cent_rank[sel] = _rank_stack(rows.reshape(len(sel), df + dc, n * n), tol)
+        found = {}
+        cent_rank[sel] = _rank_stack(rows.reshape(len(sel), df + dc, n * n), tol, found)
+        errors.update({sel[p].item(): exc for p, exc in found.items() if sel[p] not in errors})
     grads = _gradients(xs).reshape(t, 2 * n - 1, n * n)
     norms = np.linalg.norm(grads, axis=-1)
     norms[norms == 0] = 1.0
     regular_full, regular_cut, expected = d_full == n, d_cut == k, d_full + d_cut
     a_ok = regular_full & regular_cut & (cent_rank == expected)
-    grad_rank = _rank_stack(grads / norms[..., None], tol)
+    grad_rank = _rank_stack(grads / norms[..., None], tol, errors)
     b_ok = grad_rank == 2 * n - 1
     for pos in (a_ok != b_ok).nonzero()[0].tolist():
         msg = (
@@ -655,7 +659,7 @@ def _nilpotent_pairs(xs: np.ndarray, tol: Tolerances, errors: dict) -> np.ndarra
     """
     ok = True
     for mats in (xs[:, :-1, :-1], xs):
-        norms = np.linalg.norm(mats, 2, axis=(1, 2))
+        norms = _lapack_stack(_singular_values, mats, errors, "SVD failed to converge")[:, 0]
         thresh = (1.0 + norms) * tol.eig_match ** (1.0 / mats.shape[-1])
         ok = ok & (abs(_eigvals_stack(mats, errors)) <= thresh[:, None]).all(axis=1)
     return ok
@@ -674,15 +678,16 @@ def verify_nilradical(
     t of sample_in of nilradical_n(i, n) by trial t of sample_K, both on rng.
     Returns (nilpotent pairs, strongly regular trials, method disagreements);
     a trial whose two strong-regularity routes disagree counts only as a
-    disagreement.  A failed draw or nilpotency solve raises the first failed
-    trial's EigensolverError."""
+    disagreement.  A failed draw, nilpotency solve or strong-regularity SVD
+    raises, lowest failed trial first, and counts as no disagreement."""
     _check_arg("n", n, 2)
     _check_arg("i", i, 1, n)
     _check_arg("trials", trials, 0)
-    errors, disagreements = {}, {}
-    xs = _conjugated_samples([nilradical_n(i, n)], n, [rng], trials, errors)
-    pairs = _nilpotent_pairs(xs, tol, errors)
-    if errors:
-        raise errors[min(errors)]
-    ok = _strong_regularity_stack(xs, tol, disagreements).ok
-    return int(pairs.sum()), int(np.delete(ok, list(disagreements)).sum()), len(disagreements)
+    xs = _one(_conjugated_samples, [nilradical_n(i, n)], n, [rng], trials)
+    pairs = _one(_nilpotent_pairs, xs, tol)
+    errors = {}
+    ok = _strong_regularity_stack(xs, tol, errors).ok
+    failed = [t for t, exc in errors.items() if not isinstance(exc, MethodDisagreement)]
+    if failed:
+        raise errors[min(failed)]
+    return int(pairs.sum()), int(np.delete(ok, list(errors)).sum()), len(errors)

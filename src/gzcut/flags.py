@@ -28,6 +28,7 @@ from .linalg import (
     DEFAULT_TOL,
     SubspaceTest,
     Tolerances,
+    _lapack_try,
     as_cmatrix,
     numerical_rank,
 )
@@ -179,26 +180,20 @@ def v_matrix(idx: OrbitIndex, n: int) -> np.ndarray:
     return w @ cayley(i, n) @ sigma
 
 
-def _inverse(b: np.ndarray) -> np.ndarray:
-    """Inverse, snapped to exact integers for unimodular integer inputs."""
-    inv = np.linalg.inv(b)
-    snapped = np.round(inv.real) + 1j * np.round(inv.imag)
-    if np.abs(b @ snapped - np.eye(b.shape[0])).max() == 0.0:
-        return snapped
-    return inv
-
-
 def _checked_inverse(b: np.ndarray, what: str) -> np.ndarray:
-    """The inverse of b; ValueError when b is singular, exactly or numerically.
+    """The inverse of b, snapped to exact integers for unimodular integer
+    inputs; ValueError when b is singular, exactly or numerically.
 
     The numerical test applies numerical_rank's relative cutoff to the
     1-norm condition number, so the catalog's permutation and unimodular
     integer bases need no SVD.
     """
-    try:
-        inverse = _inverse(b)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"{what} is singular") from exc
+    (inverse,), failed = _lapack_try(np.linalg.inv, b[None])
+    if failed:
+        raise ValueError(f"{what} is singular")
+    snapped = np.round(inverse.real) + 1j * np.round(inverse.imag)
+    if np.abs(b @ snapped - np.eye(b.shape[0])).max() == 0.0:
+        inverse = snapped
     cond = np.linalg.norm(b, 1) * np.linalg.norm(inverse, 1)
     if cond * DEFAULT_TOL.rank_rel >= 1.0:
         raise ValueError(f"{what} is singular (condition number {cond:.3e})")

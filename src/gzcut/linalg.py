@@ -7,10 +7,11 @@ the LAPACK Hessenberg + shifted-QR route (`eigenvalues`) and the power-sum
 route (`spectra.phi_n`, then `spectra.newton_to_charpoly`, then
 `aberth_roots`), so that each can serve as an oracle for the other.
 
-The stacked kernels record failures where they happen: a failed matrix keeps
-its slot, and its EigensolverError goes into the caller's errors dict by
-setdefault, so each position reports the first failure it met; a one-point
-function runs its stage through _one, which raises the first failure.
+Every LAPACK call, SVDs included, goes through _lapack_try, the one place that
+catches a LAPACK failure.  A failed matrix keeps its slot, and its
+EigensolverError, which names it, goes into the caller's errors dict by
+setdefault, so each position keeps its first failure.  A caller that fails as
+a whole runs its stage through _one, which raises the lowest position's failure.
 """
 
 from __future__ import annotations
@@ -107,36 +108,35 @@ def _failure(what: str, m: np.ndarray) -> EigensolverError:
 
 
 def _one(stage, *args):
-    """stage(*args, errors) on a stack of one, args stacked by the caller:
-    the stage's output, or the first failure it records, raised."""
+    """stage(*args, errors) on the caller's stack: its output, or the failure
+    it records at the lowest failed position, raised."""
     errors = {}
     out = stage(*args, errors)
     if errors:
-        raise errors[0]
+        raise errors[min(errors)]
     return out
 
 
 def _lapack_try(kernel, mats):
-    """kernel applied to a (T, n, n) stack of matrices in one call:
+    """kernel applied to a (T, p, q) stack of matrices in one call:
     (output, failed positions).
 
     When LAPACK raises on the stack, each matrix is retried alone.  Each one
-    that fails stands in as the identity in a second stacked call, so the
-    output still has one entry per matrix and a failure costs only its own
-    matrix.
+    that fails stands in as the p x q identity in a second stacked call, so
+    the output still has one entry per matrix and a failure costs only its
+    own matrix.
     """
     try:
         return kernel(mats), []
     except np.linalg.LinAlgError:
         pass
-    stand_in = mats.copy()
-    failed = []
+    stand_in, failed = mats.copy(), []
     for t in range(len(mats)):
         try:
             kernel(mats[t : t + 1])
         except np.linalg.LinAlgError:
             failed.append(t)
-            stand_in[t] = np.eye(mats.shape[-1])
+            stand_in[t] = np.eye(*mats.shape[-2:])
     return kernel(stand_in), failed
 
 
@@ -328,31 +328,31 @@ def aberth_roots(coeffs, max_iter: int = 200) -> np.ndarray:
     return np.array(z)
 
 
-def _rank_stack(mats: np.ndarray, tol: Tolerances, sv=None) -> np.ndarray:
+def _singular_values(mats: np.ndarray) -> np.ndarray:
+    """Singular values of a (T, p, q) stack, largest first: a kernel for _lapack_stack."""
+    return np.linalg.svd(mats, compute_uv=False)
+
+
+def _rank_stack(mats: np.ndarray, tol: Tolerances, errors: dict, sv=None) -> np.ndarray:
     """Numerical ranks of a (T, p, q) stack: the singular values above
     rank_rel * sigma_max * max(p, q), so 0 for a zero matrix.
 
-    The singular values come from one stacked SVD unless given as sv.
+    The singular values come from one guarded stacked SVD unless given as sv.
     """
     if sv is None:
-        sv = np.linalg.svd(mats, compute_uv=False)
+        sv = _lapack_stack(_singular_values, mats, errors, "SVD failed to converge")
     return np.count_nonzero(sv > tol.rank_rel * sv[..., :1] * max(mats.shape[-2:]), axis=-1)
 
 
 def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
     """Singular values above rank_rel * sigma_max * max(shape), by the stacked
-    rule; 0 for the zero matrix."""
+    rule; 0 for the zero matrix.  A failed SVD raises, naming the matrix."""
     a = np.atleast_2d(np.asarray(m, dtype=complex))
     if a.size == 0:
         return 0
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    try:
-        return int(_rank_stack(a[None], tol)[0])
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(
-            f"SVD failed to converge on a {a.shape[0]} x {a.shape[1]} matrix"
-        ) from exc
+    return int(_one(_rank_stack, a[None], tol)[0])
 
 
 class SubspaceTest(NamedTuple):

@@ -15,8 +15,8 @@ trial keeps its slot, with stand-in values, and each stage and kernel
 records its first exception in the loop's errors dict by setdefault, keyed
 by trial number; results skip the failed trials only at the end.  The
 one-trial functions (sample_K, sample_in, ad, containment_trial, tangent_dim)
-are the engine on trial 0 of a loop on the same handle, or on one point, and
-raise the first failure their stage records.
+are the engine on trial 0 of a loop on the same handle, or on one point; they
+and estimate_dim raise the failure their stage records at the lowest trial.
 """
 
 from __future__ import annotations
@@ -286,7 +286,7 @@ def verify_containment(
     return _containment_loops([idx], n, trials, [rng], tol)[0]
 
 
-def _tangent_ranks(s: SubalgebraSpec, xs: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _tangent_ranks(s: SubalgebraSpec, xs: np.ndarray, tol: Tolerances, errors: dict) -> np.ndarray:
     """tangent_dim, without the membership check, at every point of a (T, n, n) stack."""
     t, n, _ = xs.shape
     zs = np.array(fixed_point_subalgebra(n).basis)
@@ -295,7 +295,7 @@ def _tangent_ranks(s: SubalgebraSpec, xs: np.ndarray, tol: Tolerances) -> np.nda
     rows[:, len(zs) :] = np.reshape(s.basis, (-1, n * n))
     norms = np.linalg.norm(rows, axis=-1)
     norms[norms == 0] = 1.0
-    return _rank_stack(rows / norms[..., None], tol)
+    return _rank_stack(rows / norms[..., None], tol, errors)
 
 
 def tangent_dim(s: SubalgebraSpec, x, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -311,7 +311,7 @@ def tangent_dim(s: SubalgebraSpec, x, tol: Tolerances = DEFAULT_TOL) -> int:
         raise ValueError(
             f"point is not in the subalgebra (residual {membership.residual:.3e})"
         )
-    return int(_tangent_ranks(s, m[None], tol)[0])
+    return int(_one(_tangent_ranks, s, m[None], tol)[0])
 
 
 def estimate_dim(
@@ -325,4 +325,4 @@ def estimate_dim(
     """
     _check_arg("repeats", repeats, 0)
     xs = _sample_in_stack(s, rng, repeats)
-    return int(_tangent_ranks(s, xs, tol).max(initial=0))
+    return int(_one(_tangent_ranks, s, xs, tol).max(initial=0))

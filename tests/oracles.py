@@ -3,7 +3,8 @@
 Kept deliberately separate from the package: exact rational characteristic
 polynomials, exact ranks over the rationals, brute-force multiset matching,
 and least-squares subalgebra membership.  None of these share code paths with
-the implementations they check.
+the implementations they check.  One fault injector, failing_kernel, makes
+a LAPACK kernel fail on chosen matrices, for the tests of the failure path.
 """
 
 import cmath
@@ -123,6 +124,26 @@ def levi_blocks(mask):
 def cgauss(gen, shape=None):
     """Standard complex Gaussian draws from a numpy Generator."""
     return (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def failing_kernel(monkeypatch, name, poison=None):
+    """Make np.linalg.<name> raise LinAlgError on any stack that holds the
+    matrix poison, or, with poison None, any matrix but an identity; the
+    identities that stand in for failed matrices still solve."""
+    real = getattr(np.linalg, name)
+
+    def fails(m):
+        if poison is None:
+            return not np.array_equal(m, np.eye(*m.shape))
+        return np.array_equal(m, poison)
+
+    def kernel(a, *args, **kwargs):
+        a = np.asarray(a)
+        if any(fails(a[i]) for i in np.ndindex(a.shape[:-2])):
+            raise np.linalg.LinAlgError(f"{name} did not converge")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, kernel)
 
 
 def gz_function(x, i, j):

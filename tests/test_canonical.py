@@ -38,7 +38,7 @@ from gzcut import (
     xi_build,
     xi_pattern,
 )
-from oracles import cgauss, gz_function, serial_canonical_form
+from oracles import cgauss, failing_kernel, gz_function, serial_canonical_form
 
 BORDERED = np.array([[1, 0, 0], [0, 2, 1], [0, 1, 3]], dtype=complex)
 
@@ -174,14 +174,7 @@ def test_a_failed_full_solve_is_left_out_of_the_conditioning_warning(monkeypatch
     # the cutoff gap of 0.5 lies in the warning band (0.1, 1] at eig_match
     # 1e-4, but x's own eigenvalue solve fails, so x fails instead of warning
     x = np.array([[0, 0, 1], [0, 0.5, 1], [1, 1, 3]], dtype=complex)
-    real = np.linalg.eigvals
-
-    def eigvals(a):
-        if any(np.array_equal(m, x) for m in a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    failing_kernel(monkeypatch, "eigvals", x)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(EigensolverError, match="eigenvalue iteration failed"):

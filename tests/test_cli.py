@@ -24,7 +24,7 @@ from gzcut import (
     verify_roundtrips,
 )
 from gzcut.cli import _TOL_FLAGS, build_parser, main, read_matrix_file, write_matrix_file
-from oracles import serial_conjugated_sample
+from oracles import failing_kernel, serial_conjugated_sample
 
 BORDERED = {"n": 3, "entries": [[1, 0, 0], [0, 2, 1], [0, 1, 3]]}
 
@@ -184,14 +184,7 @@ def test_verify_zero_trials_is_na(tmp_path):
 def test_verify_that_completes_no_trial_of_a_loop_is_na(tmp_path, monkeypatch):
     # every eigenvalue solve fails; only the identities standing in for the
     # failed matrices solve
-    real = np.linalg.eigvals
-
-    def eigvals(a):
-        if not (a == np.eye(a.shape[-1])).all():
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    failing_kernel(monkeypatch, "eigvals")
     code, report = run(tmp_path, "verify", "--n", "4", "--trials", "3")
     loops = report["results"]["containment"] + report["results"]["roundtrips"]
     assert all(r["failures"] == r["trials"] == 3 for r in loops)

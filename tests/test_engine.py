@@ -25,6 +25,7 @@ import gzcut.orbits
 import gzcut.spectra
 from gzcut import (
     EigensolverError,
+    MethodDisagreement,
     OrbitIndex,
     SeededRng,
     Tolerances,
@@ -45,6 +46,7 @@ from gzcut import (
     sample_K,
     sample_in,
     sn_membership,
+    tangent_dim,
     verify_containment,
     verify_nilradical,
     verify_roundtrips,
@@ -54,6 +56,7 @@ from gzcut.cli import main
 from oracles import (
     brute_match,
     cgauss,
+    failing_kernel,
     lsa_assignment,
     serial_conjugated_sample,
     serial_containment_loops,
@@ -323,14 +326,7 @@ def test_a_failed_eigvals_solve_is_reported_as_a_failure_not_as_drift(monkeypatc
     poison = np.diag([5.0, 2.0, 3.0]).astype(complex)
     gen = np.random.default_rng(6)
     mats = np.concatenate([cgauss(gen, (2, 3, 3)), poison[None]])
-    real = np.linalg.eigvals
-
-    def eigvals(a):
-        if any(np.array_equal(m, poison) for m in a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    failing_kernel(monkeypatch, "eigvals", poison)
     errors = {}
     gzcut.linalg._eigvals_stack(mats, errors)
     assert list(errors) == [2] and "eigenvalue iteration failed on" in str(errors[2])
@@ -338,25 +334,126 @@ def test_a_failed_eigvals_solve_is_reported_as_a_failure_not_as_drift(monkeypatc
         eigenvalues(poison)
 
 
+def _tangent_dim_at_a_sample():
+    s = parabolic_p(OrbitIndex(2, 3), 4)
+    return tangent_dim(s, sample_in(s, SeededRng(1)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: verify_nilradical(2, 4, 3, SeededRng(5)), id="verify_nilradical"),
+        pytest.param(
+            lambda: estimate_dim(parabolic_p(OrbitIndex(2, 3), 4), 3, SeededRng(1)),
+            id="estimate_dim",
+        ),
+        pytest.param(_tangent_dim_at_a_sample, id="tangent_dim"),
+        pytest.param(
+            lambda: is_n_strongly_regular(cgauss(np.random.default_rng(2), (4, 4))),
+            id="is_n_strongly_regular",
+        ),
+    ],
+)
+def test_a_failed_svd_raises_an_eigensolver_error_naming_its_matrix(monkeypatch, call):
+    # every SVD fails but on the identities that stand in for failed matrices
+    failing_kernel(monkeypatch, "svd")
+    with pytest.raises(EigensolverError, match=r"^SVD failed to converge on\n\[\[") as info:
+        call()
+    assert not isinstance(info.value, MethodDisagreement)
+
+
+def test_a_failed_strong_regularity_svd_raises_and_is_no_disagreement(monkeypatch):
+    # component 2 is a middle one: no trial is strongly regular, and the
+    # identity standing in for trial 1's failed gradient matrix would read
+    # full rank, which the centralizer route contradicts
+    n, trials, rng, tol = 4, 3, SeededRng(5), Tolerances()
+    xs = gzcut.orbits._conjugated_samples([nilradical_n(2, n)], n, [rng], trials, {})
+    real, stacks = np.linalg.svd, []
+
+    def svd(a, *args, **kwargs):
+        stacks.append(np.asarray(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert verify_nilradical(2, n, trials, rng, tol) == (trials, 0, 0)
+    # trial 2's centralizer map, which fails first, and trial 1's normalized
+    # gradient matrix, as the two routes rank them
+    operator = next(a for a in stacks if a.shape == (trials, n * n, n * n))[2]
+    grads = gzcut.canonical._gradients(xs).reshape(trials, 2 * n - 1, n * n)
+    norms = np.linalg.norm(grads, axis=-1)
+    norms[norms == 0] = 1.0
+    gradient = (grads / norms[..., None])[1]
+    failing_kernel(monkeypatch, "svd", operator)
+    failing_kernel(monkeypatch, "svd", gradient)
+    errors = {}
+    rep = gzcut.canonical._strong_regularity_stack(xs, tol, errors)
+    assert list(errors) == [2, 1] and rep.gradient_rank.tolist() == [6, 7, 6]
+    assert not rep.ok.any()
+    for t, poison in ((1, gradient), (2, operator)):
+        text = np.array2string(poison, precision=6)
+        assert type(errors[t]) is EigensolverError
+        assert str(errors[t]) == "SVD failed to converge on\n" + text
+    # the lowest failed trial raises, and nothing is tallied
+    with pytest.raises(EigensolverError) as info:
+        verify_nilradical(2, n, trials, rng, tol)
+    assert str(info.value) == str(errors[1])
+
+
+def test_a_loop_that_fails_whole_raises_its_lowest_failed_trial(monkeypatch):
+    # trial 2's cutoff fails its SVD before trial 1's cutoff fails its
+    # eigenvalue solve; the raised failure is trial 1's
+    n, trials, rng = 4, 3, SeededRng(5)
+    xs = gzcut.orbits._conjugated_samples([nilradical_n(2, n)], n, [rng], trials, {})
+    failing_kernel(monkeypatch, "svd", xs[2, :-1, :-1])
+    failing_kernel(monkeypatch, "eigvals", xs[1, :-1, :-1])
+    errors = {}
+    gzcut.canonical._nilpotent_pairs(xs, Tolerances(), errors)
+    assert list(errors) == [2, 1]
+    with pytest.raises(EigensolverError, match="^eigenvalue iteration failed on") as info:
+        verify_nilradical(2, n, trials, rng)
+    assert str(info.value) == str(errors[1])
+
+
+def test_a_failed_centralizer_rank_lands_on_its_own_trial(monkeypatch):
+    # trials 0 and 2 are regular, so their stacked centralizer bases share
+    # one rank call; the scalar trial 1 has its own.  The shared call's
+    # failure at position 1 belongs to trial 2
+    n, tol, gen = 3, Tolerances(), np.random.default_rng(4)
+    xs = np.array([cgauss(gen, (n, n)), 2 * np.eye(n), cgauss(gen, (n, n))])
+    real, stacks = np.linalg.svd, []
+
+    def svd(a, *args, **kwargs):
+        stacks.append(np.asarray(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    clean_errors = {}
+    clean = gzcut.canonical._strong_regularity_stack(xs, tol, clean_errors)
+    assert not clean_errors and clean.ok.tolist() == [True, False, True]
+    shared = next(a for a in stacks if a.shape == (2, 2 * n - 1, n * n))
+    failing_kernel(monkeypatch, "svd", shared[1])
+    errors = {}
+    rep = gzcut.canonical._strong_regularity_stack(xs, tol, errors)
+    assert list(errors) == [2]
+    assert str(errors[2]) == "SVD failed to converge on\n" + np.array2string(shared[1], precision=6)
+    for got, want in zip(rep, clean):
+        assert np.array_equal(got[:2], want[:2])
+
+
 @pytest.mark.parametrize("fault", ("failed", "drifting"))
 def test_the_nilpotency_solves_carry_the_trace_check(monkeypatch, fault):
     # sn's nilpotency verdicts go through the guarded stacked solve: a failed
     # or drifting solve raises its EigensolverError, naming the cutoff first
     real = np.linalg.eigvals
-
-    def failing(a):
-        # only the identities that stand in for failed matrices still solve
-        if not all(np.array_equal(m, np.eye(len(m))) for m in a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(a)
-
-    eigvals, message = {
-        "failed": (failing, "eigenvalue iteration failed on"),
-        "drifting": (lambda a: real(a) + 1e-6, "drifted from the trace"),
-    }[fault]
     n, rng = 4, SeededRng(5)
     x = gzcut.orbits._conjugated_samples([nilradical_n(2, n)], n, [rng], 1, {})[0]
-    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    if fault == "failed":
+        # only the identities that stand in for failed matrices still solve
+        failing_kernel(monkeypatch, "eigvals")
+        message = "eigenvalue iteration failed on"
+    else:
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: real(a) + 1e-6)
+        message = "drifted from the trace"
     with pytest.raises(EigensolverError, match=message) as info:
         sn_membership(x)
     assert str(info.value).endswith("\n" + np.array2string(x[:-1, :-1], precision=6))
@@ -368,14 +465,7 @@ def test_a_failed_containment_trial_reports_its_solve_failure(monkeypatch):
     n, idx = 4, all_orbit_indices(4)[3]
     r = SeededRng(21, 7)
     poison = ad(sample_K(r, n), sample_in(parabolic_p(idx, n), r))
-    real = np.linalg.eigvals
-
-    def eigvals(a):
-        if any(np.array_equal(m, poison) for m in a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    failing_kernel(monkeypatch, "eigvals", poison)
     with pytest.raises(EigensolverError, match="^eigenvalue iteration failed on"):
         gzcut.orbits.containment_trial(parabolic_p(idx, n), n, SeededRng(21, 7), Tolerances())
 
@@ -477,15 +567,7 @@ def test_a_failed_eig_in_one_round_trip_costs_only_that_trial(monkeypatch):
     n, l, trials, rng, tol = 5, 2, 8, SeededRng(13, 40), Tolerances()
     # the cutoff of trial 3's conjugated planted point, whose eigendecomposition fails
     poison = serial_round_trip_point(n, l, rng, 3, tol)[:-1, :-1]
-    real = np.linalg.eig
-
-    def eig(a):
-        a = np.asarray(a)
-        if any(np.array_equal(m, poison) for m in a.reshape(-1, *a.shape[-2:])):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(a)
-
-    monkeypatch.setattr(np.linalg, "eig", eig)
+    failing_kernel(monkeypatch, "eig", poison)
     with warnings.catch_warnings():
         # the failed trial's stand-in values must not warn
         warnings.simplefilter("error", RuntimeWarning)
@@ -548,20 +630,14 @@ def test_verify_reduces_all_its_round_trips_in_one_stack(monkeypatch, capsys):
     n, trials, seed, tol = 5, 6, 4, Tolerances()
     # the cutoff of trial 3 of the l = 2 loop, whose eigendecomposition fails
     poison = serial_round_trip_point(n, 2, _roundtrip_rng(n, seed, trials, 2), 3, tol)[:-1, :-1]
-    real_eig, real_stack = np.linalg.eig, gzcut.canonical._canonical_stack
+    real_stack = gzcut.canonical._canonical_stack
     stacks = []
-
-    def eig(a):
-        a = np.asarray(a)
-        if any(np.array_equal(m, poison) for m in a.reshape(-1, *a.shape[-2:])):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real_eig(a)
 
     def canonical_stack(mats, *rest):
         stacks.append(len(mats))
         return real_stack(mats, *rest)
 
-    monkeypatch.setattr(np.linalg, "eig", eig)
+    failing_kernel(monkeypatch, "eig", poison)
     monkeypatch.setattr(gzcut.canonical, "_canonical_stack", canonical_stack)
     argv = ["verify", "--n", str(n), "--trials", str(trials), "--seed", str(seed)]
     assert main(argv) == 0

@@ -1,10 +1,13 @@
+import ast
 import cmath
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import gzcut.linalg
 from gzcut import (
     EigensolverError,
     SeededRng,
@@ -21,10 +24,11 @@ from gzcut import (
     span_equal,
     xi_build,
 )
-from gzcut.linalg import _TRACE_DRIFT_REL
+from gzcut.linalg import _TRACE_DRIFT_REL, _lapack_try, _one, _singular_values
 from oracles import (
     cgauss,
     exact_char_poly,
+    failing_kernel,
     jacobi_aberth_roots,
     numpy_aberth_roots,
     numpy_newton_to_charpoly,
@@ -275,6 +279,62 @@ def test_numerical_rank_rectangular():
     assert numerical_rank(cgauss(np.random.default_rng(0), (3, 5))) == 3
 
 
+def test_a_failed_numerical_rank_names_its_matrix(monkeypatch):
+    m = cgauss(np.random.default_rng(1), (3, 5))
+    failing_kernel(monkeypatch, "svd", m)
+    with pytest.raises(EigensolverError) as info:
+        numerical_rank(m)
+    assert str(info.value) == "SVD failed to converge on\n" + np.array2string(m, precision=6)
+
+
+def test_lapack_try_stands_in_for_a_failed_rectangular_matrix(monkeypatch):
+    mats = cgauss(np.random.default_rng(2), (3, 2, 5))
+    want = np.linalg.svd(mats, compute_uv=False)
+    failing_kernel(monkeypatch, "svd", mats[1])
+    sv, failed = _lapack_try(_singular_values, mats)
+    # one output per matrix: the 2 x 5 identity stands in for matrix 1
+    assert failed == [1] and sv.shape == (3, 2)
+    assert_allclose(sv[[0, 2]], want[[0, 2]], rtol=1e-14)
+    assert_array_equal(sv[1], [1.0, 1.0])
+
+
+_LAPACK_KERNELS = ("eig", "eigvals", "inv", "svd", "cholesky", "cond")
+
+
+def _is_matrix_2_norm(call: ast.Call) -> bool:
+    orders = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "ord"]
+    return ast.unparse(call.func).endswith("linalg.norm") and any(
+        ast.unparse(o) in ("2", "-2") for o in orders
+    )
+
+
+def test_lapack_is_reached_only_through_the_guarded_path():
+    # _lapack_try is the one place that catches a LAPACK failure, and only
+    # linalg.py calls a LAPACK kernel; passing one as an argument is fine
+    catchers, calls = [], []
+    for path in sorted(Path(gzcut.linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            caught = isinstance(node, ast.ExceptHandler) and node.type is not None
+            if caught and "LinAlgError" in ast.unparse(node.type):
+                owner = node
+                while owner in parent and not isinstance(owner, ast.FunctionDef):
+                    owner = parent[owner]
+                catchers.append((path.name, getattr(owner, "name", None)))
+            if path.name == "linalg.py":
+                continue
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.linalg"):
+                calls.append((path.name, node.lineno, node.module))
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                kernel = name.rsplit(".", 1)[-1] in _LAPACK_KERNELS and "linalg." in name
+                if kernel or _is_matrix_2_norm(node):
+                    calls.append((path.name, node.lineno, name))
+    assert catchers == [("linalg.py", "_lapack_try")] * 2
+    assert calls == []
+
+
 def test_rank_invariant_under_unitary():
     gen = np.random.default_rng(17)
     for _ in range(10):
@@ -298,7 +358,7 @@ def test_spectrum_invariant_under_permutation_similarity():
 def centralizer_bases(mats):
     """The centralizer bases the stacked kernel gives a stack of matrices."""
     mats = np.asarray(mats, dtype=complex)
-    vh, dims = _centralizers(mats, Tolerances())
+    vh, dims = _one(_centralizers, mats, Tolerances())
     n = mats.shape[-1]
     return [list(v[n * n - d :].reshape(-1, n, n)) for v, d in zip(vh, dims)]
 
