@@ -54,6 +54,9 @@ def commands() -> list:
     for n in (3, 5, 8):
         out.append(["catalog", "--n", str(n)])
         out.append(["dims", "--n", str(n), "--repeats", "3"])
+    for n in (1, 2, 4, 6, 7):
+        out.append(["catalog", "--n", str(n)])
+    out.append(["catalog", "--n", "4", "--format", "table"])
     # sn at n >= 7 is left out: its method_disagreements sit on the rank
     # cutoff and may move with the BLAS build
     for n in (3, 5):
