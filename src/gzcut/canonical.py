@@ -30,6 +30,7 @@ from .linalg import (
     EigensolverError,
     Tolerances,
     _eigvals_stack,
+    _failure,
     _lapack_stack,
     _lapack_try,
     _one,
@@ -602,11 +603,13 @@ class StrongRegularityReport(NamedTuple):
 def _strong_regularity_stack(xs: np.ndarray, tol: Tolerances, errors: dict):
     """is_n_strongly_regular over a (T, n, n) stack: a report whose fields are
     arrays over the stack.  Each position records in errors its first failed
-    SVD, or else the MethodDisagreement of its two routes."""
+    SVD, named by its point xs[t], or else the MethodDisagreement of its two
+    routes."""
     t, n, _ = xs.shape
     k = n - 1
-    v_full, d_full = _centralizers(xs, tol, errors)
-    v_cut, d_cut = _centralizers(xs[:, :-1, :-1], tol, errors)
+    found = {}
+    v_full, d_full = _centralizers(xs, tol, found)
+    v_cut, d_cut = _centralizers(xs[:, :-1, :-1], tol, found)
     # both bases, the cutoff's embedded in the corner, ranked by one call per
     # pair of centralizer dimensions
     cent_rank = np.empty(t, dtype=int)
@@ -615,15 +618,17 @@ def _strong_regularity_stack(xs: np.ndarray, tol: Tolerances, errors: dict):
         rows = np.zeros((len(sel), df + dc, n, n), dtype=complex)
         rows[:, :df] = v_full[sel, n * n - df :].reshape(len(sel), df, n, n)
         rows[:, df:, :k, :k] = v_cut[sel, k * k - dc :].reshape(len(sel), dc, k, k)
-        found = {}
-        cent_rank[sel] = _rank_stack(rows.reshape(len(sel), df + dc, n * n), tol, found)
-        errors.update({sel[p].item(): exc for p, exc in found.items() if sel[p] not in errors})
+        group = {}
+        cent_rank[sel] = _rank_stack(rows.reshape(len(sel), df + dc, n * n), tol, group)
+        found.update((sel[p].item(), exc) for p, exc in group.items())
     grads = _gradients(xs).reshape(t, 2 * n - 1, n * n)
     norms = np.linalg.norm(grads, axis=-1)
     norms[norms == 0] = 1.0
     regular_full, regular_cut, expected = d_full == n, d_cut == k, d_full + d_cut
     a_ok = regular_full & regular_cut & (cent_rank == expected)
-    grad_rank = _rank_stack(grads / norms[..., None], tol, errors)
+    grad_rank = _rank_stack(grads / norms[..., None], tol, found)
+    for pos in found:
+        errors.setdefault(pos, _failure("SVD failed to converge", xs[pos]))
     b_ok = grad_rank == 2 * n - 1
     for pos in (a_ok != b_ok).nonzero()[0].tolist():
         msg = (

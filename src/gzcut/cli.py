@@ -45,17 +45,13 @@ from .canonical import (
     verify_nilradical,
 )
 from .flags import (
+    _catalog_relations,
     _levi_blocks,
     all_orbit_indices,
     borel_b,
-    column_span_equal,
     cutoff_parabolic,
     nilradical_n,
     parabolic_p,
-    is_theta_stable,
-    project_cutoff,
-    span_contains,
-    span_equal,
     v_matrix,
 )
 from .linalg import DEFAULT_TOL
@@ -329,34 +325,22 @@ def cmd_catalog(args) -> int:
     entries = []
     ok = True
     for idx in all_orbit_indices(n):
-        b = borel_b(idx, n)
-        p = parabolic_p(idx, n)
-        v = v_matrix(idx, n)
-        flag_match = all(
-            column_span_equal(v[:, :k], b.frame[:, :k], tol) for k in range(1, n + 1)
-        )
-        b_in_p = span_contains(p.basis, b.basis, tol)
-        theta_ok = is_theta_stable(p, tol)
-        borel_is_parabolic = idx.i != idx.j or span_equal(b.basis, p.basis, tol)
+        b, p = borel_b(idx, n), parabolic_p(idx, n)
+        relations = _catalog_relations(idx, n, tol)
         entry = {
             "idx": [idx.i, idx.j],
             "orbit_length": idx.length,
             "flag_columns": b.frame.real.astype(int),
-            "v": v.real.astype(int),
+            "v": v_matrix(idx, n).real.astype(int),
             "dim_borel": b.dim,
             "dim_parabolic": p.dim,
-            "v_carries_standard_flag": flag_match,
-            "borel_in_parabolic": b_in_p,
-            "theta_stable": theta_ok,
+            **relations,
         }
         if n >= 2:
-            cut_pred = cutoff_parabolic(idx, n)
-            entry["cutoff_levi_blocks"] = sorted(_levi_blocks(cut_pred.mask), reverse=True)
-            entry["cutoff_projection_matches"] = span_equal(
-                project_cutoff(p), cut_pred.basis, tol
-            )
-            ok &= entry["cutoff_projection_matches"]
-        ok &= flag_match and b_in_p and theta_ok and borel_is_parabolic
+            levi = _levi_blocks(cutoff_parabolic(idx, n).mask)
+            entry["cutoff_levi_blocks"] = sorted(levi, reverse=True)
+        # at i = j the parabolic is the Borel: it holds b, and no more
+        ok &= all(relations.values()) and (idx.i != idx.j or b.dim == p.dim)
         entries.append(entry)
     claim = (
         "the permutation-and-shear matrices carry the standard flag onto the "
@@ -451,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_dims)
 
     sub = subs.add_parser("catalog", help="emit the flag and subalgebra catalog")
-    _add_common(sub, ("rank_rel",), sized=True)
+    _add_common(sub, ("membership",), sized=True)
     sub.set_defaults(func=cmd_catalog)
 
     sub = subs.add_parser("sn", help="nilpotent-pair sampling and the strong-regularity experiment")

@@ -7,9 +7,10 @@ variety; index (i, j) with i < j names one of the C(n, 2) non-closed ones.
 A flag is held as its stabilizer: a SubalgebraSpec whose frame's first
 steps[k] columns span the k-th step, with the block upper triangular mask
 over the steps.  Every catalog frame is a permutation or unimodular integer
-matrix, so the bases B E_rs B^-1 are exact integer matrices and the rank
-tests downstream are effectively exact.  Each catalog constructor builds its
-spec once per argument and returns that one read-only spec on every call.
+matrix, so the bases B E_rs B^-1 are exact integer matrices, and each
+catalog relation, a membership read off B^-1 x B, has residual exactly 0.0
+where it holds.  Each catalog constructor builds its spec once per argument
+and returns that one read-only spec on every call.
 
 Convention: the permutation matrix of a cycle c sends e_k to e_{c(k)}.  This
 is validated against the explicit frames (the column prefixes of
@@ -30,7 +31,6 @@ from .linalg import (
     Tolerances,
     _lapack_try,
     as_cmatrix,
-    numerical_rank,
 )
 
 __all__ = [
@@ -48,9 +48,6 @@ __all__ = [
     "theta",
     "is_theta_stable",
     "contains",
-    "column_span_equal",
-    "span_equal",
-    "span_contains",
     "project_cutoff",
 ]
 
@@ -84,9 +81,9 @@ class SubalgebraSpec:
 
     frame is the invertible matrix B and mask a boolean n x n pattern, both
     kept read-only with the inverse of B.  The basis {B E_rs B^-1 : mask[r, s]},
-    row-major over the mask, is built on first use and read-only too, so a
-    spec can be shared.  Closure under the bracket holds for the catalog's
-    masks and is tested, not checked here.
+    row-major over the mask, is one (dim, n, n) array, built on first use and
+    read-only too, so a spec can be shared.  Closure under the bracket holds
+    for the catalog's masks and is tested, not checked here.
     """
 
     frame: np.ndarray
@@ -111,16 +108,12 @@ class SubalgebraSpec:
         return int(self.mask.sum())
 
     @cached_property
-    def basis(self) -> tuple:
+    def basis(self) -> np.ndarray:
         rows, cols = np.nonzero(self.mask)
-        basis = tuple(np.outer(self.frame[:, r], self.inverse[s, :]) for r, s in zip(rows, cols))
-        for b in basis:
-            b.flags.writeable = False
+        # entry k is np.outer(frame[:, rows[k]], inverse[cols[k], :])
+        basis = self.frame.T[rows, :, None] * self.inverse[cols, None, :]
+        basis.flags.writeable = False
         return basis
-
-
-def _stack(mats) -> np.ndarray:
-    return np.array([np.asarray(m, dtype=complex).reshape(-1) for m in mats])
 
 
 def _in_range(idx: OrbitIndex, n: int) -> tuple:
@@ -283,19 +276,14 @@ def fixed_point_subalgebra(n: int) -> SubalgebraSpec:
 
 
 def theta(x) -> np.ndarray:
-    """Involution d x d^-1 with d = diag(1, ..., 1, -1): flips the signs of the
-    last row and column off the diagonal."""
-    m = as_cmatrix(x).copy()
-    m[-1, :-1] *= -1.0
-    m[:-1, -1] *= -1.0
-    return m
-
-
-def is_theta_stable(s: SubalgebraSpec, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether the involution maps the span of the basis into itself."""
-    stacked = _stack(s.basis)
-    mapped = _stack([theta(b) for b in s.basis])
-    return numerical_rank(np.vstack([stacked, mapped]), tol) == s.dim
+    """Involution d x d with d = diag(1, ..., 1, -1), of a square matrix or of
+    each matrix of a (T, n, n) stack: flips the signs of the last row and
+    column off the diagonal."""
+    m = np.asarray(x, dtype=complex)
+    if m.ndim != 3:
+        m = as_cmatrix(m)
+    d = np.append(np.ones(m.shape[-1] - 1), -1.0)
+    return d[:, None] * m * d
 
 
 def _residual_stack(specs: list, xs: np.ndarray) -> np.ndarray:
@@ -334,29 +322,43 @@ def contains(s: SubalgebraSpec, x, tol: Tolerances = DEFAULT_TOL) -> SubspaceTes
     return SubspaceTest(residual <= tol.membership, residual)
 
 
-def column_span_equal(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether two matrices have the same column space."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    ra = numerical_rank(a, tol)
-    rb = numerical_rank(b, tol)
-    return ra == rb == numerical_rank(np.hstack([a, b]), tol)
+def _inside(s: SubalgebraSpec, xs: np.ndarray, tol: Tolerances) -> bool:
+    """Whether every matrix of the (T, n, n) stack xs lies in s, each by
+    contains' residual at tol.membership; True for an empty stack."""
+    return bool((_residual_stack([s] * len(xs), xs) <= tol.membership).all())
 
 
-def span_equal(basis_a, basis_b, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether two lists of matrices span the same subspace of gl(n)."""
-    return column_span_equal(_stack(basis_a).T, _stack(basis_b).T, tol)
+def is_theta_stable(s: SubalgebraSpec, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether theta maps s into itself: theta of each basis element lies in s."""
+    return _inside(s, theta(s.basis), tol)
 
 
-def span_contains(basis_big, basis_small, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether span(basis_small) is contained in span(basis_big)."""
-    big = _stack(basis_big)
-    return numerical_rank(big, tol) == numerical_rank(
-        np.vstack([big, _stack(basis_small)]), tol
-    )
+def project_cutoff(s: SubalgebraSpec) -> np.ndarray:
+    """Entrywise top-left (n-1) x (n-1) projections of the basis, a read-only
+    (dim, n-1, n-1) view (the projections may be linearly dependent)."""
+    return s.basis[:, :-1, :-1]
 
 
-def project_cutoff(s: SubalgebraSpec) -> list:
-    """Entrywise top-left (n-1) x (n-1) projections of the basis (may be
-    linearly dependent; callers compare spans)."""
-    return [np.asarray(b)[:-1, :-1] for b in s.basis]
+def _carries(b: SubalgebraSpec, v, tol: Tolerances) -> bool:
+    """Whether v carries the standard flag onto the flag of the Borel b: each
+    column prefix v[:, :k] spans b.frame[:, :k].  That is B^-1 v upper
+    triangular, which is v B^-1 lying in b, with no zero on its diagonal."""
+    return _inside(b, (v @ b.inverse)[None], tol) and bool(np.diagonal(b.inverse @ v).all())
+
+
+def _catalog_relations(idx: OrbitIndex, n: int, tol: Tolerances) -> dict:
+    """The relations `gzcut catalog` reports for orbit idx, each a membership
+    read-off at tol.membership.  The parabolic's cutoff projection is c =
+    cutoff_parabolic when it lies in c and c, padded by zeros, lies in p."""
+    b, p = borel_b(idx, n), parabolic_p(idx, n)
+    out = {
+        "v_carries_standard_flag": _carries(b, v_matrix(idx, n), tol),
+        "borel_in_parabolic": _inside(p, b.basis, tol),
+        "theta_stable": is_theta_stable(p, tol),
+    }
+    if n >= 2:
+        c = cutoff_parabolic(idx, n)
+        projected = _inside(c, project_cutoff(p), tol)
+        padded = np.pad(c.basis, ((0, 0), (0, 1), (0, 1)))
+        out["cutoff_projection_matches"] = projected and _inside(p, padded, tol)
+    return out

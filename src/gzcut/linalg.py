@@ -48,8 +48,9 @@ class Tolerances:
     """Numerical policy knobs shared across the package.
 
     eig_match   absolute radius for treating two eigenvalues as coincident
-    rank_rel    relative singular-value cutoff for numerical ranks
-    membership  residual cap for subspace and subalgebra membership
+    rank_rel    relative singular-value cutoff for the ranks of dims and sn
+                (its default also sets a subalgebra frame's conditioning floor)
+    membership  residual cap for subalgebra membership: every catalog relation
 
     Each field decides one kind of verdict and nothing else; planted round
     trips are judged by membership, as canonical_form is.  All radii are

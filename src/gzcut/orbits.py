@@ -30,6 +30,7 @@ from .linalg import (
     DEFAULT_TOL,
     EigensolverError,
     Tolerances,
+    _failure,
     _lapack_stack,
     _lapack_try,
     _one,
@@ -189,10 +190,10 @@ def _sample_in_stack(s: SubalgebraSpec, rng: SeededRng, trials: int) -> np.ndarr
     (every catalog parabolic and nilradical) each entry is one coefficient or
     zero, so the contraction of the stack has the same bits as one sample at
     a time."""
-    if not s.basis:
+    if not s.dim:
         raise ValueError("subalgebra basis is empty")
     coeffs = rng.complex_normal(_COEFFS, 0, range(trials), (s.dim,))
-    return np.tensordot(coeffs, np.array(s.basis), axes=1)
+    return np.tensordot(coeffs, s.basis, axes=1)
 
 
 def _conjugated_samples(specs: list, n: int, rngs: list, trials: int, errors: dict) -> np.ndarray:
@@ -287,15 +288,20 @@ def verify_containment(
 
 
 def _tangent_ranks(s: SubalgebraSpec, xs: np.ndarray, tol: Tolerances, errors: dict) -> np.ndarray:
-    """tangent_dim, without the membership check, at every point of a (T, n, n) stack."""
+    """tangent_dim, without the membership check, at every point of a (T, n, n)
+    stack; a failed SVD is named by its point xs[t]."""
     t, n, _ = xs.shape
-    zs = np.array(fixed_point_subalgebra(n).basis)
+    zs = fixed_point_subalgebra(n).basis
     rows = np.empty((t, len(zs) + s.dim, n * n), dtype=complex)
     rows[:, : len(zs)] = (zs @ xs[:, None] - xs[:, None] @ zs).reshape(t, len(zs), n * n)
-    rows[:, len(zs) :] = np.reshape(s.basis, (-1, n * n))
+    rows[:, len(zs) :] = s.basis.reshape(-1, n * n)
     norms = np.linalg.norm(rows, axis=-1)
     norms[norms == 0] = 1.0
-    return _rank_stack(rows / norms[..., None], tol, errors)
+    found = {}
+    ranks = _rank_stack(rows / norms[..., None], tol, found)
+    for pos in found:
+        errors.setdefault(pos, _failure("SVD failed to converge", xs[pos]))
+    return ranks
 
 
 def tangent_dim(s: SubalgebraSpec, x, tol: Tolerances = DEFAULT_TOL) -> int:

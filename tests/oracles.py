@@ -2,9 +2,11 @@
 
 Kept deliberately separate from the package: exact rational characteristic
 polynomials, exact ranks over the rationals, brute-force multiset matching,
-and least-squares subalgebra membership.  None of these share code paths with
-the implementations they check.  One fault injector, failing_kernel, makes
-a LAPACK kernel fail on chosen matrices, for the tests of the failure path.
+least-squares subalgebra membership, and the numerical-rank span tests the
+catalog's relations were decided by before the membership read-off.  None of
+these share code paths with the implementations they check.  One fault
+injector, failing_kernel, makes a LAPACK kernel fail on chosen matrices, for
+the tests of the failure path.
 """
 
 import cmath
@@ -20,7 +22,11 @@ def _as_fraction_rows(mat):
     if np.iscomplexobj(a):
         assert np.all(a.imag == 0), "exact oracles work on rational matrices"
         a = a.real
-    return [[Fraction(x).limit_denominator(10**12) for x in row] for row in a.tolist()]
+    # integers stay ints, whose arithmetic with Fractions is exact and cheaper
+    return [
+        [int(x) if x == int(x) else Fraction(x).limit_denominator(10**12) for x in row]
+        for row in a.tolist()
+    ]
 
 
 def _matmul(a, b):
@@ -59,12 +65,12 @@ def exact_rank(mat):
             col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
+        inv = Fraction(1) / rows[rank][col]
         rows[rank] = [v * inv for v in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col] != 0:
                 factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
+                rows[r] = [v - factor * w if w else v for v, w in zip(rows[r], rows[rank])]
         rank += 1
         col += 1
     return rank
@@ -108,6 +114,43 @@ def lstsq_membership_residual(basis, x):
     v = np.asarray(x, dtype=complex).reshape(-1)
     coef, *_ = np.linalg.lstsq(a, v, rcond=None)
     return float(np.linalg.norm(a @ coef - v) / (1.0 + np.linalg.norm(v)))
+
+
+# The rank route gzcut decided the catalog's relations by before it read
+# each one off as a membership: numerical ranks of flattened bases.
+
+
+def stack_rows(mats):
+    """Each matrix flattened (row-major) to one row of a 2-D array."""
+    return np.array([np.asarray(m, dtype=complex).reshape(-1) for m in mats])
+
+
+def column_span_equal(a, b, tol=None):
+    """Whether two matrices have the same column space."""
+    from gzcut import DEFAULT_TOL, numerical_rank
+
+    tol = tol or DEFAULT_TOL
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    ra = numerical_rank(a, tol)
+    rb = numerical_rank(b, tol)
+    return ra == rb == numerical_rank(np.hstack([a, b]), tol)
+
+
+def span_equal(basis_a, basis_b, tol=None):
+    """Whether two lists of matrices span the same subspace of gl(n)."""
+    return column_span_equal(stack_rows(basis_a).T, stack_rows(basis_b).T, tol)
+
+
+def span_contains(basis_big, basis_small, tol=None):
+    """Whether span(basis_small) is contained in span(basis_big)."""
+    from gzcut import DEFAULT_TOL, numerical_rank
+
+    tol = tol or DEFAULT_TOL
+    big = stack_rows(basis_big)
+    return numerical_rank(big, tol) == numerical_rank(
+        np.vstack([big, stack_rows(basis_small)]), tol
+    )
 
 
 def levi_blocks(mask):

@@ -29,8 +29,6 @@ from gzcut import (
     project_cutoff,
     random_xi,
     sample_K,
-    span_contains,
-    span_equal,
     v_matrix,
     verify_nilradical,
     verify_roundtrips,
@@ -39,7 +37,7 @@ from gzcut import (
 from gzcut.canonical import _strong_regularity_stack
 from gzcut.cli import main as cli_main
 from gzcut.orbits import _conjugated_samples
-from oracles import cgauss, exact_rank, gz_function, levi_blocks
+from oracles import cgauss, exact_rank, gz_function, levi_blocks, span_contains, span_equal
 
 SEED = 20260809
 

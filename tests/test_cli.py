@@ -94,7 +94,7 @@ def test_malformed_file_is_an_input_error(tmp_path):
     # make every rank 0
     for argv in (
         ("coincidence", "--input", path, "--tol-eig"),
-        ("catalog", "--n", "3", "--tol-rank"),
+        ("dims", "--n", "3", "--repeats", "1", "--tol-rank"),
         ("canonical", "--input", path, "--tol-membership"),
     ):
         for bad in ("-1", "nan", "inf"):
@@ -396,6 +396,17 @@ def test_catalog_counts(tmp_path):
     assert report["results"]["count"] == 10
     assert all(o["theta_stable"] for o in report["results"]["orbits"])
     assert all(o["borel_in_parabolic"] for o in report["results"]["orbits"])
+
+
+def test_catalog_makes_no_svd(tmp_path, monkeypatch):
+    # every relation is a membership read-off: with every SVD failing, the
+    # report keeps its exit code and its bytes
+    argv = ["catalog", "--n", "8", "--output", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    clean = (tmp_path / "report.json").read_bytes()
+    failing_kernel(monkeypatch, "svd")
+    assert main(argv) == 0
+    assert (tmp_path / "report.json").read_bytes() == clean
 
 
 def test_sn_command(tmp_path):

@@ -389,14 +389,27 @@ def test_a_failed_strong_regularity_svd_raises_and_is_no_disagreement(monkeypatc
     rep = gzcut.canonical._strong_regularity_stack(xs, tol, errors)
     assert list(errors) == [2, 1] and rep.gradient_rank.tolist() == [6, 7, 6]
     assert not rep.ok.any()
-    for t, poison in ((1, gradient), (2, operator)):
-        text = np.array2string(poison, precision=6)
+    # each failure names its trial's sampled point, not the matrix that failed
+    for t in (1, 2):
+        text = np.array2string(xs[t], precision=6)
         assert type(errors[t]) is EigensolverError
         assert str(errors[t]) == "SVD failed to converge on\n" + text
     # the lowest failed trial raises, and nothing is tallied
     with pytest.raises(EigensolverError) as info:
         verify_nilradical(2, n, trials, rng, tol)
     assert str(info.value) == str(errors[1])
+
+
+def test_a_failed_tangent_rank_names_its_sampled_point(monkeypatch):
+    s, rng = parabolic_p(OrbitIndex(2, 3), 4), SeededRng(1)
+    xs = gzcut.orbits._sample_in_stack(s, rng, 3)
+    failing_kernel(monkeypatch, "svd")
+    # estimate_dim raises its lowest trial's failure
+    calls = ((lambda: estimate_dim(s, 3, rng), xs[0]), (lambda: tangent_dim(s, xs[1]), xs[1]))
+    for call, point in calls:
+        with pytest.raises(EigensolverError) as info:
+            call()
+        assert str(info.value) == "SVD failed to converge on\n" + np.array2string(point, precision=6)
 
 
 def test_a_loop_that_fails_whole_raises_its_lowest_failed_trial(monkeypatch):
@@ -435,7 +448,7 @@ def test_a_failed_centralizer_rank_lands_on_its_own_trial(monkeypatch):
     errors = {}
     rep = gzcut.canonical._strong_regularity_stack(xs, tol, errors)
     assert list(errors) == [2]
-    assert str(errors[2]) == "SVD failed to converge on\n" + np.array2string(shared[1], precision=6)
+    assert str(errors[2]) == "SVD failed to converge on\n" + np.array2string(xs[2], precision=6)
     for got, want in zip(rep, clean):
         assert np.array_equal(got[:2], want[:2])
 

@@ -8,10 +8,10 @@ from gzcut import (
     OrbitIndex,
     SeededRng,
     SubalgebraSpec,
+    Tolerances,
     all_orbit_indices,
     borel_b,
     cayley,
-    column_span_equal,
     contains,
     cutoff_parabolic,
     eigenvalues,
@@ -22,13 +22,21 @@ from gzcut import (
     parabolic_p,
     project_cutoff,
     sample_in,
-    span_contains,
-    span_equal,
     stabilizer,
     theta,
     v_matrix,
 )
-from oracles import cgauss, exact_rank, levi_blocks, lstsq_membership_residual
+from gzcut.flags import _carries, _catalog_relations, _inside, _residual_stack
+from oracles import (
+    cgauss,
+    column_span_equal,
+    exact_rank,
+    levi_blocks,
+    lstsq_membership_residual,
+    span_contains,
+    span_equal,
+    stack_rows,
+)
 
 
 def e(k, n):
@@ -387,15 +395,13 @@ def test_contains_scales_huge_entries():
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_bracket_closure_of_catalog_subalgebras(n):
-    from gzcut.flags import _stack
-
     for s in _catalog_specs(n):
         brackets = [
             u @ v - v @ u for a, u in enumerate(s.basis) for v in s.basis[a + 1 :]
         ]
         if not brackets:
             continue
-        stacked = np.vstack([_stack(s.basis), _stack(brackets)])
+        stacked = np.vstack([stack_rows(s.basis), stack_rows(brackets)])
         assert numerical_rank(stacked) == s.dim
 
 
@@ -416,3 +422,84 @@ def test_column_span_equal():
     b = np.array([[1, 1], [1, -1], [0, 0]], dtype=float)
     assert column_span_equal(a, b)
     assert not column_span_equal(a, np.eye(3)[:, 1:])
+
+
+def _exact_relations(idx, n):
+    """The catalog relations of orbit idx by exact rational ranks, with the
+    closed-orbit one (the parabolic is the Borel) under "borel_is_parabolic".
+    span(a) lies in span(b) when stacking a under b keeps b's rank."""
+    b, p, v = borel_b(idx, n), parabolic_p(idx, n), v_matrix(idx, n)
+
+    def rank(*bases):
+        return exact_rank(stack_rows([m for basis in bases for m in basis]))
+
+    p_rank, pb_rank = rank(p.basis), rank(p.basis, b.basis)
+    out = {
+        "v_carries_standard_flag": all(
+            exact_rank(v[:, :k])
+            == exact_rank(b.frame[:, :k])
+            == exact_rank(np.hstack([v[:, :k], b.frame[:, :k]]))
+            == k
+            for k in range(1, n + 1)
+        ),
+        "borel_in_parabolic": p_rank == pb_rank,
+        "theta_stable": p_rank == rank(p.basis, theta(p.basis)),
+        "borel_is_parabolic": p_rank == pb_rank == rank(b.basis),
+    }
+    if n >= 2:
+        c, projected = cutoff_parabolic(idx, n).basis, project_cutoff(p)
+        out["cutoff_projection_matches"] = rank(c) == rank(c, projected) == rank(projected)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_catalog_read_off_agrees_with_exact_ranks(n):
+    # every relation `gzcut catalog` decides, at every index; the read-off is
+    # the one the command runs, the closed-orbit relation as it combines it
+    for idx in all_orbit_indices(n):
+        got = _catalog_relations(idx, n, Tolerances())
+        want = _exact_relations(idx, n)
+        closed = want.pop("borel_is_parabolic")
+        assert got == want and all(want.values()), idx
+        b, p = borel_b(idx, n), parabolic_p(idx, n)
+        if idx.i == idx.j:
+            assert (got["borel_in_parabolic"] and b.dim == p.dim) == closed is True
+
+
+def test_read_off_and_rank_route_reject_the_cross_pairs():
+    # at n = 5 the Borel of one index lies in the parabolic of another on 55
+    # of the 210 cross pairs: there the residual is exactly 0, and elsewhere
+    # it is at least 1/3, on both sides of the membership cap
+    n, tol = 5, Tolerances()
+    outside = 0
+    for a in all_orbit_indices(n):
+        for c in all_orbit_indices(n):
+            if a == c:
+                continue
+            ba, pc = borel_b(a, n), parabolic_p(c, n)
+            residual = _residual_stack([pc] * ba.dim, ba.basis).max()
+            assert _inside(pc, ba.basis, tol) == span_contains(pc.basis, ba.basis)
+            assert residual == 0.0 if residual <= tol.membership else residual >= 1 / 3
+            outside += residual > tol.membership
+    assert outside == 155
+
+
+def test_read_off_and_rank_route_reject_a_theta_unstable_spec_and_a_wrong_carrier():
+    tol = Tolerances()
+    frame = np.eye(3)
+    frame[2, 0] = 1.0
+    mask = np.zeros((3, 3), dtype=bool)
+    mask[0, 0] = True
+    s = SubalgebraSpec(frame, mask)
+    assert not is_theta_stable(s, tol) and not span_contains(s.basis, theta(s.basis))
+    assert_allclose(_residual_stack([s], theta(s.basis)), [2 * np.sqrt(2) - 2])
+    # swapping the first two columns of a carrier breaks its first flag step
+    idx, n = OrbitIndex(2, 4), 5
+    b = borel_b(idx, n)
+    v = v_matrix(idx, n)[:, [1, 0, 2, 3, 4]]
+    assert not _carries(b, v, tol)
+    assert not all(column_span_equal(v[:, :k], b.frame[:, :k]) for k in range(1, n + 1))
+    assert_allclose(_residual_stack([b], (v @ b.inverse)[None]), [np.sqrt(2) / 4])
+    # an empty mask spans the zero subalgebra, which theta keeps
+    empty = SubalgebraSpec(np.eye(3), np.zeros((3, 3), dtype=bool))
+    assert empty.basis.shape == (0, 3, 3) and is_theta_stable(empty, tol)

@@ -21,7 +21,6 @@ from gzcut import (
     random_xi,
     sample_K,
     sort_complex,
-    span_equal,
     xi_build,
 )
 from gzcut.linalg import _TRACE_DRIFT_REL, _lapack_try, _one, _singular_values
@@ -32,6 +31,7 @@ from oracles import (
     jacobi_aberth_roots,
     numpy_aberth_roots,
     numpy_newton_to_charpoly,
+    span_equal,
 )
 from gzcut.canonical import _centralizers
 
@@ -333,6 +333,17 @@ def test_lapack_is_reached_only_through_the_guarded_path():
                     calls.append((path.name, node.lineno, name))
     assert catchers == [("linalg.py", "_lapack_try")] * 2
     assert calls == []
+
+
+def test_the_catalog_calls_no_rank_function():
+    # every catalog relation is a membership read-off: flags.py ranks nothing
+    path = Path(gzcut.linalg.__file__).parent / "flags.py"
+    names = {
+        ast.unparse(node.func).rsplit(".", 1)[-1]
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+    }
+    assert not names & {"numerical_rank", "_rank_stack", "_singular_values", "svd"}
 
 
 def test_rank_invariant_under_unitary():
