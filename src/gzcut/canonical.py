@@ -30,9 +30,9 @@ from .linalg import (
     EigensolverError,
     Tolerances,
     _eigvals_stack,
-    _failure,
     _lapack_stack,
     _lapack_try,
+    _name_by_point,
     _one,
     _rank_stack,
     _singular_values,
@@ -627,8 +627,7 @@ def _strong_regularity_stack(xs: np.ndarray, tol: Tolerances, errors: dict):
     regular_full, regular_cut, expected = d_full == n, d_cut == k, d_full + d_cut
     a_ok = regular_full & regular_cut & (cent_rank == expected)
     grad_rank = _rank_stack(grads / norms[..., None], tol, found)
-    for pos in found:
-        errors.setdefault(pos, _failure("SVD failed to converge", xs[pos]))
+    _name_by_point(found, xs, errors)
     b_ok = grad_rank == 2 * n - 1
     for pos in (a_ok != b_ok).nonzero()[0].tolist():
         msg = (

@@ -45,13 +45,16 @@ from .canonical import (
     verify_nilradical,
 )
 from .flags import (
-    _catalog_relations,
+    _carries,
+    _inside,
     _levi_blocks,
     all_orbit_indices,
     borel_b,
     cutoff_parabolic,
+    is_theta_stable,
     nilradical_n,
     parabolic_p,
+    project_cutoff,
     v_matrix,
 )
 from .linalg import DEFAULT_TOL
@@ -325,22 +328,30 @@ def cmd_catalog(args) -> int:
     entries = []
     ok = True
     for idx in all_orbit_indices(n):
-        b, p = borel_b(idx, n), parabolic_p(idx, n)
-        relations = _catalog_relations(idx, n, tol)
+        b, p, v = borel_b(idx, n), parabolic_p(idx, n), v_matrix(idx, n)
         entry = {
             "idx": [idx.i, idx.j],
             "orbit_length": idx.length,
             "flag_columns": b.frame.real.astype(int),
-            "v": v_matrix(idx, n).real.astype(int),
+            "v": v.real.astype(int),
             "dim_borel": b.dim,
             "dim_parabolic": p.dim,
-            **relations,
+            # the verdicts, each a membership read-off of a frame and mask
+            "v_carries_standard_flag": _carries(b, v, tol),
+            "borel_in_parabolic": _inside(p, b.basis, tol),
+            "theta_stable": is_theta_stable(p, tol),
         }
         if n >= 2:
-            levi = _levi_blocks(cutoff_parabolic(idx, n).mask)
-            entry["cutoff_levi_blocks"] = sorted(levi, reverse=True)
+            # p projects onto c: its projection lies in c, and c padded by
+            # zeros lies in p
+            c = cutoff_parabolic(idx, n)
+            padded = np.pad(c.basis, ((0, 0), (0, 1), (0, 1)))
+            projected = _inside(c, project_cutoff(p), tol)
+            entry["cutoff_projection_matches"] = projected and _inside(p, padded, tol)
+            entry["cutoff_levi_blocks"] = sorted(_levi_blocks(c.mask), reverse=True)
         # at i = j the parabolic is the Borel: it holds b, and no more
-        ok &= all(relations.values()) and (idx.i != idx.j or b.dim == p.dim)
+        closed = idx.i != idx.j or b.dim == p.dim
+        ok &= closed and all(x for x in entry.values() if isinstance(x, bool))
         entries.append(entry)
     claim = (
         "the permutation-and-shear matrices carry the standard flag onto the "
@@ -435,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_dims)
 
     sub = subs.add_parser("catalog", help="emit the flag and subalgebra catalog")
-    _add_common(sub, ("membership",), sized=True)
+    _add_common(sub, (), sized=True)
     sub.set_defaults(func=cmd_catalog)
 
     sub = subs.add_parser("sn", help="nilpotent-pair sampling and the strong-regularity experiment")

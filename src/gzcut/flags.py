@@ -280,8 +280,10 @@ def theta(x) -> np.ndarray:
     each matrix of a (T, n, n) stack: flips the signs of the last row and
     column off the diagonal."""
     m = np.asarray(x, dtype=complex)
-    if m.ndim != 3:
-        m = as_cmatrix(m)
+    if m.ndim != 3 or not m.shape[1] == m.shape[2] >= 1:
+        m = as_cmatrix(m)  # one matrix, or the shape error
+    elif not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     d = np.append(np.ones(m.shape[-1] - 1), -1.0)
     return d[:, None] * m * d
 
@@ -344,21 +346,3 @@ def _carries(b: SubalgebraSpec, v, tol: Tolerances) -> bool:
     column prefix v[:, :k] spans b.frame[:, :k].  That is B^-1 v upper
     triangular, which is v B^-1 lying in b, with no zero on its diagonal."""
     return _inside(b, (v @ b.inverse)[None], tol) and bool(np.diagonal(b.inverse @ v).all())
-
-
-def _catalog_relations(idx: OrbitIndex, n: int, tol: Tolerances) -> dict:
-    """The relations `gzcut catalog` reports for orbit idx, each a membership
-    read-off at tol.membership.  The parabolic's cutoff projection is c =
-    cutoff_parabolic when it lies in c and c, padded by zeros, lies in p."""
-    b, p = borel_b(idx, n), parabolic_p(idx, n)
-    out = {
-        "v_carries_standard_flag": _carries(b, v_matrix(idx, n), tol),
-        "borel_in_parabolic": _inside(p, b.basis, tol),
-        "theta_stable": is_theta_stable(p, tol),
-    }
-    if n >= 2:
-        c = cutoff_parabolic(idx, n)
-        projected = _inside(c, project_cutoff(p), tol)
-        padded = np.pad(c.basis, ((0, 0), (0, 1), (0, 1)))
-        out["cutoff_projection_matches"] = projected and _inside(p, padded, tol)
-    return out

@@ -108,6 +108,13 @@ def _failure(what: str, m: np.ndarray) -> EigensolverError:
     return EigensolverError(f"{what} on\n{np.array2string(m, precision=6)}")
 
 
+def _name_by_point(found: dict, xs: np.ndarray, errors: dict) -> None:
+    """Record in errors, under each position t of found not there yet, the
+    SVD failure named by the point xs[t] whose internal matrix failed."""
+    for t in found:
+        errors.setdefault(t, _failure("SVD failed to converge", xs[t]))
+
+
 def _one(stage, *args):
     """stage(*args, errors) on the caller's stack: its output, or the failure
     it records at the lowest failed position, raised."""

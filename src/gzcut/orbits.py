@@ -30,9 +30,9 @@ from .linalg import (
     DEFAULT_TOL,
     EigensolverError,
     Tolerances,
-    _failure,
     _lapack_stack,
     _lapack_try,
+    _name_by_point,
     _one,
     _rank_stack,
     as_cmatrix,
@@ -299,8 +299,7 @@ def _tangent_ranks(s: SubalgebraSpec, xs: np.ndarray, tol: Tolerances, errors: d
     norms[norms == 0] = 1.0
     found = {}
     ranks = _rank_stack(rows / norms[..., None], tol, found)
-    for pos in found:
-        errors.setdefault(pos, _failure("SVD failed to converge", xs[pos]))
+    _name_by_point(found, xs, errors)
     return ranks
 
 

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +29,8 @@ from gzcut import (
     theta,
     v_matrix,
 )
-from gzcut.flags import _carries, _catalog_relations, _inside, _residual_stack
+from gzcut.cli import main
+from gzcut.flags import _carries, _inside, _residual_stack
 from oracles import (
     cgauss,
     column_span_equal,
@@ -348,6 +352,20 @@ def test_theta_is_an_involution(n, seed):
     assert_allclose(theta(theta(m)), m, atol=0)
 
 
+def test_theta_of_a_stack_checks_what_one_matrix_is_checked_for():
+    xs = cgauss(np.random.default_rng(3), (4, 3, 3))
+    assert np.array_equal(theta(xs), [theta(x) for x in xs])
+    assert theta(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+    for shape in ((2, 1, 3), (2, 3, 1), (2, 0, 0)):
+        want = re.escape(f"expected a square matrix, got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            theta(np.ones(shape))
+    for bad in (np.nan, np.inf):
+        xs[2, 0, 1] = bad
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            theta(xs)
+
+
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
 def test_catalog_parabolics_are_theta_stable(n):
     for idx in all_orbit_indices(n):
@@ -453,17 +471,25 @@ def _exact_relations(idx, n):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_catalog_read_off_agrees_with_exact_ranks(n):
-    # every relation `gzcut catalog` decides, at every index; the read-off is
-    # the one the command runs, the closed-orbit relation as it combines it
-    for idx in all_orbit_indices(n):
-        got = _catalog_relations(idx, n, Tolerances())
+def test_catalog_read_off_agrees_with_exact_ranks(n, tmp_path):
+    # every relation the `catalog` report decides, at every index, and its
+    # status, which adds the closed-orbit relation at i = j
+    out = tmp_path / "report.json"
+    assert main(["catalog", "--n", str(n), "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["status"] == "pass"
+    orbits = report["results"]["orbits"]
+    assert [o["idx"] for o in orbits] == [[idx.i, idx.j] for idx in all_orbit_indices(n)]
+    for idx, entry in zip(all_orbit_indices(n), orbits):
         want = _exact_relations(idx, n)
         closed = want.pop("borel_is_parabolic")
+        got = {k: entry[k] for k in want}
         assert got == want and all(want.values()), idx
-        b, p = borel_b(idx, n), parabolic_p(idx, n)
+        # every verdict of the entry is one of the relations checked
+        assert {k for k, v in entry.items() if isinstance(v, bool)} == set(want)
         if idx.i == idx.j:
-            assert (got["borel_in_parabolic"] and b.dim == p.dim) == closed is True
+            same_dim = entry["dim_borel"] == entry["dim_parabolic"]
+            assert (entry["borel_in_parabolic"] and same_dim) == closed is True
 
 
 def test_read_off_and_rank_route_reject_the_cross_pairs():
